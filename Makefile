@@ -4,12 +4,20 @@
 # parallel experiment harness and the dvfsd serving layer — so a
 # race-clean run is part of "tests pass"), and finally the dvfsd
 # end-to-end smoke.
-.PHONY: verify build test vet fmt-check lint lint-fast race short bench serve-smoke load-smoke cluster-smoke load-bench
+.PHONY: verify build bench-build test vet fmt-check lint lint-fast race short bench serve-smoke load-smoke cluster-smoke load-bench
 
-verify: build vet fmt-check lint test race serve-smoke load-smoke cluster-smoke
+verify: build bench-build vet fmt-check lint test race serve-smoke load-smoke cluster-smoke
 
 build:
 	go build ./...
+
+# bench/ is a module of its own (it imports internal/ through a
+# replace directive), so `go build ./...` and `go test ./...` never
+# reach it: an internal/ API change that breaks its compile would
+# otherwise surface only when the benchmark driver runs. -short skips
+# the test that spawns dvfsd.
+bench-build:
+	go vet -C bench ./... && go test -C bench -short ./...
 
 vet:
 	go vet ./...

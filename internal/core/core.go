@@ -194,16 +194,19 @@ type Prediction struct {
 // problem is the ga.Problem for stage-frequency assignment. All
 // per-stage, per-frequency quantities are precomputed into a flat
 // structure-of-arrays table (evaltab) so Score is a cheap contiguous
-// accumulation, making the 200x600 search run in seconds. It also
-// implements ga.PartialScorer, so the engine scores crossover and
-// mutation children by O(changed genes) delta updates.
+// accumulation, making the 200x600 search run in seconds.
 type problem struct {
 	grid   []units.MHz
 	stages []preprocess.Stage
-	// tab holds the per-(stage, grid index) quadruples — predicted
+	// Table holds the per-(stage, grid index) quadruples — predicted
 	// duration, SoC/AICore energies excluding the temperature term,
-	// ∫V dt — plus the Eq. 17 scoring parameters.
-	tab *evaltab.Table
+	// ∫V dt — plus the Eq. 17 scoring parameters. Embedded: its
+	// Alleles, Score and partial-sum methods are the problem's
+	// ga.PartialScorer (and ga.BatchScorer) implementation, so the
+	// engine scores crossover and mutation children by O(changed
+	// genes) delta updates. Safe for concurrent use: the table is
+	// read-only after buildProblem.
+	*evaltab.Table
 
 	baselineIdx int // grid index of the baseline frequency
 	priorIdx    int // grid index of the prior LFC frequency
@@ -214,8 +217,7 @@ type problem struct {
 	seeds [][]int
 }
 
-func (p *problem) Genes() int   { return len(p.stages) }
-func (p *problem) Alleles() int { return len(p.grid) }
+func (p *problem) Genes() int { return len(p.stages) }
 
 func (p *problem) Seeds() [][]int {
 	if p.seeds == nil {
@@ -238,34 +240,13 @@ func (p *problem) Seeds() [][]int {
 // power is affine in ΔT, so the fixed point is solved in closed form
 // (powermodel.SolveDeltaTLinear) instead of iterating.
 func (p *problem) predict(ind []int) Prediction {
-	pr := p.tab.Predict(ind)
+	pr := p.Table.Predict(ind)
 	return Prediction{
 		TimeMicros: units.Micros(pr.TimeMicros),
 		SoCWatts:   units.Watt(pr.SoCWatts),
 		CoreWatts:  units.Watt(pr.CoreWatts),
 		DeltaT:     units.Celsius(pr.DeltaTC),
 	}
-}
-
-func (p *problem) Score(ind []int) float64 { return p.tab.Score(ind) }
-
-// Partial-sum scoring hooks (ga.PartialScorer). Safe for concurrent
-// use: the table is read-only after buildProblem.
-func (p *problem) SumCount() int                      { return evaltab.Quad }
-func (p *problem) InitSums(ind []int, sums []float64) { p.tab.InitSums(ind, sums) }
-func (p *problem) UpdateSums(sums []float64, gene, oldAllele, newAllele int) {
-	p.tab.UpdateSums(sums, gene, oldAllele, newAllele)
-}
-func (p *problem) ScoreSums(sums []float64) float64 { return p.tab.ScoreSums(sums) }
-
-// Batch scoring hooks (ga.BatchScorer / ga.BatchPartialScorer): whole
-// cohorts sweep the SoA table gene-major, bit-identical to the
-// per-candidate paths.
-func (p *problem) ScoreBatch(genes []int, count int, scores []float64) {
-	p.tab.ScoreBatch(genes, count, scores)
-}
-func (p *problem) InitSumsBatch(genes []int, count int, sums []float64) {
-	p.tab.InitSumsBatch(genes, count, sums)
 }
 
 // Generate runs the full strategy-generation pipeline of Fig. 1 on a
@@ -384,14 +365,14 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 	p := &problem{
 		grid:        grid,
 		stages:      stages,
-		tab:         evaltab.New(len(stages), len(grid)),
+		Table:       evaltab.New(len(stages), len(grid)),
 		baselineIdx: len(grid) - 1,
 	}
-	p.tab.K = float64(in.Power.K)
-	p.tab.TemperatureAware = in.Power.TemperatureAware
-	if p.tab.TemperatureAware {
-		p.tab.GammaCore = in.Power.AICore.Gamma
-		p.tab.GammaSoC = in.Power.SoC.Gamma
+	p.Table.K = float64(in.Power.K)
+	p.Table.TemperatureAware = in.Power.TemperatureAware
+	if p.Table.TemperatureAware {
+		p.Table.GammaCore = in.Power.AICore.Gamma
+		p.Table.GammaSoC = in.Power.SoC.Gamma
 	}
 	// Locate the prior LFC frequency on the grid.
 	p.priorIdx = p.baselineIdx
@@ -412,7 +393,7 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 					}
 				}
 				core, soc := in.Power.OpPowerAt(rec.Spec.Key(), f, 0)
-				p.tab.Add(si, gi, dur, float64(soc)*dur, float64(core)*dur, v*dur)
+				p.Table.Add(si, gi, dur, float64(soc)*dur, float64(core)*dur, v*dur)
 			}
 		}
 	}
@@ -429,8 +410,8 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 	if guard <= 0 || guard > 1 {
 		guard = 1
 	}
-	p.tab.PerBaseline = 1 / float64(basePred.TimeMicros)
-	p.tab.PerLB = p.tab.PerBaseline * (1 - cfg.PerfLossTarget*guard)
+	p.Table.PerBaseline = 1 / float64(basePred.TimeMicros)
+	p.Table.PerLB = p.Table.PerBaseline * (1 - cfg.PerfLossTarget*guard)
 	p.Seeds() // build the seed vectors now: the problem is immutable (and trivially concurrency-safe) once returned
 	return p, nil
 }

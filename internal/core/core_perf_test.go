@@ -65,9 +65,9 @@ func TestDeltaScoringMatchesFullOnRealProblem(t *testing.T) {
 		ind[i] = rng.Intn(alleles)
 	}
 	sums := make([]float64, ps.SumCount())
-	ps.InitSums(ind, sums)
+	ps.InitSumsBatch(ind, 1, sums)
 	if got, want := ps.ScoreSums(sums), ps.Score(ind); got != want {
-		t.Fatalf("ScoreSums∘InitSums = %g, Score = %g (contract requires bit-identity)", got, want)
+		t.Fatalf("ScoreSums∘InitSumsBatch = %g, Score = %g (contract requires bit-identity)", got, want)
 	}
 	fresh := make([]float64, ps.SumCount())
 	for step := 0; step < 2000; step++ {
@@ -75,10 +75,51 @@ func TestDeltaScoringMatchesFullOnRealProblem(t *testing.T) {
 		next := rng.Intn(alleles)
 		ps.UpdateSums(sums, gene, ind[gene], next)
 		ind[gene] = next
-		ps.InitSums(ind, fresh)
+		ps.InitSumsBatch(ind, 1, fresh)
 		ds, fs := ps.ScoreSums(sums), ps.ScoreSums(fresh)
 		if math.Abs(ds-fs)/math.Max(math.Abs(fs), 1e-300) > 1e-9 {
 			t.Fatalf("step %d: delta score %g drifted from full score %g", step, ds, fs)
+		}
+	}
+}
+
+// TestIncrementalMatchesPlainOnRealProblem runs the same search down
+// both engine paths on the real BERT evaluator: as built (a
+// ga.PartialScorer, scored by delta updates) and wrapped in
+// struct{ ga.Problem }, which hides the partial-sum methods and
+// selects one serial Score call per child. Floating-point
+// reassociation on the delta path must not move the search: same
+// winner, scores within 1e-9 relative, at one island and across
+// migrating islands.
+func TestIncrementalMatchesPlainOnRealProblem(t *testing.T) {
+	f := sharedFixture(t)
+	cfg := testConfig(0.02)
+	ev, err := NewEvaluator(f.input, cfg, mustStages(t, f, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := struct{ ga.Problem }{ev.Problem()}
+	if _, ok := ga.Problem(plain).(ga.PartialScorer); ok {
+		t.Fatal("wrapper still exposes ga.PartialScorer")
+	}
+	for _, islands := range []int{1, 3} {
+		cfg.GA.Islands = islands
+		inc, err := ga.Run(ev.Problem(), cfg.GA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := ga.Run(plain, cfg.GA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(inc.Best, ref.Best) {
+			t.Errorf("islands=%d: incremental best %v differs from plain best %v", islands, inc.Best, ref.Best)
+		}
+		if math.Abs(inc.BestScore-ref.BestScore)/math.Abs(ref.BestScore) > 1e-9 {
+			t.Errorf("islands=%d: incremental best score %g drifted from plain %g", islands, inc.BestScore, ref.BestScore)
+		}
+		if inc.Evaluations != ref.Evaluations {
+			t.Errorf("islands=%d: evaluations %d vs %d", islands, inc.Evaluations, ref.Evaluations)
 		}
 	}
 }

@@ -337,7 +337,7 @@ func TestDeltaTSelfConsistency(t *testing.T) {
 		t.Fatalf("baseline ΔT = %g, want positive", pred.DeltaT)
 	}
 	// ΔT must satisfy Eq. 15 against the predicted SoC power.
-	if got := units.CelsiusPerWatt(prob.tab.K).Times(pred.SoCWatts); math.Abs(float64(got-pred.DeltaT)) > 0.01 {
+	if got := units.CelsiusPerWatt(prob.Table.K).Times(pred.SoCWatts); math.Abs(float64(got-pred.DeltaT)) > 0.01 {
 		t.Errorf("ΔT = %g inconsistent with k·P = %g", pred.DeltaT, got)
 	}
 }

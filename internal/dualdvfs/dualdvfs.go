@@ -124,10 +124,12 @@ type problem struct {
 	scales []float64
 	stages []preprocess.Stage
 
-	// tab holds the per-(stage, pair-allele) prediction quadruples in
-	// the flat SoA layout shared with core (see internal/evaltab); it
-	// also implements the ga.PartialScorer delta-scoring hooks.
-	tab *evaltab.Table
+	// Table holds the per-(stage, pair-allele) prediction quadruples
+	// in the flat SoA layout shared with core (see internal/evaltab).
+	// Embedded: its Alleles, Score and partial-sum methods are the
+	// problem's ga.PartialScorer implementation. Safe for concurrent
+	// use: the table is read-only after buildProblem.
+	*evaltab.Table
 
 	baselineIdx int // allele of (f_max, scale 1)
 	priorLFCIdx int // prior allele for LFC stages
@@ -144,8 +146,7 @@ func (p *problem) pairOf(allele int) pair {
 	return pair{freqIdx: allele / len(p.scales), scaleIdx: allele % len(p.scales)}
 }
 
-func (p *problem) Genes() int   { return len(p.stages) }
-func (p *problem) Alleles() int { return len(p.grid) * len(p.scales) }
+func (p *problem) Genes() int { return len(p.stages) }
 
 func (p *problem) Seeds() [][]int {
 	if p.seeds == nil {
@@ -165,34 +166,13 @@ func (p *problem) Seeds() [][]int {
 }
 
 func (p *problem) predict(ind []int) core.Prediction {
-	pr := p.tab.Predict(ind)
+	pr := p.Table.Predict(ind)
 	return core.Prediction{
 		TimeMicros: units.Micros(pr.TimeMicros),
 		SoCWatts:   units.Watt(pr.SoCWatts),
 		CoreWatts:  units.Watt(pr.CoreWatts),
 		DeltaT:     units.Celsius(pr.DeltaTC),
 	}
-}
-
-func (p *problem) Score(ind []int) float64 { return p.tab.Score(ind) }
-
-// Partial-sum scoring hooks (ga.PartialScorer). Safe for concurrent
-// use: the table is read-only after buildProblem.
-func (p *problem) SumCount() int                      { return evaltab.Quad }
-func (p *problem) InitSums(ind []int, sums []float64) { p.tab.InitSums(ind, sums) }
-func (p *problem) UpdateSums(sums []float64, gene, oldAllele, newAllele int) {
-	p.tab.UpdateSums(sums, gene, oldAllele, newAllele)
-}
-func (p *problem) ScoreSums(sums []float64) float64 { return p.tab.ScoreSums(sums) }
-
-// Batch scoring hooks (ga.BatchScorer / ga.BatchPartialScorer): whole
-// cohorts sweep the SoA table gene-major, bit-identical to the
-// per-candidate paths.
-func (p *problem) ScoreBatch(genes []int, count int, scores []float64) {
-	p.tab.ScoreBatch(genes, count, scores)
-}
-func (p *problem) InitSumsBatch(genes []int, count int, sums []float64) {
-	p.tab.InitSumsBatch(genes, count, sums)
 }
 
 // Generate searches (core frequency, uncore scale) pairs per stage.
@@ -242,13 +222,13 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 		grid:   grid,
 		scales: scales,
 		stages: stages,
-		tab:    evaltab.New(len(stages), len(grid)*len(scales)),
+		Table:  evaltab.New(len(stages), len(grid)*len(scales)),
 	}
-	p.tab.K = float64(in.Power.K)
-	p.tab.TemperatureAware = in.Power.TemperatureAware
-	if p.tab.TemperatureAware {
-		p.tab.GammaCore = in.Power.AICore.Gamma
-		p.tab.GammaSoC = in.Power.SoC.Gamma
+	p.Table.K = float64(in.Power.K)
+	p.Table.TemperatureAware = in.Power.TemperatureAware
+	if p.Table.TemperatureAware {
+		p.Table.GammaCore = in.Power.AICore.Gamma
+		p.Table.GammaSoC = in.Power.SoC.Gamma
 	}
 	// Scaled chips for white-box timing.
 	chips := make([]*npu.Chip, len(scales))
@@ -292,7 +272,7 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 					}
 					coreP, socP := in.Power.OpPowerAt(rec.Spec.Key(), f, 0)
 					soc := float64(socP) - dynSaving
-					p.tab.Add(si, allele, dur, soc*dur, float64(coreP)*dur, v*dur)
+					p.Table.Add(si, allele, dur, soc*dur, float64(coreP)*dur, v*dur)
 				}
 			}
 		}
@@ -309,8 +289,8 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 	if guard <= 0 || guard > 1 {
 		guard = 1
 	}
-	p.tab.PerBaseline = 1 / float64(basePred.TimeMicros)
-	p.tab.PerLB = p.tab.PerBaseline * (1 - cfg.PerfLossTarget*guard)
+	p.Table.PerBaseline = 1 / float64(basePred.TimeMicros)
+	p.Table.PerLB = p.Table.PerBaseline * (1 - cfg.PerfLossTarget*guard)
 	p.Seeds() // build the seed vectors now: the problem is immutable (and trivially concurrency-safe) once returned
 	return p, nil
 }

@@ -94,6 +94,9 @@ func (t *Table) Stages() int { return t.stages }
 // Alleles returns the number of alleles per gene.
 func (t *Table) Alleles() int { return t.alleles }
 
+// SumCount returns the length of a partial-sum vector (ga.PartialScorer).
+func (t *Table) SumCount() int { return Quad }
+
 // Add accumulates one operator's contribution into the (stage, allele)
 // cell: predicted duration, SoC and AICore energies excluding the
 // temperature term, and the ∫V dt increment.
@@ -185,7 +188,7 @@ const batchTile = 64
 // per-candidate pointer chase into contiguous passes over the table.
 // Each candidate still accumulates in ascending gene order with one
 // independent accumulator per quantity, so every quadruple is
-// bit-identical to a per-candidate InitSums walk (ga.BatchPartialScorer
+// bit-identical to a per-candidate InitSums walk (ga.PartialScorer
 // contract).
 //
 //lint:hotpath

@@ -172,7 +172,7 @@ func TestScoreEq17Branches(t *testing.T) {
 }
 
 // TestBatchMatchesScalarBitIdentical pins the ga.BatchScorer /
-// ga.BatchPartialScorer contracts: the gene-major tiled sweep must
+// ga.PartialScorer batch contracts: the gene-major tiled sweep must
 // reproduce the scalar InitSums walk and Score bit for bit, for every
 // candidate, across tile boundaries (the cohort spans two full tiles
 // plus a ragged tail) and at the empty and single-candidate edges.

@@ -241,13 +241,13 @@ func (l *Lab) modelFree(ctx context.Context, budgetSec float64) (*ModelFreeResul
 	if gens < 1 {
 		gens = 1
 	}
-	// NoScoreCache: Score is impure (it burns simulated hardware time);
-	// memoizing repeats would cheat the hardware-time budget the whole
-	// comparison is about.
+	// Score is impure: every evaluation must spend real (simulated)
+	// hardware time, the budget the whole comparison is about. The
+	// engine scores a plain Problem with exactly one Score call per
+	// counted evaluation.
 	hwRes, err := ga.RunContext(ctx, hw, ga.Config{
 		PopSize: pop, Generations: gens, MutationRate: 0.15,
 		CrossoverRate: 0.7, Elitism: 1, Seed: 21, Workers: 1,
-		NoScoreCache: true,
 	})
 	if err != nil {
 		return nil, err

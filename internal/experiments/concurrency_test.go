@@ -31,7 +31,7 @@ func skipHeavyUnderRace(t *testing.T) {
 }
 
 // sharedExecProblem scores GA individuals by running them on ONE
-// Executor shared across all GA worker goroutines — the shape of a
+// Executor shared across all GA island goroutines — the shape of a
 // hardware-in-the-loop search, and the scenario the Executor's
 // concurrency contract exists for. Alleles mix core frequencies with
 // uncore scales so concurrent Run calls populate the scaled-view
@@ -67,10 +67,12 @@ func (p *sharedExecProblem) Score(ind []int) float64 {
 }
 
 // TestGASharedExecutorStress drives GA scoring through one shared
-// Executor from many worker goroutines. Its real assertion is the
-// race detector: `go test -race` fails here if the Executor's view
-// cache (or any other shared state on the Score path) races. It also
-// pins determinism: a Workers=1 run must find the identical result.
+// Executor from two concurrently running islands (the engine scores a
+// plain Problem serially per island, so islands are what make Score
+// calls overlap). Its real assertion is the race detector: `go test
+// -race` fails here if the Executor's view cache (or any other shared
+// state on the Score path) races. It also pins determinism: a
+// Workers=1 run must find the identical result.
 func TestGASharedExecutorStress(t *testing.T) {
 	lab := sharedLab()
 	reps := workload.RepresentativeOps()
@@ -89,7 +91,7 @@ func TestGASharedExecutorStress(t *testing.T) {
 	}
 	cfg := ga.Config{
 		PopSize: 16, Generations: 6, MutationRate: 0.2,
-		CrossoverRate: 0.7, Elitism: 1, Seed: 77, Workers: 8,
+		CrossoverRate: 0.7, Elitism: 1, Seed: 77, Workers: 8, Islands: 2,
 	}
 	par, err := ga.Run(newProblem(), cfg)
 	if err != nil {

@@ -8,9 +8,10 @@ import (
 	"sync/atomic"
 )
 
-// Island-model defaults: migration runs every DefaultMigrationEvery
-// generations, each island sending its DefaultMigrants best
-// individuals to its ring successor. The cadence is coarse enough
+// The island model's fixed schedule: migration runs every
+// DefaultMigrationEvery generations, each island sending its
+// DefaultMigrants best individuals (clamped to half the smallest
+// island) to its ring successor. The cadence is coarse enough
 // that islands diverge usefully between exchanges (the whole point of
 // the model) and fine enough that a breakthrough on one island
 // reaches all of them within a small fraction of a 600-generation
@@ -53,32 +54,23 @@ func DefaultIslands(popSize int) int {
 }
 
 // Engine is a reusable search instance: one validated (Problem,
-// Config) pair with every island slab, scratch buffer and cache
+// Config) pair with every island slab and scratch buffer
 // preallocated. Run may be called repeatedly — each call re-seeds and
 // reproduces byte-identical results — and allocates nothing in steady
-// state on the incremental path, which is what makes per-request
-// re-searches on the dvfsd serving path cheap. An Engine is not safe
-// for concurrent Run calls.
+// state on the incremental path. An Engine is not safe for concurrent
+// Run calls.
 type Engine struct {
-	p   Problem
+	p Problem
+	// ps is p's PartialScorer view; inc (ps != nil) selects the
+	// incremental scoring path over the serial Score path.
 	ps  PartialScorer
-	bs  BatchScorer
-	bps BatchPartialScorer
 	inc bool
 	cfg Config
 
-	n       int
-	alleles int
-	sumN    int
-	workers int
-	// fanout: single-island searches over problems without a batch
-	// entry point score cohorts across the worker pool; multi-island
-	// searches parallelize across islands instead.
-	fanout bool
-	// segEvery is the barrier cadence: islands run independently for
-	// segEvery generations, then synchronize for history aggregation,
-	// staleness and migration.
-	segEvery int
+	n        int
+	alleles  int
+	sumN     int
+	workers  int
 	migrants int
 
 	islands     []island
@@ -156,35 +148,14 @@ func New(p Problem, cfg Config) (*Engine, error) {
 		alleles: alleles,
 		workers: workers,
 	}
-	if ps, ok := p.(PartialScorer); ok && !cfg.ExactRescore && ps.SumCount() > 0 {
+	if ps, ok := p.(PartialScorer); ok && ps.SumCount() > 0 {
 		e.ps = ps
 		e.inc = true
 		e.sumN = ps.SumCount()
-		if bps, ok := p.(BatchPartialScorer); ok {
-			e.bps = bps
-		}
 	}
-	if bs, ok := p.(BatchScorer); ok {
-		e.bs = bs
-	}
-	e.fanout = nIsl == 1 && workers > 1 && e.bs == nil
 
-	segEvery := cfg.MigrationEvery
-	switch {
-	case segEvery == 0:
-		segEvery = DefaultMigrationEvery
-	case segEvery < 0:
-		segEvery = DefaultMigrationEvery // barriers still run; migration is disabled below
-	}
-	e.segEvery = segEvery
-	migrants := cfg.Migrants
-	if migrants == 0 {
-		migrants = DefaultMigrants
-	}
-	if m := minSize / 2; migrants > m {
-		migrants = m
-	}
-	if migrants < 0 || cfg.MigrationEvery < 0 || nIsl == 1 {
+	migrants := min(DefaultMigrants, minSize/2)
+	if nIsl == 1 {
 		migrants = 0
 	}
 	e.migrants = migrants
@@ -219,8 +190,8 @@ func New(p Problem, cfg Config) (*Engine, error) {
 // result: Best, History, IslandEvaluations and Population alias
 // engine slabs, valid until the next Run call. Callers that need a
 // caller-owned result use Result.Clone (RunContext does). Repeat
-// calls reproduce byte-identical results: the RNG streams re-seed,
-// the caches clear, and the populations re-initialize from scratch.
+// calls reproduce byte-identical results: the RNG streams re-seed and
+// the populations re-initialize from scratch.
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	gens := e.cfg.Generations
 	nIsl := len(e.islands)
@@ -257,43 +228,26 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	}
 	e.history = append(e.history, e.globalBest(0))
 
-	stale, stopped := 0, false
-	done := 0
-	for done < gens && !stopped {
-		segEnd := done + 1
+	// Islands run independently between barriers — every
+	// DefaultMigrationEvery generations, or the whole search when there
+	// is one island and nothing to exchange — and elites migrate at
+	// each barrier but the last (nothing breeds from the final
+	// generation).
+	for done := 0; done < gens; {
+		segEnd := gens
 		if nIsl > 1 {
-			segEnd = done + e.segEvery - done%e.segEvery
-			if segEnd > gens {
-				segEnd = gens
-			}
+			segEnd = min(done+DefaultMigrationEvery, gens)
 		}
 		if err := e.runSegment(ctx, done+1, segEnd); err != nil {
 			return nil, err
 		}
-		// Barrier: aggregate the per-island convergence series in
-		// fixed island order and evaluate staleness. With one island
-		// the segment is one generation, preserving exact per-
-		// generation StaleLimit semantics; with several, a mid-
-		// segment trigger stops at the segment end (the bred
-		// generations stay in History).
-		for g := done + 1; g <= segEnd; g++ {
-			b := e.globalBest(g)
-			e.history = append(e.history, b)
-			if e.cfg.StaleLimit > 0 && !stopped {
-				if b <= e.history[len(e.history)-2] {
-					stale++
-					if stale >= e.cfg.StaleLimit {
-						stopped = true
-					}
-				} else {
-					stale = 0
-				}
-			}
-		}
 		done = segEnd
-		if !stopped && done < gens && e.migrants > 0 && done%e.segEvery == 0 {
+		if done < gens {
 			e.migrate()
 		}
+	}
+	for g := 1; g <= gens; g++ {
+		e.history = append(e.history, e.globalBest(g))
 	}
 	return e.assemble(), nil
 }
@@ -418,19 +372,10 @@ func (e *Engine) assemble() *Result {
 	wisl := &e.islands[win]
 	copy(e.best, wisl.pop[wisl.perm[0]].genes)
 
-	evals, hits, evict := 0, 0, 0
+	evals := 0
 	for i := range e.islands {
-		isl := &e.islands[i]
-		e.islandEvals[i] = isl.evals
-		evals += isl.evals
-		hits += isl.hits
-		if isl.cache != nil {
-			evict += isl.cache.evictions
-		}
-	}
-	cacheCap := 0
-	if e.islands[0].cache != nil {
-		cacheCap = e.islands[0].cache.cap
+		e.islandEvals[i] = e.islands[i].evals
+		evals += e.islands[i].evals
 	}
 	e.res = Result{
 		Best:              e.best,
@@ -438,9 +383,6 @@ func (e *Engine) assemble() *Result {
 		History:           e.history,
 		Evaluations:       evals,
 		Generations:       len(e.history) - 1,
-		CacheHits:         hits,
-		CacheCap:          cacheCap,
-		CacheEvictions:    evict,
 		Islands:           len(e.islands),
 		Migrations:        e.migrations,
 		IslandEvaluations: e.islandEvals,
@@ -459,16 +401,4 @@ func (e *Engine) assemble() *Result {
 		e.res.Population = e.popRows
 	}
 	return &e.res
-}
-
-// migrationGens returns the generations at which migration fires for
-// a search of gens generations at cadence every — the fixed schedule
-// the golden determinism test pins. Migration never fires at the
-// final generation (there is nothing left to breed from it).
-func migrationGens(gens, every int) []int {
-	var out []int
-	for g := every; g < gens; g += every {
-		out = append(out, g)
-	}
-	return out
 }

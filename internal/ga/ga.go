@@ -1,35 +1,36 @@
 // Package ga implements the genetic-algorithm search used for DVFS
 // strategy generation (Sect. 6.3): individuals are integer gene
 // vectors (one frequency index per candidate stage), selection is
-// score-based, crossover swaps the last k genes of two parents, and
-// mutation rewrites a random burst of genes.
+// score-based (quadratic rank weights), crossover swaps the last k
+// genes of two parents, and mutation rewrites a random burst of genes.
 //
 // The engine is an island model: the population is partitioned into N
-// islands (Config.Islands), each with its own RNG stream, score cache
-// and recycled gene/partial-sum slabs, so islands share no mutable
-// state on the hot path and run on the worker pool without locks.
-// Islands exchange their elite individuals over a fixed ring topology
-// at a fixed generation cadence (Config.MigrationEvery), so the whole
-// trajectory — including every migration — is a pure function of the
-// config and the problem, byte-identical at any worker count (the
-// determinism contract; see DESIGN.md §13).
+// islands (Config.Islands), each with its own RNG stream and recycled
+// gene/partial-sum slabs, so islands share no mutable state on the hot
+// path and run on the worker pool without locks. Islands exchange
+// their elite individuals over a fixed ring topology at a fixed
+// generation cadence (DefaultMigrationEvery), so the whole trajectory
+// — including every migration — is a pure function of the config and
+// the problem, byte-identical at any worker count (the determinism
+// contract; see DESIGN.md §13).
 //
-// Scoring is batched per cohort: problems implementing BatchScorer
-// (the evaltab-backed evaluators) score a whole slice of candidates in
-// gene-major sweeps over the SoA table instead of per-candidate
-// pointer chases. Problems implementing PartialScorer additionally get
-// incremental (delta) scoring — a child produced by crossover or a
-// mutation burst inherits a parent's partial sums and applies
-// O(changed genes) updates instead of an O(genes) re-walk
-// (Config.ExactRescore restores full re-scoring). Neither engine
-// choice changes the stochastic trajectory: the RNG draw sequence is
-// identical across scoring modes and worker counts, so equal seeds
-// reproduce runs.
+// There are two scoring paths, chosen by what the problem is and never
+// by an option. A PartialScorer (both real problems: core and
+// dualdvfs) gets incremental scoring — a child produced by crossover
+// or a mutation burst inherits a parent's partial sums and applies
+// O(changed genes) updates instead of an O(genes) re-walk, with a
+// batched full re-walk of every cohort at a fixed cadence. Any other
+// Problem gets one serial Score call per child on its island's
+// goroutine: the hardware-in-the-loop baseline's path, and the
+// reference the equivalence tests compare the first path against by
+// wrapping a problem in struct{ Problem } to hide its PartialScorer
+// methods. The RNG draw sequence is identical on both paths and at
+// every worker count, so equal seeds reproduce runs.
 //
 // Run and RunContext are one-shot conveniences; callers re-searching
-// the same problem shape (the dvfsd serving path, the adaptive
-// re-optimizer) should hold an Engine, whose Run reuses every slab
-// across searches and allocates nothing in steady state.
+// the same problem shape (the adaptive re-optimizer) should hold an
+// Engine, whose Run reuses every slab across searches and allocates
+// nothing in steady state.
 package ga
 
 import (
@@ -45,12 +46,13 @@ type Problem interface {
 	// supported frequency points).
 	Alleles() int
 	// Score returns the fitness of an individual; higher is better.
-	// Must be safe for concurrent calls. A NaN score is treated as
-	// -Inf fitness (worst), so infeasible individuals may signal
-	// themselves with NaN without corrupting selection. Unless
-	// Config.NoScoreCache is set, Score must also be a pure function
-	// of the gene vector: repeated individuals are served from a
-	// memoized cache and never re-scored.
+	// Must be safe for concurrent calls (islands score concurrently).
+	// A NaN score is treated as -Inf fitness (worst), so infeasible
+	// individuals may signal themselves with NaN without corrupting
+	// selection. Every individual the engine counts in
+	// Result.Evaluations costs exactly one call — nothing is memoized —
+	// so a Score that spends real hardware time keeps its budget
+	// accounting honest.
 	Score(individual []int) float64
 	// Seeds returns individuals to include in the first generation
 	// (the paper seeds the baseline all-max-frequency individual and
@@ -59,27 +61,29 @@ type Problem interface {
 	Seeds() [][]int
 }
 
-// PartialScorer is an optional Problem extension enabling incremental
+// PartialScorer is the Problem extension that selects incremental
 // (delta) scoring. A conforming problem's fitness must be a pure
 // function of a fixed-size vector of running sums over the gene
-// vector: InitSums fills the vector with a full walk in ascending
-// gene order, UpdateSums adjusts it for one gene change in O(1), and
-// ScoreSums maps it to the fitness, with ScoreSums∘InitSums ≡ Score
-// bit-identically. The engine then scores a child by copying a
+// vector: InitSumsBatch fills the vectors with full walks in ascending
+// gene order, UpdateSums adjusts one for one gene change in O(1), and
+// ScoreSums maps it to the fitness, with ScoreSums∘InitSumsBatch ≡
+// Score bit-identically. The engine then scores a child by copying a
 // parent's sums and applying one delta per changed gene; the result
 // may differ from a full re-walk by floating-point reassociation
 // only, and the engine re-walks every individual at a fixed
 // generation cadence to keep the drift bounded (well under 1e-9
 // relative; see the equivalence tests). All methods must be safe for
-// concurrent calls, like Score. Incremental scoring bypasses the
-// memoized score cache — duplicate detection would cost the O(genes)
-// key build the delta path exists to avoid.
+// concurrent calls, like Score, which the engine never calls on a
+// PartialScorer.
 type PartialScorer interface {
 	Problem
 	// SumCount returns the length of the partial-sum vector.
 	SumCount() int
-	// InitSums fills sums (length SumCount) from a full walk of ind.
-	InitSums(ind []int, sums []float64)
+	// InitSumsBatch fills count partial-sum vectors (candidate c's sums
+	// occupy sums[c*SumCount() : (c+1)*SumCount()]) from full walks of
+	// count candidates stored back to back in genes (candidate c
+	// occupies genes[c*Genes() : (c+1)*Genes()]).
+	InitSumsBatch(genes []int, count int, sums []float64)
 	// UpdateSums applies the delta of rewriting one gene from
 	// oldAllele to newAllele.
 	UpdateSums(sums []float64, gene, oldAllele, newAllele int)
@@ -87,50 +91,20 @@ type PartialScorer interface {
 	ScoreSums(sums []float64) float64
 }
 
-// BatchScorer is an optional Problem extension for cohort scoring:
+// BatchScorer is a Problem extension for scoring whole cohorts:
 // ScoreBatch evaluates count candidates stored back to back in genes
 // (candidate c occupies genes[c*Genes() : (c+1)*Genes()]) and writes
-// their fitnesses to scores[:count]. Each score must be bit-identical
-// to Score of the same vector — the engine mixes the two paths freely
-// (cache representatives go through ScoreBatch, and the equivalence
-// tests diff them). The evaltab-backed problems implement this with
-// gene-major sweeps over the SoA table, amortizing each table row
-// across the whole cohort.
+// their fitnesses to scores[:count], each bit-identical to Score of
+// the same vector. The engine does not consume it — every problem
+// that implements it is also a PartialScorer and takes the incremental
+// path. The declaration survives because bench/replay.go type-asserts
+// it to time the evaltab batch kernel (evaltab.score_batch_ns_per_ind)
+// and bench/ is frozen between benchmark-only PRs; it goes when a
+// benchmark PR drops that layer.
 type BatchScorer interface {
 	Problem
 	ScoreBatch(genes []int, count int, scores []float64)
 }
-
-// BatchPartialScorer is the batch form of PartialScorer.InitSums:
-// InitSumsBatch fills count partial-sum vectors (candidate c's sums
-// occupy sums[c*SumCount() : (c+1)*SumCount()]) from full walks of
-// count candidates stored back to back in genes. Results must be
-// bit-identical to per-candidate InitSums — the engine uses it for
-// the periodic drift-bounding re-walks of whole cohorts.
-type BatchPartialScorer interface {
-	PartialScorer
-	InitSumsBatch(genes []int, count int, sums []float64)
-}
-
-// Selection picks the parent-selection scheme. All schemes are
-// score-based (selection likelihood increases with score, Sect. 6.3.3);
-// they differ in how much pressure they apply when score differences
-// are small.
-type Selection int
-
-const (
-	// RankSelection weights parents quadratically by rank. It is the
-	// default: the power-minimization objective leaves compliant
-	// individuals within fractions of a percent of each other, where
-	// raw proportional selection has almost no pressure.
-	RankSelection Selection = iota
-	// RouletteSelection weights parents proportionally to their
-	// (shifted) scores.
-	RouletteSelection
-	// TournamentSelection picks the best of three uniformly drawn
-	// candidates.
-	TournamentSelection
-)
 
 // Config tunes the search. The paper's production settings are
 // PopSize 200, Generations 600, MutationRate 0.15.
@@ -145,50 +119,16 @@ type Config struct {
 	Elitism int
 	// Seed drives all stochastic choices; equal seeds reproduce runs.
 	Seed int64
-	// Workers bounds scoring/breeding concurrency; 0 means GOMAXPROCS.
-	// The worker count never changes results — only wall-clock.
+	// Workers bounds how many islands run concurrently; 0 means
+	// GOMAXPROCS. The worker count never changes results — only
+	// wall-clock.
 	Workers int
-	// Selection picks the parent-selection scheme.
-	Selection Selection
-	// StaleLimit, when positive, stops the search early after this
-	// many consecutive generations without best-score improvement.
-	// With more than one island, staleness is evaluated at migration
-	// barriers, so the search may overrun the limit by up to
-	// MigrationEvery-1 generations before stopping.
-	StaleLimit int
-	// NoScoreCache disables the gene-vector score memoization. The
-	// cache is correct whenever Score is a pure function of the gene
-	// vector (true for the model-based evaluator); disable it for
-	// problems whose Score has observable side effects — e.g. the
-	// hardware-in-the-loop search, where every evaluation must spend
-	// real hardware time to keep the budget accounting honest.
-	NoScoreCache bool
-	// ExactRescore disables incremental (delta) scoring for
-	// PartialScorer problems, forcing a full Score per individual —
-	// the escape hatch for validating the delta path and for problems
-	// whose sums drift faster than the engine's refresh cadence.
-	ExactRescore bool
-	// ScoreCacheCap bounds each island's memoized score cache: 0 means
-	// DefaultScoreCacheCap, a negative value means unbounded, and a
-	// positive value is the per-island entry cap. Long dvfsd-hosted
-	// searches on thousand-stage traces would otherwise grow the
-	// memoization maps without limit.
-	ScoreCacheCap int
 	// Islands is the number of islands the population is partitioned
 	// into. 0 derives a default from GOMAXPROCS and PopSize (see
 	// DefaultIslands) — deliberately never from Workers, so changing
 	// the worker count alone can never change the trajectory. Fixing
 	// Islands explicitly makes results machine-independent as well.
 	Islands int
-	// MigrationEvery is the fixed generation cadence at which islands
-	// exchange elites (and the barrier cadence for history/staleness
-	// aggregation). 0 means DefaultMigrationEvery; negative disables
-	// migration. Irrelevant with one island.
-	MigrationEvery int
-	// Migrants is how many elite individuals each island sends to its
-	// ring successor per migration. 0 means DefaultMigrants; negative
-	// disables migration. Clamped to half the smallest island.
-	Migrants int
 	// WarmStart seeds the first generation with previous-search
 	// individuals (e.g. Result.Population from a prior run),
 	// distributed round-robin across islands after Problem.Seeds().
@@ -199,14 +139,6 @@ type Config struct {
 	// warm-starting a later search.
 	CapturePopulation bool
 }
-
-// DefaultScoreCacheCap is the per-island score-cache entry bound when
-// Config.ScoreCacheCap is zero. At the paper's production settings a
-// search evaluates 200 + 600·198 ≈ 120k individuals; 16k entries keep
-// the recent generations (where nearly all repeats come from, via
-// elites and converged populations) while capping worst-case cache
-// memory on thousand-gene problems at tens of megabytes.
-const DefaultScoreCacheCap = 1 << 14
 
 // DefaultConfig returns the paper's search settings.
 func DefaultConfig() Config {
@@ -231,27 +163,12 @@ type Result struct {
 	// History records the best score across islands after each
 	// generation — the convergence series of Fig. 17.
 	History []float64
-	// Evaluations counts individuals evaluated (including cache hits),
-	// the paper's "strategies assessed" number, summed over islands in
-	// island order.
+	// Evaluations counts individuals evaluated, the paper's
+	// "strategies assessed" number, summed over islands in island
+	// order.
 	Evaluations int
-	// Generations counts generations actually run (equal to
-	// Config.Generations unless StaleLimit stopped the search early).
+	// Generations counts generations run (Config.Generations).
 	Generations int
-	// CacheHits counts evaluations served from the memoized score
-	// caches, summed over islands in island order (a deterministic
-	// reduction: each island's count is exact regardless of worker
-	// scheduling). Evaluations-CacheHits is the number of actual Score
-	// calls. Always zero under incremental scoring, which bypasses the
-	// cache.
-	CacheHits int
-	// CacheCap is the per-island entry bound the score caches ran
-	// under; 0 when the cache was disabled (NoScoreCache), bypassed
-	// (incremental scoring) or unbounded (negative ScoreCacheCap).
-	CacheCap int
-	// CacheEvictions counts entries dropped by the generation-stamped
-	// eviction policy to hold CacheCap, summed in island order.
-	CacheEvictions int
 	// Islands is the island count the search ran with.
 	Islands int
 	// Migrations counts individuals transferred between islands.
@@ -318,21 +235,13 @@ func RunContext(ctx context.Context, p Problem, cfg Config) (*Result, error) {
 }
 
 // sanitize maps NaN fitness to -Inf. A NaN score (e.g. an infeasible
-// individual whose predicted time divides by zero) would otherwise
-// poison the selection prefix sums: every comparison against NaN is
-// false, so the selection search degenerates to a single index and
-// the population collapses onto it. -Inf orders correctly (worst)
-// under ranking and all selection schemes.
+// individual whose predicted time divides by zero) has a bit pattern
+// above +Inf's, so rank's monotone sort key would place it first and
+// the population would collapse onto infeasible elites. -Inf orders
+// correctly: worst.
 func sanitize(score float64) float64 {
 	if math.IsNaN(score) {
 		return math.Inf(-1)
 	}
 	return score
 }
-
-// Compile-time relationships between the optional Problem extensions.
-var (
-	_ Problem       = PartialScorer(nil)
-	_ Problem       = BatchScorer(nil)
-	_ PartialScorer = BatchPartialScorer(nil)
-)

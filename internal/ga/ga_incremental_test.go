@@ -7,10 +7,11 @@ import (
 
 // intSumProblem is a PartialScorer whose partial sums are small
 // integers stored in float64. Every sum stays far below 2^53, so delta
-// updates are exact (no reassociation error): an incremental run and an
-// ExactRescore run must produce byte-identical trajectories, which is
-// the strongest possible check of the delta bookkeeping (resync marks,
-// tail-swap deltas, periodic re-walks, the spare-slot child).
+// updates are exact (no reassociation error): the incremental path and
+// the serial Score path must produce byte-identical trajectories,
+// which is the strongest possible check of the delta bookkeeping
+// (tail-swap deltas, mutation deltas, periodic re-walks, migrated
+// sums, the spare-slot child).
 type intSumProblem struct {
 	weights [][]float64 // weights[gene][allele], small integers
 	alleles int
@@ -32,17 +33,20 @@ func (p *intSumProblem) Alleles() int   { return p.alleles }
 func (p *intSumProblem) Seeds() [][]int { return nil }
 func (p *intSumProblem) Score(ind []int) float64 {
 	sums := make([]float64, 2)
-	p.InitSums(ind, sums)
+	p.InitSumsBatch(ind, 1, sums)
 	return p.ScoreSums(sums)
 }
 func (p *intSumProblem) SumCount() int { return 2 }
-func (p *intSumProblem) InitSums(ind []int, sums []float64) {
-	var s0, s1 float64
-	for g, a := range ind {
-		s0 += p.weights[g][a]
-		s1 += p.weights[g][a] * p.weights[g][a]
+func (p *intSumProblem) InitSumsBatch(genes []int, count int, sums []float64) {
+	n := len(p.weights)
+	for c := 0; c < count; c++ {
+		var s0, s1 float64
+		for g, a := range genes[c*n : (c+1)*n] {
+			s0 += p.weights[g][a]
+			s1 += p.weights[g][a] * p.weights[g][a]
+		}
+		sums[2*c], sums[2*c+1] = s0, s1
 	}
-	sums[0], sums[1] = s0, s1
 }
 func (p *intSumProblem) UpdateSums(sums []float64, gene, oldAllele, newAllele int) {
 	o, n := p.weights[gene][oldAllele], p.weights[gene][newAllele]
@@ -55,47 +59,37 @@ func (p *intSumProblem) ScoreSums(sums []float64) float64 {
 	return sums[0] - sums[1]/1024
 }
 
-func runPair(t *testing.T, cfg Config) (inc, exact *Result) {
-	t.Helper()
-	p := newIntSumProblem(24, 8)
-	cfg.ExactRescore = false
-	ri, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ExactRescore = true
-	re, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ri, re
-}
+// plain hides p's PartialScorer methods behind the bare Problem
+// interface, which is how a test selects the serial Score path for a
+// problem that would otherwise take the incremental one.
+func plain(p Problem) Problem { return struct{ Problem }{p} }
 
-func TestIncrementalMatchesExactRescoreBitwise(t *testing.T) {
+func TestIncrementalMatchesPlainBitwise(t *testing.T) {
+	p := newIntSumProblem(24, 8)
+	if _, ok := plain(p).(PartialScorer); ok {
+		t.Fatal("plain wrapper still exposes PartialScorer")
+	}
 	cfg := DefaultConfig()
 	cfg.PopSize = 50
-	cfg.Generations = 200 // crosses several sumRefreshEvery boundaries
-	for _, sel := range []Selection{RankSelection, RouletteSelection, TournamentSelection} {
-		cfg.Selection = sel
-		inc, exact := runPair(t, cfg)
-		if len(inc.History) != len(exact.History) {
-			t.Fatalf("sel %v: history lengths differ: %d vs %d", sel, len(inc.History), len(exact.History))
+	cfg.Generations = 200 // crosses several sumRefreshEvery and migration boundaries
+	for _, islands := range []int{1, 3} {
+		cfg.Islands = islands
+		inc, err := Run(p, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range inc.History {
-			if inc.History[i] != exact.History[i] {
-				t.Fatalf("sel %v gen %d: incremental history %v differs from exact %v", sel, i, inc.History[i], exact.History[i])
-			}
+		ref, err := Run(plain(p), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fmt.Sprint(inc.Best) != fmt.Sprint(exact.Best) || inc.BestScore != exact.BestScore {
-			t.Fatalf("sel %v: best diverged: %v (%v) vs %v (%v)", sel, inc.Best, inc.BestScore, exact.Best, exact.BestScore)
-		}
+		sameResult(t, fmt.Sprintf("islands=%d incremental vs plain", islands), inc, ref)
 	}
 }
 
 func TestIncrementalWorkerCountInvariance(t *testing.T) {
 	// Same seed must yield a byte-identical strategy regardless of the
-	// worker count — incremental scoring is serial by construction, and
-	// the exact-rescore batches are order-independent.
+	// worker count — each island scores on its own goroutine, so worker
+	// scheduling can only reorder whole islands.
 	p := newIntSumProblem(24, 8)
 	cfg := DefaultConfig()
 	cfg.PopSize = 50
@@ -111,87 +105,6 @@ func TestIncrementalWorkerCountInvariance(t *testing.T) {
 			ref = res
 			continue
 		}
-		if fmt.Sprint(res.Best) != fmt.Sprint(ref.Best) || res.BestScore != ref.BestScore {
-			t.Fatalf("workers=%d: best %v (%v) differs from workers=1 best %v (%v)",
-				workers, res.Best, res.BestScore, ref.Best, ref.BestScore)
-		}
-		for g := range ref.History {
-			if res.History[g] != ref.History[g] {
-				t.Fatalf("workers=%d gen %d: history %v vs %v", workers, g, res.History[g], ref.History[g])
-			}
-		}
-	}
-}
-
-func TestIncrementalSkipsScoreCache(t *testing.T) {
-	p := newIntSumProblem(16, 6)
-	cfg := DefaultConfig()
-	cfg.PopSize = 40
-	cfg.Generations = 60
-	res, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHits != 0 || res.CacheCap != 0 || res.CacheEvictions != 0 {
-		t.Errorf("incremental run reported cache activity: hits=%d cap=%d evictions=%d, want all zero",
-			res.CacheHits, res.CacheCap, res.CacheEvictions)
-	}
-	if res.Generations != len(res.History)-1 {
-		t.Errorf("Generations = %d, want %d", res.Generations, len(res.History)-1)
-	}
-}
-
-func TestScoreCacheCapBoundsAndReports(t *testing.T) {
-	// A non-PartialScorer problem exercises the memo cache. A tiny cap
-	// must force evictions, report the cap, and leave the trajectory
-	// identical to an unbounded run — eviction only forgets scores, it
-	// never changes them.
-	p := &matchProblem{target: target(14, 5), alleles: 5}
-	cfg := smallConfig()
-
-	cfg.ScoreCacheCap = 32
-	capped, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ScoreCacheCap = -1
-	unbounded, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if capped.CacheCap != 32 {
-		t.Errorf("CacheCap = %d, want 32", capped.CacheCap)
-	}
-	if capped.CacheEvictions == 0 {
-		t.Error("tiny cache cap produced zero evictions")
-	}
-	if unbounded.CacheCap != 0 || unbounded.CacheEvictions != 0 {
-		t.Errorf("unbounded run reported cap=%d evictions=%d, want zero", unbounded.CacheCap, unbounded.CacheEvictions)
-	}
-	if capped.BestScore != unbounded.BestScore || fmt.Sprint(capped.Best) != fmt.Sprint(unbounded.Best) {
-		t.Errorf("capped cache changed the outcome: %v (%v) vs %v (%v)",
-			capped.Best, capped.BestScore, unbounded.Best, unbounded.BestScore)
-	}
-	for g := range capped.History {
-		if capped.History[g] != unbounded.History[g] {
-			t.Fatalf("gen %d: capped history %v vs unbounded %v", g, capped.History[g], unbounded.History[g])
-		}
-	}
-	if capped.CacheHits > unbounded.CacheHits {
-		t.Errorf("capped cache hit more than unbounded: %d vs %d", capped.CacheHits, unbounded.CacheHits)
-	}
-}
-
-func TestDefaultScoreCacheCapApplied(t *testing.T) {
-	p := &matchProblem{target: target(10, 4), alleles: 4}
-	cfg := smallConfig()
-	cfg.ScoreCacheCap = 0
-	res, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheCap != DefaultScoreCacheCap {
-		t.Errorf("CacheCap = %d, want DefaultScoreCacheCap (%d)", res.CacheCap, DefaultScoreCacheCap)
+		sameResult(t, fmt.Sprintf("workers=%d vs workers=1", workers), ref, res)
 	}
 }

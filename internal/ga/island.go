@@ -11,7 +11,7 @@ import (
 // generation; row is the slot's fixed slab row index, which never
 // changes because ranking permutes an index array instead of moving
 // slots — that is what keeps each generation's children a contiguous
-// slab range the batch scorers can sweep.
+// slab range InitSumsBatch can sweep.
 type scored struct {
 	genes []int
 	score float64
@@ -27,11 +27,11 @@ type scored struct {
 const rankInvQ = 1024
 
 // island is one independent sub-population. Everything an island
-// touches while breeding and scoring — populations, RNG, score cache,
-// scratch — is island-owned, so islands run concurrently with no
-// locks and no false sharing, and results cannot depend on worker
-// scheduling. Only migration (on the coordinator, between segments)
-// reaches across islands.
+// touches while breeding and scoring — populations, RNG, scratch — is
+// island-owned, so islands run concurrently with no locks and no false
+// sharing, and results cannot depend on worker scheduling. Only
+// migration (on the coordinator, between segments) reaches across
+// islands.
 type island struct {
 	id    int
 	size  int
@@ -63,30 +63,19 @@ type island struct {
 	keyTmp    []uint64
 	radixHist []int32
 
-	// Rank selection's quadratic weights depend only on rank, so the
-	// prefix sums and the inverse-CDF hint table are built once.
-	// Roulette weights depend on scores; prefix is its per-generation
-	// scratch, in ranked order.
+	// Rank selection weights parents quadratically by rank — the
+	// power-minimization objective leaves compliant individuals within
+	// fractions of a percent of each other, where score-proportional
+	// selection has almost no pressure. The weights depend only on
+	// rank, so the prefix sums and the inverse-CDF hint table are built
+	// once.
 	rankPrefix []float64
 	rankTotal  float64
 	rankInv    []int32
-	prefix     []float64
-
-	// Cohort-scoring scratch (non-incremental path): the memo cache
-	// partition buffers and the gather matrix batch scoring reads
-	// cache representatives through.
-	cache    *scoreCache
-	keys     [][]byte
-	reps     []int
-	todo     []int
-	repByKey map[string]int
-	gather   []int
-	bscores  []float64
 
 	hist   []float64 // best score after each generation, indexed by generation
 	filled int       // initial-population slots filled so far
 	evals  int
-	hits   int
 	err    error
 }
 
@@ -117,66 +106,40 @@ func (isl *island) init(e *Engine, id, size int) {
 	isl.radixHist = make([]int32, 256)
 	isl.hist = make([]float64, e.cfg.Generations+1)
 
-	switch e.cfg.Selection {
-	case RouletteSelection:
-		isl.prefix = make([]float64, size)
-	case TournamentSelection:
-		// Tournament compares sc directly; no prefix needed.
-	default: // RankSelection
-		isl.rankPrefix = make([]float64, size)
-		sum := 0.0
-		for i := 0; i < size; i++ {
-			w := float64(size-i) * float64(size-i)
-			sum += w
-			isl.rankPrefix[i] = sum
-		}
-		isl.rankTotal = sum
-		// rankInv[q] is the smallest rank whose cumulative weight
-		// reaches q/rankInvQ of the total — a lower bound for the
-		// answer of any pick landing in bucket q.
-		isl.rankInv = make([]int32, rankInvQ)
-		q := 0
-		for r := 0; r < size; r++ {
-			for q < rankInvQ && float64(q)*sum/rankInvQ <= isl.rankPrefix[r] {
-				isl.rankInv[q] = int32(r)
-				q++
-			}
-		}
-		for ; q < rankInvQ; q++ {
-			isl.rankInv[q] = int32(size - 1)
+	isl.rankPrefix = make([]float64, size)
+	sum := 0.0
+	for i := 0; i < size; i++ {
+		w := float64(size-i) * float64(size-i)
+		sum += w
+		isl.rankPrefix[i] = sum
+	}
+	isl.rankTotal = sum
+	// rankInv[q] is the smallest rank whose cumulative weight reaches
+	// q/rankInvQ of the total — a lower bound for the answer of any
+	// pick landing in bucket q.
+	isl.rankInv = make([]int32, rankInvQ)
+	q := 0
+	for r := 0; r < size; r++ {
+		for q < rankInvQ && float64(q)*sum/rankInvQ <= isl.rankPrefix[r] {
+			isl.rankInv[q] = int32(r)
+			q++
 		}
 	}
-
-	if !e.inc {
-		if !e.cfg.NoScoreCache {
-			isl.cache = newScoreCache(e.cfg.ScoreCacheCap)
-			isl.repByKey = make(map[string]int)
-			isl.keys = make([][]byte, size)
-		}
-		isl.todo = make([]int, 0, size)
-		isl.reps = make([]int, 0, size)
-		if e.bs != nil {
-			isl.gather = make([]int, size*n)
-			isl.bscores = make([]float64, size)
-		}
+	for ; q < rankInvQ; q++ {
+		isl.rankInv[q] = int32(size - 1)
 	}
 }
 
 // reset restores the island to its pre-search state so Engine.Run
 // reproduces byte-identical results on reuse: RNG re-seeded, buffers
-// re-oriented, caches and counters cleared.
+// re-oriented, counters cleared.
 func (isl *island) reset(e *Engine) {
 	isl.rng = newSplitmix(e.cfg.Seed, isl.id)
 	isl.pop, isl.next = isl.buf[:isl.size], isl.buf[isl.size:2*isl.size]
 	isl.spare = &isl.buf[2*isl.size]
 	isl.filled = 0
 	isl.evals = 0
-	isl.hits = 0
 	isl.err = nil
-	if isl.cache != nil {
-		clear(isl.cache.m)
-		isl.cache.evictions = 0
-	}
 }
 
 // fillRandom completes the initial population with uniform random
@@ -194,9 +157,9 @@ func (isl *island) fillRandom(e *Engine) {
 func (isl *island) scoreInitial(e *Engine) {
 	if e.inc {
 		isl.scoreIncremental(e, isl.pop, true)
-		return
+	} else {
+		isl.scoreSerial(e, isl.pop)
 	}
-	isl.hits += isl.scoreCohort(e, isl.pop, 0)
 }
 
 // runGens advances the island through breeding steps (from..to]. On
@@ -213,7 +176,7 @@ func (isl *island) runGens(ctx context.Context, e *Engine, from, to int) {
 		if e.inc {
 			isl.scoreIncremental(e, children, g%sumRefreshEvery == 0)
 		} else {
-			isl.hits += isl.scoreCohort(e, children, g)
+			isl.scoreSerial(e, children)
 		}
 		isl.evals += len(children)
 		isl.pop, isl.next = isl.next, isl.pop
@@ -238,12 +201,9 @@ func (isl *island) breed(e *Engine) {
 	for i := 0; i < isl.elite; i++ {
 		isl.copySlot(e, &isl.next[i], &isl.pop[isl.perm[i]])
 	}
-	if e.cfg.Selection == RouletteSelection {
-		isl.buildRoulettePrefix()
-	}
 	for made := isl.elite; made < isl.size; made += 2 {
-		pa := isl.pickParent(e)
-		pb := isl.pickParent(e)
+		pa := isl.pickParent()
+		pb := isl.pickParent()
 		childA := &isl.next[made]
 		childB := isl.spare
 		if made+1 < isl.size {
@@ -388,176 +348,45 @@ func (isl *island) rank() {
 	}
 }
 
-// buildRoulettePrefix computes cumulative proportional weights in
-// ranked order. The shift baseline is the worst finite score:
-// sanitized (NaN → -Inf) individuals get weight 0 rather than
-// dragging the baseline to -Inf and turning every weight into
-// Inf/NaN.
-func (isl *island) buildRoulettePrefix() {
-	minScore := math.Inf(1)
-	for _, s := range isl.sc {
-		if !math.IsInf(s, 0) && s < minScore {
-			minScore = s
-		}
+// pickParent selects a parent by rank in O(1): one inverse-CDF table
+// load plus a short linear advance (the table entry is a provable
+// lower bound for the target rank) instead of a binary search.
+func (isl *island) pickParent() *scored {
+	u := isl.rng.Float64()
+	x := u * isl.rankTotal
+	r := int(isl.rankInv[int(u*rankInvQ)])
+	for r < isl.size-1 && isl.rankPrefix[r] < x {
+		r++
 	}
-	if math.IsInf(minScore, 1) {
-		minScore = 0 // no finite scores at all
-	}
-	sum := 0.0
-	for i := 0; i < isl.size; i++ {
-		s := isl.sc[isl.perm[i]]
-		if !math.IsInf(s, -1) {
-			sum += s - minScore + 1e-12
-		}
-		isl.prefix[i] = sum
-	}
-}
-
-// pickParent selects a parent under the configured scheme. Rank
-// selection is O(1): one inverse-CDF table load plus a short linear
-// advance (the table entry is a provable lower bound for the target
-// rank), replacing the per-pick binary search.
-func (isl *island) pickParent(e *Engine) *scored {
-	switch e.cfg.Selection {
-	case TournamentSelection:
-		best := isl.rng.Intn(isl.size)
-		for i := 0; i < 2; i++ {
-			if c := isl.rng.Intn(isl.size); isl.sc[c] > isl.sc[best] {
-				best = c
-			}
-		}
-		return &isl.pop[best]
-	case RouletteSelection:
-		total := isl.prefix[isl.size-1]
-		x := isl.rng.Float64() * total
-		lo, hi := 0, isl.size-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if isl.prefix[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return &isl.pop[isl.perm[lo]]
-	default: // RankSelection
-		u := isl.rng.Float64()
-		x := u * isl.rankTotal
-		r := int(isl.rankInv[int(u*rankInvQ)])
-		for r < isl.size-1 && isl.rankPrefix[r] < x {
-			r++
-		}
-		return &isl.pop[isl.perm[r]]
-	}
+	return &isl.pop[isl.perm[r]]
 }
 
 // scoreIncremental scores slots from their partial sums. When refresh
 // is set (generation zero and every sumRefreshEvery generations
-// after), the sums are rebuilt by full walks first — through the
-// batch kernel when the problem provides one, sweeping the cohort's
-// contiguous slab rows gene-major — bounding the delta path's
-// floating-point drift. Runs on the island's goroutine; a delta score
-// is tens of nanoseconds, far below fan-out cost.
+// after), the sums are rebuilt by full walks first — one batch call
+// sweeping the cohort's contiguous slab rows — bounding the delta
+// path's floating-point drift. Runs on the island's goroutine; a delta
+// score is tens of nanoseconds, far below fan-out cost.
 //
 //lint:hotpath
 func (isl *island) scoreIncremental(e *Engine, cohort []scored, refresh bool) {
 	if refresh {
-		if e.bps != nil {
-			base, cnt := int(cohort[0].row), len(cohort)
-			e.bps.InitSumsBatch(
-				isl.geneBlock[base*e.n:(base+cnt)*e.n],
-				cnt,
-				isl.sumBlock[base*e.sumN:(base+cnt)*e.sumN])
-		} else {
-			for i := range cohort {
-				e.ps.InitSums(cohort[i].genes, cohort[i].sums)
-			}
-		}
+		base, cnt := int(cohort[0].row), len(cohort)
+		e.ps.InitSumsBatch(
+			isl.geneBlock[base*e.n:(base+cnt)*e.n],
+			cnt,
+			isl.sumBlock[base*e.sumN:(base+cnt)*e.sumN])
 	}
 	for i := range cohort {
 		cohort[i].score = sanitize(e.ps.ScoreSums(cohort[i].sums))
 	}
 }
 
-// scoreCohort evaluates fitness for a cohort through the island's
-// memo cache (when enabled), reporting how many individuals were
-// served without a Score call. Within one cohort, duplicate gene
-// vectors are scored once; across generations the cache carries
-// scores. gen stamps touched entries for eviction.
-func (isl *island) scoreCohort(e *Engine, cohort []scored, gen int) (hits int) {
-	if isl.cache == nil {
-		isl.todo = isl.todo[:0]
-		for i := range cohort {
-			isl.todo = append(isl.todo, i)
-		}
-		isl.scoreSlots(e, cohort, isl.todo)
-		return 0
-	}
-	// Partition into cache hits, one representative per novel gene
-	// vector, and duplicates of a representative. Lookups through
-	// m[string(bytes)] compile to zero-copy map probes; a key string
-	// is only materialized once per novel vector.
-	keys := isl.keys[:len(cohort)]
-	isl.reps = isl.reps[:0]
-	clear(isl.repByKey)
+// scoreSerial is the scoring path of every problem that is not a
+// PartialScorer: one Score call per individual, in slot order, on the
+// island's goroutine.
+func (isl *island) scoreSerial(e *Engine, cohort []scored) {
 	for i := range cohort {
-		keys[i] = appendGeneKey(keys[i][:0], cohort[i].genes)
-		if ent, ok := isl.cache.m[string(keys[i])]; ok {
-			cohort[i].score = ent.score
-			ent.gen = gen // refresh the stamp so hot entries survive eviction
-			hits++
-			continue
-		}
-		if _, ok := isl.repByKey[string(keys[i])]; !ok {
-			isl.repByKey[string(keys[i])] = i
-			isl.reps = append(isl.reps, i)
-		}
-	}
-	isl.scoreSlots(e, cohort, isl.reps)
-	// Insert the representatives, reusing the interned map keys; the
-	// cache contents are independent of this map's iteration order.
-	for k, i := range isl.repByKey {
-		isl.cache.m[k] = &cacheEntry{score: cohort[i].score, gen: gen}
-	}
-	// Fill duplicates from the representatives just scored.
-	for i := range cohort {
-		rep, ok := isl.repByKey[string(keys[i])]
-		if ok && rep != i {
-			cohort[i].score = cohort[rep].score
-			hits++
-		}
-	}
-	isl.cache.maybeEvict(gen)
-	return hits
-}
-
-// scoreSlots scores the given cohort indices: through the problem's
-// batch entry point when it has one (gathering the indices into one
-// contiguous matrix), else per-candidate Score calls — fanned out
-// over the worker pool when this island is the whole population,
-// serial otherwise (multi-island runs parallelize across islands
-// instead).
-func (isl *island) scoreSlots(e *Engine, cohort []scored, todo []int) {
-	if len(todo) == 0 {
-		return
-	}
-	if e.bs != nil {
-		g := isl.gather[:len(todo)*e.n]
-		for j, i := range todo {
-			copy(g[j*e.n:(j+1)*e.n], cohort[i].genes)
-		}
-		sc := isl.bscores[:len(todo)]
-		e.bs.ScoreBatch(g, len(todo), sc)
-		for j, i := range todo {
-			cohort[i].score = sanitize(sc[j])
-		}
-		return
-	}
-	if e.fanout {
-		scoreBatch(e.p, cohort, todo, e.workers)
-		return
-	}
-	for _, i := range todo {
 		cohort[i].score = sanitize(e.p.Score(cohort[i].genes))
 	}
 }

@@ -16,7 +16,7 @@ import (
 // ordering dependency fails even if it never trips the detector.
 func TestIslandStressUnderRace(t *testing.T) {
 	problems := map[string]Problem{
-		"cohort":      &matchProblem{target: target(16, 5), alleles: 5},
+		"plain":       &matchProblem{target: target(16, 5), alleles: 5},
 		"incremental": newIntSumProblem(24, 8),
 	}
 	for name, p := range problems {

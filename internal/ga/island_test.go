@@ -9,7 +9,7 @@ import (
 // sameResult asserts two results are byte-identical in every field the
 // determinism contract covers (DESIGN.md §13): not just the winning
 // individual but the whole observable outcome, including the
-// deterministically aggregated cache and migration counters.
+// deterministically aggregated evaluation and migration counters.
 func sameResult(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if fmt.Sprint(a.Best) != fmt.Sprint(b.Best) || a.BestScore != b.BestScore {
@@ -26,10 +26,6 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	if a.Evaluations != b.Evaluations || a.Generations != b.Generations {
 		t.Fatalf("%s: evals/gens differ: %d/%d vs %d/%d", label, a.Evaluations, a.Generations, b.Evaluations, b.Generations)
 	}
-	if a.CacheHits != b.CacheHits || a.CacheEvictions != b.CacheEvictions {
-		t.Fatalf("%s: cache stats differ: hits %d/evict %d vs hits %d/evict %d",
-			label, a.CacheHits, a.CacheEvictions, b.CacheHits, b.CacheEvictions)
-	}
 	if a.Islands != b.Islands || a.Migrations != b.Migrations {
 		t.Fatalf("%s: islands/migrations differ: %d/%d vs %d/%d", label, a.Islands, a.Migrations, b.Islands, b.Migrations)
 	}
@@ -41,11 +37,11 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 // TestIslandWorkerCountInvariance is the central determinism claim of
 // the island engine: at every island count, the full Result is
 // byte-identical whether the islands run on one worker or eight. Both
-// scoring paths are covered — the memo-cache cohort path (plain
-// Problem) and the incremental partial-sum path.
+// scoring paths are covered — the serial Score path (plain Problem)
+// and the incremental partial-sum path.
 func TestIslandWorkerCountInvariance(t *testing.T) {
 	problems := map[string]Problem{
-		"cohort":      &matchProblem{target: target(16, 5), alleles: 5},
+		"plain":       &matchProblem{target: target(16, 5), alleles: 5},
 		"incremental": newIntSumProblem(24, 8),
 	}
 	for name, p := range problems {
@@ -104,6 +100,19 @@ func TestIslandCountsChangeTrajectoriesNotValidity(t *testing.T) {
 			t.Fatalf("islands=%d: Migrations = %d, want %d", islands, res.Migrations, wantMig)
 		}
 	}
+}
+
+// migrationGens returns the generations at which migration fires for
+// a search of gens generations at cadence every. Migration never fires
+// at the final generation (there is nothing left to breed from it).
+// TestIslandCountsChangeTrajectoriesNotValidity ties the engine's
+// Migrations counter to this schedule.
+func migrationGens(gens, every int) []int {
+	var out []int
+	for g := every; g < gens; g += every {
+		out = append(out, g)
+	}
+	return out
 }
 
 // TestGoldenMigrationSchedule pins the migration schedule itself: the
@@ -180,11 +189,11 @@ func TestRingMigrationTopology(t *testing.T) {
 }
 
 // TestEngineReuseByteIdentical: repeat Run calls on one Engine must
-// reproduce the first run exactly — RNG streams re-seed, caches clear,
-// populations rebuild. This is the zero-alloc serving-path shape.
+// reproduce the first run exactly — RNG streams re-seed, populations
+// rebuild. This is the zero-alloc BenchmarkGASearch shape.
 func TestEngineReuseByteIdentical(t *testing.T) {
 	problems := map[string]Problem{
-		"cohort":      &matchProblem{target: target(14, 5), alleles: 5},
+		"plain":       &matchProblem{target: target(14, 5), alleles: 5},
 		"incremental": newIntSumProblem(20, 7),
 	}
 	for name, p := range problems {
@@ -323,32 +332,5 @@ func TestIslandConfigValidation(t *testing.T) {
 		if _, err := New(p, cfg); err != nil {
 			t.Errorf("defaulted islands rejected PopSize=%d: %v", pop, err)
 		}
-	}
-}
-
-// TestMigrationDisabled: negative cadence or migrant count turns the
-// exchange off while keeping the islands evolving independently.
-func TestMigrationDisabled(t *testing.T) {
-	p := newIntSumProblem(16, 6)
-	cfg := DefaultConfig()
-	cfg.PopSize = 40
-	cfg.Generations = 60
-	cfg.Islands = 4
-	cfg.MigrationEvery = -1
-	res, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migrations != 0 {
-		t.Fatalf("Migrations = %d with migration disabled", res.Migrations)
-	}
-	cfg.MigrationEvery = 0
-	cfg.Migrants = -1
-	res, err = Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migrations != 0 {
-		t.Fatalf("Migrations = %d with migrants disabled", res.Migrations)
 	}
 }

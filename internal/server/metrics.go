@@ -48,7 +48,6 @@ type metrics struct {
 	// right now" view).
 	gaEvals      uint64
 	gaGens       uint64
-	gaCacheHits  uint64
 	gaMigrations uint64
 	// gaIslands is the island count of the most recently finished
 	// search — the fan-out the engine actually chose (it defaults from
@@ -73,7 +72,6 @@ type metrics struct {
 // evaluation count over the same search wall time.
 type gaJobStats struct {
 	evalsPerSec       float64
-	cacheHitRate      float64
 	generations       int
 	islandEvalsPerSec []float64
 }
@@ -148,7 +146,6 @@ func (m *metrics) observeGA(workload string, res *ga.Result, searchSeconds float
 	defer m.mu.Unlock()
 	m.gaEvals += uint64(res.Evaluations)
 	m.gaGens += uint64(res.Generations)
-	m.gaCacheHits += uint64(res.CacheHits)
 	m.gaMigrations += uint64(res.Migrations)
 	m.gaIslands = res.Islands
 	st := gaJobStats{generations: res.Generations}
@@ -158,9 +155,6 @@ func (m *metrics) observeGA(workload string, res *ga.Result, searchSeconds float
 		for i, ev := range res.IslandEvaluations {
 			st.islandEvalsPerSec[i] = float64(ev) / searchSeconds
 		}
-	}
-	if res.Evaluations > 0 {
-		st.cacheHitRate = float64(res.CacheHits) / float64(res.Evaluations)
 	}
 	m.gaJobs[workload] = st
 }
@@ -290,9 +284,6 @@ func (m *metrics) render(w io.Writer, cacheLen int) {
 	fmt.Fprintln(w, "# HELP dvfsd_ga_generations_total GA generations completed across all searches.")
 	fmt.Fprintln(w, "# TYPE dvfsd_ga_generations_total counter")
 	fmt.Fprintf(w, "dvfsd_ga_generations_total %d\n", m.gaGens)
-	fmt.Fprintln(w, "# HELP dvfsd_ga_score_cache_hits_total GA score-cache hits across all searches.")
-	fmt.Fprintln(w, "# TYPE dvfsd_ga_score_cache_hits_total counter")
-	fmt.Fprintf(w, "dvfsd_ga_score_cache_hits_total %d\n", m.gaCacheHits)
 	fmt.Fprintln(w, "# HELP dvfsd_ga_migrations_total Individuals exchanged over the island ring across all searches.")
 	fmt.Fprintln(w, "# TYPE dvfsd_ga_migrations_total counter")
 	fmt.Fprintf(w, "dvfsd_ga_migrations_total %d\n", m.gaMigrations)
@@ -309,11 +300,6 @@ func (m *metrics) render(w io.Writer, cacheLen int) {
 	fmt.Fprintln(w, "# TYPE dvfsd_job_ga_evals_per_sec gauge")
 	for _, wl := range workloads {
 		fmt.Fprintf(w, "dvfsd_job_ga_evals_per_sec{workload=%q} %g\n", wl, m.gaJobs[wl].evalsPerSec)
-	}
-	fmt.Fprintln(w, "# HELP dvfsd_job_ga_score_cache_hit_rate GA score-cache hit rate of the last finished search.")
-	fmt.Fprintln(w, "# TYPE dvfsd_job_ga_score_cache_hit_rate gauge")
-	for _, wl := range workloads {
-		fmt.Fprintf(w, "dvfsd_job_ga_score_cache_hit_rate{workload=%q} %g\n", wl, m.gaJobs[wl].cacheHitRate)
 	}
 	fmt.Fprintln(w, "# HELP dvfsd_job_ga_generations GA generations completed by the last finished search.")
 	fmt.Fprintln(w, "# TYPE dvfsd_job_ga_generations gauge")

@@ -171,6 +171,14 @@ func TestSubmitBadJSON(t *testing.T) {
 	if code, _ := submit(t, ts, `{"workload": "resnet50", "search": {"pop": 1}}`); code != http.StatusBadRequest {
 		t.Errorf("invalid search spec: code %d, want 400", code)
 	}
+	// Search sizes the engine cannot run (population not above its
+	// elitism) or that would size its slabs from the request (a
+	// terabyte history) are refused at submit, not accepted and failed.
+	for _, search := range []string{`{"pop": 2}`, `{"gens": 1000000000000}`} {
+		if code, _ := submit(t, ts, `{"workload": "resnet50", "search": `+search+`}`); code != http.StatusBadRequest {
+			t.Errorf("search %s: code %d, want 400", search, code)
+		}
+	}
 	if code, _ := submit(t, ts, `{}`); code != http.StatusBadRequest {
 		t.Errorf("no workload: code %d, want 400", code)
 	}
@@ -259,7 +267,6 @@ func TestSubmitCompletesAndCacheHitOnResubmit(t *testing.T) {
 		`dvfsd_jobs_total{state="cached"} 1`,
 		`dvfsd_stage_seconds_count{stage="search"} 2`,
 		`dvfsd_job_ga_evals_per_sec{workload="resnet50"}`,
-		`dvfsd_job_ga_score_cache_hit_rate{workload="resnet50"}`,
 		`dvfsd_job_ga_generations{workload="resnet50"}`,
 		// Island-model instrumentation: per-island throughput of the
 		// last search (island 0 always exists) plus the fan-out gauge
@@ -329,7 +336,7 @@ func TestQueueFullRejects(t *testing.T) {
 	// Deep enough that the single worker is still busy while the later
 	// submissions arrive (the zero-allocation engine finishes a 200x600
 	// search in tens of milliseconds); the cleanup force-cancel reaps it.
-	slow := `{"workload": "resnet50", "search": {"pop": 200, "gens": 200000, "seed": %d}}`
+	slow := `{"workload": "resnet50", "search": {"pop": 2000, "gens": 60000, "seed": %d}}`
 	saw503 := false
 	for i := 0; i < 4; i++ {
 		code, _ := submit(t, ts, fmt.Sprintf(slow, i+1))
@@ -473,7 +480,7 @@ func TestShutdownDeadlineForceCancels(t *testing.T) {
 		// Deep searches that cannot finish inside the 100ms deadline;
 		// the forced cancellation reaps them at a generation boundary.
 		code, st := submit(t, ts, fmt.Sprintf(
-			`{"workload": "resnet50", "search": {"pop": 200, "gens": 200000, "seed": %d}}`, 50+i))
+			`{"workload": "resnet50", "search": {"pop": 2000, "gens": 60000, "seed": %d}}`, 50+i))
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %d: code %d", i, code)
 		}

@@ -17,11 +17,11 @@ import (
 // still pin the logical invariants (no lost jobs, shutdown means
 // quiesced) the load harness depends on.
 
-// deepSearch is a request whose GA runs long enough (minutes at full
-// speed) to keep a worker busy for a whole test; cleanup force-cancels
-// it at a generation boundary.
+// deepSearch is the largest search the API admits: its GA runs long
+// enough (tens of seconds at full speed) to keep a worker busy for a
+// whole test; cleanup force-cancels it at a generation boundary.
 func deepSearch(seed int64) string {
-	return fmt.Sprintf(`{"workload": "resnet50", "search": {"pop": 200, "gens": 2000000, "seed": %d}}`, seed)
+	return fmt.Sprintf(`{"workload": "resnet50", "search": {"pop": 2000, "gens": 60000, "seed": %d}}`, seed)
 }
 
 // TestSubmitPollNoLostJobs reproduces the submit-path lifecycle race:

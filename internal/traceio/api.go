@@ -66,6 +66,21 @@ type SearchSpec struct {
 	TimeoutMillis int `json:"timeout_ms,omitempty"`
 }
 
+// Bounds on the search size a client may request. The spec arrives
+// from outside the process and sizes engine allocations directly — the
+// GA holds 2·pop gene vectors and a gens+1 convergence series per
+// island — so an unchecked "gens": 1e12 is a fatal out-of-memory for
+// the daemon, not a failed job. The ceilings are 10× and 100× the
+// paper's production 200×600 search, above every spec the repository's
+// own tools send (cluster_smoke's deliberately slow job is 1000×30000).
+// The floor is what the engine enforces under core.DefaultConfig:
+// the population must exceed its elitism of 2.
+const (
+	minPop  = 3
+	maxPop  = 2000
+	maxGens = 60000
+)
+
 // Canonicalize fills defaults and validates ranges. The defaults equal
 // the cmd/dvfs-run flag defaults so a server-generated strategy is
 // byte-identical to the batch path's for the same workload and seed.
@@ -92,10 +107,10 @@ func (s *SearchSpec) Canonicalize() error {
 		return fmt.Errorf("traceio: target_loss %g outside [0, 1)", s.TargetLoss)
 	case s.FAIMillis < 0:
 		return fmt.Errorf("traceio: fai_ms %g negative", float64(s.FAIMillis))
-	case s.Pop < 2:
-		return fmt.Errorf("traceio: pop %d below 2", s.Pop)
-	case s.Gens < 1:
-		return fmt.Errorf("traceio: gens %d below 1", s.Gens)
+	case s.Pop < minPop || s.Pop > maxPop:
+		return fmt.Errorf("traceio: pop %d outside [%d, %d]", s.Pop, minPop, maxPop)
+	case s.Gens < 1 || s.Gens > maxGens:
+		return fmt.Errorf("traceio: gens %d outside [1, %d]", s.Gens, maxGens)
 	case s.TimeoutMillis < 0:
 		return fmt.Errorf("traceio: timeout_ms %d negative", s.TimeoutMillis)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"npudvfs/internal/core"
 	"npudvfs/internal/workload"
 )
 
@@ -78,13 +79,32 @@ func TestSearchSpecCanonicalize(t *testing.T) {
 		{TargetLoss: -0.1},
 		{TargetLoss: 1.5},
 		{Pop: 1},
+		{Pop: minPop - 1}, // answered 202, then failed in ga.New before the floor matched the engine's
+		{Pop: maxPop + 1},
 		{Gens: -1},
+		{Gens: maxGens + 1},
+		{Gens: 1e12}, // sizes a per-island history slab: a daemon OOM, not a failed job
 		{TimeoutMillis: -5},
 	} {
 		b := bad
 		if err := b.Canonicalize(); err == nil {
 			t.Errorf("spec %+v passed validation", bad)
 		}
+	}
+	for _, good := range []SearchSpec{
+		{Pop: minPop, Gens: 1},
+		{Pop: maxPop, Gens: maxGens},
+	} {
+		g := good
+		if err := g.Canonicalize(); err != nil {
+			t.Errorf("spec %+v rejected: %v", good, err)
+		}
+	}
+	// The floor is the engine's: the smallest population ga.New accepts
+	// under the elitism the server searches with.
+	cfg := core.DefaultConfig().GA
+	if minPop != cfg.Elitism+1 {
+		t.Errorf("minPop = %d, engine floor is elitism+1 = %d", minPop, cfg.Elitism+1)
 	}
 }
 
