@@ -30,8 +30,8 @@ fmt-check:
 # contracts (DESIGN.md §9): seeded randomness only, tolerance-based
 # float comparison, ctx-cancellable searches, paired locks, tracked
 # goroutines, dimensional safety, and the interprocedural serving
-# rules (errsink, atomicwrite, respclose, metricflow). Results are
-# cached per package under .cache/dvfslint, keyed by file content and
+# rules (errsink, atomicwrite, respclose). Results are cached per
+# package under .cache/dvfslint, keyed by file content and
 # transitive dependency hashes, so a warm run only re-analyzes what
 # changed. Run a subset with e.g.:
 #   go run ./cmd/dvfslint -rules detrand,floateq

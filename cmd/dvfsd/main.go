@@ -42,6 +42,16 @@ import (
 	"npudvfs/internal/traceio"
 )
 
+// Connection hygiene for a daemon that faces clients it does not
+// control: a peer that never finishes its request headers, or parks an
+// idle keep-alive connection, is dropped. There is deliberately no
+// ReadTimeout/WriteTimeout — those would cut an MB-scale trace upload
+// or strategy download on a slow link mid-body.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address (port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
@@ -137,7 +147,11 @@ func main() {
 		fmt.Printf("dvfsd: warm models loaded for %s\n", name)
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -29,7 +29,7 @@ import (
 
 // cacheVersion invalidates every entry when the engine or an analyzer
 // changes behavior. Bump it in any PR that touches analyzer logic.
-const cacheVersion = "dvfslint-v3"
+const cacheVersion = "dvfslint-v4"
 
 // cacheKey computes the content hash for one package. depKeys must
 // hold the keys of the package's module-internal imports (any order;

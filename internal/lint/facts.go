@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the interprocedural fact store behind the serving/cluster
-// analyzers (errsink, atomicwrite, respclose, metricflow). Facts are
+// analyzers (errsink, atomicwrite, respclose). Facts are
 // per-function summaries keyed by *types.Func identity — valid because
 // the Loader caches every package against one shared FileSet, so a
 // function object seen by a dependent package is the same object its
@@ -41,10 +41,6 @@ type FuncFact struct {
 	// on directly (e.g. a func(io.ReadCloser) drain helper). Consumed
 	// by respclose for `helper(resp.Body)` handoffs.
 	ClosesCloser map[int]bool
-	// LabelKeyField maps parameter indices to the name of the metrics
-	// struct map field the parameter is used to key. Consumed by
-	// metricflow to resolve label values at call sites.
-	LabelKeyField map[int]string
 
 	// --- performance-contract facts (hotfacts.go) ---
 
@@ -169,7 +165,7 @@ var errorType = types.Universe.Lookup("error").Type()
 
 // computePackageFacts summarizes every function declared in p and
 // publishes the summaries to store. Single-pass facts (body closes,
-// label keys) are computed once; propagation facts (DerivesIOError,
+// direct closes) are computed once; propagation facts (DerivesIOError,
 // WritesFinalPath) iterate to a fixpoint so in-package helper chains
 // and mutual recursion converge.
 // declFn pairs a declared function with its type object for the fact
@@ -198,9 +194,8 @@ func computePackageFacts(p *Package, store *Facts) {
 	// them for in-package callees through the store.
 	for _, df := range fns {
 		fact := FuncFact{
-			ClosesBody:    bodyCloseParams(p, df.decl),
-			ClosesCloser:  closerParams(p, df.decl),
-			LabelKeyField: labelKeyParams(p, df.decl),
+			ClosesBody:   bodyCloseParams(p, df.decl),
+			ClosesCloser: closerParams(p, df.decl),
 		}
 		store.put(df.fn, fact)
 	}
@@ -423,40 +418,6 @@ func closerParams(p *Package, decl *ast.FuncDecl) map[int]bool {
 			out = map[int]bool{}
 		}
 		out[idx] = true
-		return true
-	})
-	return out
-}
-
-// labelKeyParams finds parameters used as map-index keys into fields of
-// the receiver ("m.jobsTotal[state]++" with state a parameter →
-// {paramIdx: "jobsTotal"}). Consumed by metricflow to check label
-// values at call sites of writer methods.
-func labelKeyParams(p *Package, decl *ast.FuncDecl) map[int]string {
-	params := paramObjects(p, decl)
-	var out map[int]string
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		ix, ok := n.(*ast.IndexExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(ix.X).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		key, ok := ast.Unparen(ix.Index).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := p.Info.Uses[key]
-		idx, isParam := params[obj]
-		if !isParam || idx < 0 {
-			return true
-		}
-		if out == nil {
-			out = map[int]string{}
-		}
-		out[idx] = sel.Sel.Name
 		return true
 	})
 	return out

@@ -7,7 +7,7 @@ import (
 )
 
 // Tests for the fact-based interprocedural analyzers (errsink,
-// atomicwrite, respclose, metricflow): golden true-positive +
+// atomicwrite, respclose): golden true-positive +
 // allowlisted cases per analyzer, cross-package fact propagation, and
 // the PR 4 engine guarantees (unknown rules, unused directives) for
 // the four new rules.
@@ -123,28 +123,10 @@ func TestRespCloseCrossPackage(t *testing.T) {
 	checkGolden(t, p, []*Analyzer{RespClose})
 }
 
-func TestMetricFlowGolden(t *testing.T) {
-	p := loadTestPkg(t, "metricflow", "npudvfs/internal/server")
-	checkGolden(t, p, []*Analyzer{MetricFlow})
-}
-
-// TestMetricFlowRequiresMetricsStruct: without a metrics struct +
-// render method the analyzer stays silent, so unrelated server files
-// are never misread.
-func TestMetricFlowRequiresMetricsStruct(t *testing.T) {
-	p := mountSource(t, "npudvfs/internal/server", "plain.go", `package server
-
-func plain() int { return 1 }
-`)
-	if diags := Run(p, []*Analyzer{MetricFlow}); len(diags) != 0 {
-		t.Fatalf("metricflow fired without a metrics struct: %v", diags)
-	}
-}
-
 // TestNewRulesSelectable: each new analyzer resolves by name and lists
 // a doc string (the -rules/-list contract).
 func TestNewRulesSelectable(t *testing.T) {
-	for _, rule := range []string{"errsink", "atomicwrite", "respclose", "metricflow", "allocfree", "lockorder"} {
+	for _, rule := range []string{"errsink", "atomicwrite", "respclose", "allocfree", "lockorder"} {
 		as, err := SelectAnalyzers(rule)
 		if err != nil || len(as) != 1 || as[0].Name != rule {
 			t.Fatalf("SelectAnalyzers(%q) = %v, %v", rule, as, err)
@@ -159,7 +141,7 @@ func TestNewRulesSelectable(t *testing.T) {
 // the new rules — a no-op exemption is a finding when its rule runs,
 // and silent when it doesn't.
 func TestNewRulesUnusedAllow(t *testing.T) {
-	for _, rule := range []string{"errsink", "atomicwrite", "respclose", "metricflow", "allocfree", "lockorder"} {
+	for _, rule := range []string{"errsink", "atomicwrite", "respclose", "allocfree", "lockorder"} {
 		src := "package server\n\n//lint:allow " + rule + " stale exemption kept for the engine test\nfunc ok() int {\n\treturn 1\n}\n"
 		p := mountSource(t, "npudvfs/internal/server", "stale.go", src)
 		diags := Run(p, Analyzers())

@@ -1,7 +1,7 @@
 // Package lint is dvfslint: a project-specific static-analysis suite,
 // built entirely on the stdlib go/ast + go/types toolchain, that
 // mechanically enforces the repository's determinism, concurrency and
-// dimensional-safety contracts (DESIGN.md §9). It ships twelve
+// dimensional-safety contracts (DESIGN.md §9). It ships eleven
 // analyzers:
 //
 //	detrand     — no process-global math/rand or wall-clock reads in
@@ -23,16 +23,13 @@
 //	              tmp→rename sequence; no direct final-path writes
 //	respclose   — every *http.Response in server/client reaches
 //	              Body.Close (or a summarized closer) on all paths
-//	metricflow  — rendered metrics have writers and vice versa;
-//	              HELP/TYPE/emit lines pair; label values come from one
-//	              declared set
 //	allocfree   — functions marked //lint:hotpath must not allocate,
 //	              transitively through every module-internal callee
 //	lockorder   — no lock-order cycles across the module's lock graph;
 //	              no blocking ops (channel, Wait, network, store I/O)
 //	              while holding a serving-path mutex
 //
-// The last six are interprocedural: they consume per-function
+// The last five are interprocedural: they consume per-function
 // summaries from a fact store filled bottom-up along the import DAG at
 // load time (facts.go, hotfacts.go).
 //
@@ -80,7 +77,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, FloatEq, CtxFlow, LockPair, GoLeak, UnitCheck, ErrSink, AtomicWrite, RespClose, MetricFlow, AllocFree, LockOrder}
+	return []*Analyzer{DetRand, FloatEq, CtxFlow, LockPair, GoLeak, UnitCheck, ErrSink, AtomicWrite, RespClose, AllocFree, LockOrder}
 }
 
 // SelectAnalyzers resolves a comma-separated rule list ("" or "all"

@@ -45,7 +45,7 @@ func (s *Server) jobStatus(id string) (*traceio.JobStatus, bool) {
 // memory, so a full disk degrades persistence, not serving.
 func (s *Server) storeUpdate(rec *jobstore.Record) {
 	if err := s.store.Update(rec); err != nil {
-		s.met.storeError()
+		s.met.storeErrors.inc()
 	}
 }
 

@@ -1,337 +1,220 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
+	"bytes"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
-	"npudvfs/internal/ga"
 	"npudvfs/internal/traceio"
 )
 
-// Declared label sets, enforced by dvfslint's metricflow analyzer:
-// every statically-known label value written into the map-backed
-// families below must be a member, so a typo'd state or direction
-// can't silently fork a new series. Dynamic values (recovered record
-// states, workload names) are exempt by construction.
-var (
-	jobsTotalLabels    = []string{traceio.JobDone, traceio.JobFailed, traceio.JobCancelled, "cached"}
-	forwardsLabels     = []string{"out", "in", "fallback"}
-	stageSecondsLabels = []string{"queue", "model", "search"}
-)
-
-// metrics is dvfsd's hand-rolled instrumentation, rendered in the
-// Prometheus text exposition format by render(). The dependency-free
-// subset used here (counters, gauges, fixed-bucket cumulative
-// histograms) is all the service needs; pulling in a client library
-// would violate the repo's stdlib-only rule.
-type metrics struct {
-	mu sync.Mutex
-	// jobsTotal counts jobs by outcome: terminal state (done, failed,
-	// cancelled) plus "cached" for submissions answered from the
-	// strategy cache without a search.
-	jobsTotal map[string]uint64
-	// queueDepth and running are instantaneous gauges.
-	queueDepth int
-	running    int
-	cacheHits  uint64
-	cacheMiss  uint64
-	// stageSeconds holds one latency histogram per pipeline stage:
-	// queue (submit → dequeue), model (profiling + fitting) and search
-	// (the GA).
-	stageSeconds map[string]*histogram
-	// GA throughput instrumentation: cumulative counters across all
-	// finished searches, plus per-workload gauges reflecting the most
-	// recent job (the operator-facing "how fast is the search engine
-	// right now" view).
-	gaEvals      uint64
-	gaGens       uint64
-	gaMigrations uint64
-	// gaIslands is the island count of the most recently finished
-	// search — the fan-out the engine actually chose (it defaults from
-	// GOMAXPROCS when the spec leaves it unset).
-	gaIslands int
-	gaJobs    map[string]gaJobStats
-	// Cluster instrumentation: forwards by direction ("out" proxied to
-	// the owner, "in" received from a peer, "fallback" owner unreachable
-	// and served locally), job-store durability errors, and the number
-	// of unfinished jobs recovered at boot.
-	forwards      map[string]uint64
-	storeErrors   uint64
-	recoveredJobs int
-	// relayErrors counts proxied responses whose body relay to the
-	// client broke mid-copy (status already sent, so not retryable).
-	relayErrors uint64
-}
-
-// gaJobStats is the last finished search's GA throughput for one
-// workload. islandEvalsPerSec is indexed by island id; islands run
-// concurrently over the worker pool, so each island's rate is its
-// evaluation count over the same search wall time.
-type gaJobStats struct {
-	evalsPerSec       float64
-	generations       int
-	islandEvalsPerSec []float64
+// kind is a family's TYPE plus its sample format: 'f' prints an
+// integer-valued sample as %d would, 'g' is %g.
+type kind struct {
+	typ     string
+	format  byte
+	buckets []float64 // histogram upper bounds, ascending
 }
 
 // stageBuckets spans sub-millisecond cache bookkeeping to multi-minute
-// searches.
-var stageBuckets = []float64{0.001, 0.01, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
+// searches; the closing +Inf bucket is the sample count.
+var stageBuckets = []float64{0.001, 0.01, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, math.Inf(1)}
 
-type histogram struct {
-	bounds []float64 // upper bounds, ascending
-	counts []uint64  // per-bucket (non-cumulative) observation counts
-	sum    float64
-	total  uint64
+var (
+	counter   = kind{typ: "counter", format: 'f'}
+	gauge     = kind{typ: "gauge", format: 'f'}
+	rateGauge = kind{typ: "gauge", format: 'g'}
+	histogram = kind{typ: "histogram", format: 'g', buckets: stageBuckets}
+)
+
+type family struct {
+	kind
+	m          *metrics
+	name, help string
+	keys       []string  // label keys
+	series     []*series // ascending by label values
 }
 
-func newHistogram() *histogram {
-	return &histogram{bounds: stageBuckets, counts: make([]uint64, len(stageBuckets))}
+// series is one labelled sample of a family — for a histogram, one
+// bucket ladder with its sum and count.
+type series struct {
+	fam    *family
+	labels []string // one value per family key
+	// live series are rendered. An unlabelled one is live from its
+	// declaration, a labelled one from its first write.
+	live   bool
+	v      float64  // counter or gauge value; histogram sum
+	counts []uint64 // histogram cumulative bucket counts
 }
 
-func (h *histogram) observe(v float64) {
-	h.sum += v
-	h.total++
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.counts[i]++
-			return
+func (m *metrics) declare(k kind, name, help string, keys ...string) *family {
+	f := &family{kind: k, m: m, name: name, help: help, keys: keys}
+	m.families = append(m.families, f)
+	return f
+}
+
+// with returns the family's series for the given label values, one per
+// key, creating it on first use.
+func (f *family) with(values ...string) *series {
+	if len(values) != len(f.keys) {
+		panic("server: " + f.name + " takes labels " + strings.Join(f.keys, ","))
+	}
+	f.m.mu.Lock()
+	defer f.m.mu.Unlock()
+	i, ok := slices.BinarySearchFunc(f.series, values, func(s *series, v []string) int {
+		return slices.Compare(s.labels, v)
+	})
+	if !ok {
+		s := &series{fam: f, labels: slices.Clone(values), live: len(values) == 0, counts: make([]uint64, len(f.buckets))}
+		f.series = slices.Insert(f.series, i, s)
+	}
+	return f.series[i]
+}
+
+// reset hides every series whose first label is v until its next write.
+func (f *family) reset(v string) {
+	f.m.mu.Lock()
+	defer f.m.mu.Unlock()
+	for _, s := range f.series {
+		if s.labels[0] == v {
+			s.live = false
 		}
 	}
+}
+
+func (s *series) inc() { s.add(1) }
+
+func (s *series) add(d float64) {
+	s.fam.m.mu.Lock()
+	defer s.fam.m.mu.Unlock()
+	s.v += d
+	s.live = true
+}
+
+func (s *series) set(v float64) {
+	s.fam.m.mu.Lock()
+	defer s.fam.m.mu.Unlock()
+	s.v = v
+	s.live = true
+}
+
+// observe adds one sample to a histogram series.
+func (s *series) observe(v float64) {
+	s.fam.m.mu.Lock()
+	defer s.fam.m.mu.Unlock()
+	s.v += v
+	s.live = true
+	for i, ub := range s.fam.buckets {
+		if v <= ub {
+			s.counts[i]++
+		}
+	}
+}
+
+// render returns the exposition: families in declaration order, series
+// in label order. The caller writes it out with no lock held, so a
+// stalled scraper cannot block a writer.
+func (m *metrics) render() []byte {
+	var b bytes.Buffer
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, f := range m.families {
+		b.WriteString("# HELP " + f.name + " " + f.help + "\n# TYPE " + f.name + " " + f.typ + "\n")
+		for _, s := range f.series {
+			if !s.live {
+				continue
+			}
+			labels := make([]string, len(f.keys), len(f.keys)+1)
+			for i, k := range f.keys {
+				labels[i] = k + "=" + strconv.Quote(s.labels[i])
+			}
+			value := strconv.FormatFloat(s.v, f.format, -1, 64)
+			if f.buckets == nil {
+				sample(&b, f.name, labels, value)
+				continue
+			}
+			for i, ub := range f.buckets {
+				le := "le=" + strconv.Quote(strconv.FormatFloat(ub, 'g', -1, 64))
+				sample(&b, f.name+"_bucket", append(labels, le), strconv.FormatUint(s.counts[i], 10))
+			}
+			sample(&b, f.name+"_sum", labels, value)
+			sample(&b, f.name+"_count", labels, strconv.FormatUint(s.counts[len(s.counts)-1], 10))
+		}
+	}
+	return b.Bytes()
+}
+
+func sample(b *bytes.Buffer, name string, labels []string, value string) {
+	b.WriteString(name)
+	if len(labels) > 0 {
+		b.WriteString("{" + strings.Join(labels, ",") + "}")
+	}
+	b.WriteString(" " + value + "\n")
+}
+
+// metrics is dvfsd's instrumentation in the Prometheus text exposition
+// format — the dependency-free subset the service needs (counters,
+// gauges, fixed-bucket cumulative histograms); a client library would
+// violate the repo's stdlib-only rule.
+//
+// A family's name, HELP, TYPE and label keys are spelled once, in its
+// declaration in newMetrics, and the handles below are the only way to
+// write a value, so a series without HELP/TYPE, or one written but never
+// rendered (or the reverse), cannot be written down. state, direction
+// and stage are closed label sets: each permitted value is one handle
+// and the family is not kept. workload and island are the only open
+// labels; their families are kept and resolved by with at write time.
+type metrics struct {
+	// mu guards every series. It is held over memory operations only,
+	// never across I/O: render formats into a buffer.
+	mu       sync.Mutex
+	families []*family
+
+	// cached is a submission answered from the strategy cache without a
+	// search; the other three are the terminal states of a search job.
+	jobsDone, jobsFailed, jobsCancelled, jobsCached *series
+	queueDepth, running                             *series
+	cacheHits, cacheMisses, cacheEntries            *series
+	// out: proxied to the key's owner; in: received from a peer;
+	// fallback: owner unreachable, served locally.
+	forwardsOut, forwardsIn, forwardsFallback *series
+	relayErrors, storeErrors, recoveredJobs   *series
+	// Cumulative over all finished searches, except gaIslands: the
+	// fan-out the engine chose for the most recent one.
+	gaEvals, gaGens, gaMigrations, gaIslands *series
+	// Per-workload gauges of the most recent search, the operator's "how
+	// fast is the search engine right now" view.
+	jobGARate, jobGAGens, jobGAIslandRate *family
+	// queue is submit → dequeue, model is profiling + fitting, search is
+	// the GA plus response assembly.
+	stageQueue, stageModel, stageSearch *series
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		jobsTotal:    make(map[string]uint64),
-		stageSeconds: make(map[string]*histogram),
-		gaJobs:       make(map[string]gaJobStats),
-		forwards:     make(map[string]uint64),
-	}
+	m := &metrics{}
+	jobs := m.declare(counter, "dvfsd_jobs_total", "Jobs by outcome: terminal search states, plus cached submissions answered without a search.", "state")
+	m.jobsDone, m.jobsFailed, m.jobsCancelled, m.jobsCached = jobs.with(traceio.JobDone), jobs.with(traceio.JobFailed), jobs.with(traceio.JobCancelled), jobs.with("cached")
+	m.queueDepth = m.declare(gauge, "dvfsd_queue_depth", "Jobs waiting for a worker.").with()
+	m.running = m.declare(gauge, "dvfsd_jobs_running", "Jobs currently in a worker.").with()
+	m.cacheHits = m.declare(counter, "dvfsd_cache_hits_total", "Strategy cache hits.").with()
+	m.cacheMisses = m.declare(counter, "dvfsd_cache_misses_total", "Strategy cache misses.").with()
+	m.cacheEntries = m.declare(gauge, "dvfsd_cache_entries", "Strategies currently cached.").with()
+	forwards := m.declare(counter, "dvfsd_cluster_forwards_total", "Proxied submissions/polls: out to the key owner, in from a peer, fallback served locally with the owner unreachable.", "direction")
+	m.forwardsOut, m.forwardsIn, m.forwardsFallback = forwards.with("out"), forwards.with("in"), forwards.with("fallback")
+	m.relayErrors = m.declare(counter, "dvfsd_relay_errors_total", "Proxied responses whose body relay broke mid-copy after the status line was sent.").with()
+	m.storeErrors = m.declare(counter, "dvfsd_store_errors_total", "Job-store persistence failures (records stay serveable from memory).").with()
+	m.recoveredJobs = m.declare(gauge, "dvfsd_store_recovered_jobs", "Unfinished jobs recovered from the store at boot and re-enqueued.").with()
+	m.gaEvals = m.declare(counter, "dvfsd_ga_evaluations_total", "Individuals evaluated by the GA across all searches.").with()
+	m.gaGens = m.declare(counter, "dvfsd_ga_generations_total", "GA generations completed across all searches.").with()
+	m.gaMigrations = m.declare(counter, "dvfsd_ga_migrations_total", "Individuals exchanged over the island ring across all searches.").with()
+	m.gaIslands = m.declare(gauge, "dvfsd_ga_islands", "Island count of the last finished search.").with()
+	m.jobGARate = m.declare(rateGauge, "dvfsd_job_ga_evals_per_sec", "GA evaluations per second of the last finished search.", "workload")
+	m.jobGAGens = m.declare(gauge, "dvfsd_job_ga_generations", "GA generations completed by the last finished search.", "workload")
+	m.jobGAIslandRate = m.declare(rateGauge, "dvfsd_job_ga_island_evals_per_sec", "Per-island GA evaluations per second of the last finished search.", "workload", "island")
+	stages := m.declare(histogram, "dvfsd_stage_seconds", "Per-stage job latency.", "stage")
+	m.stageQueue, m.stageModel, m.stageSearch = stages.with("queue"), stages.with("model"), stages.with("search")
+	return m
 }
-
-func (m *metrics) forward(direction string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.forwards[direction]++
-}
-
-func (m *metrics) relayError() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.relayErrors++
-}
-
-func (m *metrics) storeError() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.storeErrors++
-}
-
-func (m *metrics) setRecovered(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recoveredJobs = n
-}
-
-// observeGA records one finished search's GA counters: cumulative
-// totals plus the per-workload last-job gauges. The workload label is
-// normalized to lower case — the form requests name workloads in.
-// searchSeconds is the GA wall time (the search stage, model building
-// excluded).
-func (m *metrics) observeGA(workload string, res *ga.Result, searchSeconds float64) {
-	workload = strings.ToLower(workload)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gaEvals += uint64(res.Evaluations)
-	m.gaGens += uint64(res.Generations)
-	m.gaMigrations += uint64(res.Migrations)
-	m.gaIslands = res.Islands
-	st := gaJobStats{generations: res.Generations}
-	if searchSeconds > 0 {
-		st.evalsPerSec = float64(res.Evaluations) / searchSeconds
-		st.islandEvalsPerSec = make([]float64, len(res.IslandEvaluations))
-		for i, ev := range res.IslandEvaluations {
-			st.islandEvalsPerSec[i] = float64(ev) / searchSeconds
-		}
-	}
-	m.gaJobs[workload] = st
-}
-
-func (m *metrics) jobFinished(state string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobsTotal[state]++
-}
-
-// jobCached counts a submission answered from the strategy cache. It
-// gets its own label under dvfsd_jobs_total instead of inflating
-// state="done": done must track completed searches one-to-one with
-// the search-latency histogram, or the two series disagree under
-// cache-hot traffic.
-func (m *metrics) jobCached() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobsTotal["cached"]++
-}
-
-func (m *metrics) setQueueDepth(depth int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queueDepth = depth
-}
-
-func (m *metrics) runningDelta(d int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.running += d
-}
-
-func (m *metrics) cacheHit(hit bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if hit {
-		m.cacheHits++
-	} else {
-		m.cacheMiss++
-	}
-}
-
-func (m *metrics) observeStage(stage string, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.stageSeconds[stage]
-	if !ok {
-		h = newHistogram()
-		m.stageSeconds[stage] = h
-	}
-	h.observe(seconds)
-}
-
-// snapshotJobs returns a copy of the per-state job counters (used by
-// tests and by render).
-func (m *metrics) snapshotJobs() map[string]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]uint64, len(m.jobsTotal))
-	for k, v := range m.jobsTotal {
-		out[k] = v
-	}
-	return out
-}
-
-// render writes the Prometheus text exposition format. Series are
-// emitted in sorted label order so the output is deterministic.
-func (m *metrics) render(w io.Writer, cacheLen int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP dvfsd_jobs_total Jobs by outcome: terminal search states, plus cached submissions answered without a search.")
-	fmt.Fprintln(w, "# TYPE dvfsd_jobs_total counter")
-	states := make([]string, 0, len(m.jobsTotal))
-	for s := range m.jobsTotal {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
-		fmt.Fprintf(w, "dvfsd_jobs_total{state=%q} %d\n", s, m.jobsTotal[s])
-	}
-
-	fmt.Fprintln(w, "# HELP dvfsd_queue_depth Jobs waiting for a worker.")
-	fmt.Fprintln(w, "# TYPE dvfsd_queue_depth gauge")
-	fmt.Fprintf(w, "dvfsd_queue_depth %d\n", m.queueDepth)
-
-	fmt.Fprintln(w, "# HELP dvfsd_jobs_running Jobs currently in a worker.")
-	fmt.Fprintln(w, "# TYPE dvfsd_jobs_running gauge")
-	fmt.Fprintf(w, "dvfsd_jobs_running %d\n", m.running)
-
-	fmt.Fprintln(w, "# HELP dvfsd_cache_hits_total Strategy cache hits.")
-	fmt.Fprintln(w, "# TYPE dvfsd_cache_hits_total counter")
-	fmt.Fprintf(w, "dvfsd_cache_hits_total %d\n", m.cacheHits)
-	fmt.Fprintln(w, "# HELP dvfsd_cache_misses_total Strategy cache misses.")
-	fmt.Fprintln(w, "# TYPE dvfsd_cache_misses_total counter")
-	fmt.Fprintf(w, "dvfsd_cache_misses_total %d\n", m.cacheMiss)
-	fmt.Fprintln(w, "# HELP dvfsd_cache_entries Strategies currently cached.")
-	fmt.Fprintln(w, "# TYPE dvfsd_cache_entries gauge")
-	fmt.Fprintf(w, "dvfsd_cache_entries %d\n", cacheLen)
-
-	fmt.Fprintln(w, "# HELP dvfsd_cluster_forwards_total Proxied submissions/polls: out to the key owner, in from a peer, fallback served locally with the owner unreachable.")
-	fmt.Fprintln(w, "# TYPE dvfsd_cluster_forwards_total counter")
-	dirs := make([]string, 0, len(m.forwards))
-	for d := range m.forwards {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	for _, d := range dirs {
-		fmt.Fprintf(w, "dvfsd_cluster_forwards_total{direction=%q} %d\n", d, m.forwards[d])
-	}
-
-	fmt.Fprintln(w, "# HELP dvfsd_relay_errors_total Proxied responses whose body relay broke mid-copy after the status line was sent.")
-	fmt.Fprintln(w, "# TYPE dvfsd_relay_errors_total counter")
-	fmt.Fprintf(w, "dvfsd_relay_errors_total %d\n", m.relayErrors)
-
-	fmt.Fprintln(w, "# HELP dvfsd_store_errors_total Job-store persistence failures (records stay serveable from memory).")
-	fmt.Fprintln(w, "# TYPE dvfsd_store_errors_total counter")
-	fmt.Fprintf(w, "dvfsd_store_errors_total %d\n", m.storeErrors)
-	fmt.Fprintln(w, "# HELP dvfsd_store_recovered_jobs Unfinished jobs recovered from the store at boot and re-enqueued.")
-	fmt.Fprintln(w, "# TYPE dvfsd_store_recovered_jobs gauge")
-	fmt.Fprintf(w, "dvfsd_store_recovered_jobs %d\n", m.recoveredJobs)
-
-	fmt.Fprintln(w, "# HELP dvfsd_ga_evaluations_total Individuals evaluated by the GA across all searches.")
-	fmt.Fprintln(w, "# TYPE dvfsd_ga_evaluations_total counter")
-	fmt.Fprintf(w, "dvfsd_ga_evaluations_total %d\n", m.gaEvals)
-	fmt.Fprintln(w, "# HELP dvfsd_ga_generations_total GA generations completed across all searches.")
-	fmt.Fprintln(w, "# TYPE dvfsd_ga_generations_total counter")
-	fmt.Fprintf(w, "dvfsd_ga_generations_total %d\n", m.gaGens)
-	fmt.Fprintln(w, "# HELP dvfsd_ga_migrations_total Individuals exchanged over the island ring across all searches.")
-	fmt.Fprintln(w, "# TYPE dvfsd_ga_migrations_total counter")
-	fmt.Fprintf(w, "dvfsd_ga_migrations_total %d\n", m.gaMigrations)
-	fmt.Fprintln(w, "# HELP dvfsd_ga_islands Island count of the last finished search.")
-	fmt.Fprintln(w, "# TYPE dvfsd_ga_islands gauge")
-	fmt.Fprintf(w, "dvfsd_ga_islands %d\n", m.gaIslands)
-
-	workloads := make([]string, 0, len(m.gaJobs))
-	for wl := range m.gaJobs {
-		workloads = append(workloads, wl)
-	}
-	sort.Strings(workloads)
-	fmt.Fprintln(w, "# HELP dvfsd_job_ga_evals_per_sec GA evaluations per second of the last finished search.")
-	fmt.Fprintln(w, "# TYPE dvfsd_job_ga_evals_per_sec gauge")
-	for _, wl := range workloads {
-		fmt.Fprintf(w, "dvfsd_job_ga_evals_per_sec{workload=%q} %g\n", wl, m.gaJobs[wl].evalsPerSec)
-	}
-	fmt.Fprintln(w, "# HELP dvfsd_job_ga_generations GA generations completed by the last finished search.")
-	fmt.Fprintln(w, "# TYPE dvfsd_job_ga_generations gauge")
-	for _, wl := range workloads {
-		fmt.Fprintf(w, "dvfsd_job_ga_generations{workload=%q} %d\n", wl, m.gaJobs[wl].generations)
-	}
-	fmt.Fprintln(w, "# HELP dvfsd_job_ga_island_evals_per_sec Per-island GA evaluations per second of the last finished search.")
-	fmt.Fprintln(w, "# TYPE dvfsd_job_ga_island_evals_per_sec gauge")
-	for _, wl := range workloads {
-		for i, rate := range m.gaJobs[wl].islandEvalsPerSec {
-			fmt.Fprintf(w, "dvfsd_job_ga_island_evals_per_sec{workload=%q,island=\"%d\"} %g\n", wl, i, rate)
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP dvfsd_stage_seconds Per-stage job latency.")
-	fmt.Fprintln(w, "# TYPE dvfsd_stage_seconds histogram")
-	stages := make([]string, 0, len(m.stageSeconds))
-	for s := range m.stageSeconds {
-		stages = append(stages, s)
-	}
-	sort.Strings(stages)
-	for _, s := range stages {
-		h := m.stageSeconds[s]
-		cum := uint64(0)
-		for i, ub := range h.bounds {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "dvfsd_stage_seconds_bucket{stage=%q,le=%q} %d\n", s, formatBound(ub), cum)
-		}
-		fmt.Fprintf(w, "dvfsd_stage_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", s, h.total)
-		fmt.Fprintf(w, "dvfsd_stage_seconds_sum{stage=%q} %g\n", s, h.sum)
-		fmt.Fprintf(w, "dvfsd_stage_seconds_count{stage=%q} %d\n", s, h.total)
-	}
-}
-
-func formatBound(ub float64) string { return fmt.Sprintf("%g", ub) }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -47,6 +48,11 @@ import (
 // it locally instead of forwarding again: routing is at most one hop,
 // even with disagreeing ring files. The value is the sending node's ID.
 const ForwardHeader = "X-Dvfsd-Forwarded"
+
+// maxRequestBytes caps a submission body; larger ones are answered 413.
+// Inline traces are MB-scale (the largest any shipped workload sends is
+// about 5 MB), so this only stops a client streaming without end.
+const maxRequestBytes = 64 << 20
 
 // Config sizes the service.
 type Config struct {
@@ -191,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 
 	pending := store.Pending()
-	s.met.setRecovered(len(pending))
+	s.met.recoveredJobs.set(float64(len(pending)))
 	if len(pending) == 0 {
 		close(s.requeueDone)
 	} else {
@@ -253,7 +259,7 @@ func (s *Server) failRecovered(rec *jobstore.Record, err error) {
 		CacheKey: rec.CacheKey,
 		Error:    fmt.Sprintf("not recoverable after restart: %v", err),
 	})
-	s.met.jobFinished(traceio.JobFailed)
+	s.met.jobsFailed.inc()
 }
 
 // Handler returns the HTTP surface, suitable for http.Server and
@@ -301,7 +307,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for j := range s.queue {
-		s.met.setQueueDepth(len(s.queue))
+		s.met.queueDepth.set(float64(len(s.queue)))
 		s.runJob(j)
 	}
 }
@@ -314,9 +320,9 @@ func (s *Server) runJob(j *job) {
 		ID: j.id, State: traceio.JobRunning, Workload: j.workload,
 		CacheKey: j.cacheKey, Request: j.req, QueueMillis: millis(queueDur),
 	})
-	s.met.observeStage("queue", queueDur.Seconds())
-	s.met.runningDelta(1)
-	defer s.met.runningDelta(-1)
+	s.met.stageQueue.observe(queueDur.Seconds())
+	s.met.running.add(1)
+	defer s.met.running.add(-1)
 
 	timeout := s.cfg.DefaultTimeout
 	if j.spec.TimeoutMillis > 0 {
@@ -326,13 +332,8 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 
 	start := time.Now()
-	resp, gaRes, modelDur, err := s.generate(ctx, j.model, j.spec)
+	resp, err := s.generate(ctx, j.model, j.spec)
 	searchDur := time.Since(start)
-	s.met.observeStage("model", modelDur.Seconds())
-	s.met.observeStage("search", (searchDur - modelDur).Seconds())
-	if gaRes != nil {
-		s.met.observeGA(j.workload, gaRes, (searchDur - modelDur).Seconds())
-	}
 
 	// Terminal records drop the request body: there is nothing left to
 	// re-run, and results dominate the record size already.
@@ -344,31 +345,32 @@ func (s *Server) runJob(j *job) {
 	case err == nil:
 		rec.State = traceio.JobDone
 		rec.Result = resp
+		s.met.jobsDone.inc()
+		s.cache.Put(j.cacheKey, resp)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		rec.State = traceio.JobCancelled
 		rec.Error = err.Error()
+		s.met.jobsCancelled.inc()
 	default:
 		rec.State = traceio.JobFailed
 		rec.Error = err.Error()
-	}
-	s.met.jobFinished(rec.State)
-	if rec.State == traceio.JobDone {
-		s.cache.Put(j.cacheKey, resp)
+		s.met.jobsFailed.inc()
 	}
 	s.storeUpdate(rec)
 }
 
-// generate runs the modeling + search pipeline for one workload. It
-// returns the GA result (for the /metrics throughput gauges) and how
-// much of the wall time went into model building so the two stages can
-// be observed separately.
-func (s *Server) generate(ctx context.Context, m *workload.Model, spec traceio.SearchSpec) (*traceio.StrategyResponse, *ga.Result, time.Duration, error) {
-	modelStart := time.Now()
+// generate runs the modeling + search pipeline for one workload,
+// observing each stage's latency as it ends. A stage that never started
+// records nothing: a job cancelled before model building leaves no model
+// or search sample, a failed model build no search sample. A stage that
+// started records even when it fails or is cancelled midway.
+func (s *Server) generate(ctx context.Context, m *workload.Model, spec traceio.SearchSpec) (*traceio.StrategyResponse, error) {
 	if err := ctx.Err(); err != nil {
 		// A force-cancelled queued job must not start a multi-second
 		// model build it would only throw away.
-		return nil, nil, 0, fmt.Errorf("server: cancelled before model building: %w", err)
+		return nil, fmt.Errorf("server: cancelled before model building: %w", err)
 	}
+	modelStart := time.Now()
 	var (
 		ms  *experiments.Models
 		err error
@@ -378,12 +380,12 @@ func (s *Server) generate(ctx context.Context, m *workload.Model, spec traceio.S
 	} else {
 		ms, err = s.lab.BuildModels(m, true)
 	}
+	s.met.stageModel.observe(time.Since(modelStart).Seconds())
 	if err != nil {
-		return nil, nil, time.Since(modelStart), err
+		return nil, err
 	}
-	modelDur := time.Since(modelStart)
 	if err := ctx.Err(); err != nil {
-		return nil, nil, modelDur, fmt.Errorf("server: cancelled after model building: %w", err)
+		return nil, fmt.Errorf("server: cancelled after model building: %w", err)
 	}
 
 	cfg := core.DefaultConfig()
@@ -392,13 +394,42 @@ func (s *Server) generate(ctx context.Context, m *workload.Model, spec traceio.S
 	cfg.GA.PopSize = spec.Pop
 	cfg.GA.Generations = spec.Gens
 	cfg.GA.Seed = spec.Seed
+	searchStart := time.Now()
 	strat, stages, gaRes, err := core.GenerateContext(ctx, ms.Input(s.lab.Chip), cfg)
 	if err != nil {
-		return nil, nil, modelDur, err
+		s.met.stageSearch.observe(time.Since(searchStart).Seconds())
+		return nil, err
 	}
-
 	resp, err := buildResponse(m.Name, spec, ms, s.lab, cfg, strat, stages, gaRes)
-	return resp, gaRes, modelDur, err
+	searchSeconds := time.Since(searchStart).Seconds()
+	s.met.stageSearch.observe(searchSeconds)
+	s.observeGA(m.Name, gaRes, searchSeconds)
+	return resp, err
+}
+
+// observeGA records one finished search's GA counters. The workload
+// label is normalized to lower case — the form requests name workloads
+// in. searchSeconds is the GA wall time (model building excluded);
+// islands run concurrently, so each island's rate is its evaluation
+// count over that same time.
+func (s *Server) observeGA(workload string, res *ga.Result, searchSeconds float64) {
+	workload = strings.ToLower(workload)
+	m := s.met
+	m.gaEvals.add(float64(res.Evaluations))
+	m.gaGens.add(float64(res.Generations))
+	m.gaMigrations.add(float64(res.Migrations))
+	m.gaIslands.set(float64(res.Islands))
+	m.jobGAGens.with(workload).set(float64(res.Generations))
+	// The previous search of this workload may have run more islands.
+	m.jobGAIslandRate.reset(workload)
+	rate := 0.0
+	if searchSeconds > 0 {
+		rate = float64(res.Evaluations) / searchSeconds
+		for i, ev := range res.IslandEvaluations {
+			m.jobGAIslandRate.with(workload, strconv.Itoa(i)).set(float64(ev) / searchSeconds)
+		}
+	}
+	m.jobGARate.with(workload).set(rate)
 }
 
 // handleSubmit is POST /v1/strategies. A cache hit answers 200 with an
@@ -406,9 +437,14 @@ func (s *Server) generate(ctx context.Context, m *workload.Model, spec traceio.S
 // this node if it owns the strategy key (or there is no ring), else on
 // the owner via a single loop-guarded proxy hop.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(r.Body)
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	var req traceio.StrategyRequest
@@ -434,35 +470,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Already proxied once: serve locally regardless of what our
 			// ring file says, so disagreeing topologies degrade to an
 			// extra hop, never a loop.
-			s.met.forward("in")
+			s.met.forwardsIn.inc()
 		} else if owner := s.ring.Owner(key); owner.ID != s.nodeID {
 			if s.proxy(w, owner, "POST", "/v1/strategies", raw) {
 				return
 			}
 			// Owner unreachable: serve locally. The strategy is
 			// byte-identical anywhere; only cache locality suffers.
-			s.met.forward("fallback")
+			s.met.forwardsFallback.inc()
 		}
 	}
 
 	if resp, ok := s.cache.Get(key); ok {
-		s.met.cacheHit(true)
+		s.met.cacheHits.inc()
 		rec := &jobstore.Record{
 			State: traceio.JobDone, Workload: m.Name, CacheKey: key,
 			Cached: true, Result: resp,
 		}
 		if _, err := s.store.Add(rec); err != nil {
-			s.met.storeError()
+			s.met.storeErrors.inc()
 		}
-		// Cache hits run no search: counting them as finished "done"
-		// jobs would make dvfsd_jobs_total{state="done"} disagree with
-		// the search-latency series under hot traffic. They get their
-		// own label instead.
-		s.met.jobCached()
+		// Cache hits run no search, so they get their own state instead
+		// of inflating "done": done counts completed searches, and the
+		// search-latency histogram's count is done plus the searches that
+		// failed or were cancelled after reaching the GA.
+		s.met.jobsCached.inc()
 		writeJSON(w, http.StatusOK, rec.Status())
 		return
 	}
-	s.met.cacheHit(false)
+	s.met.cacheMisses.inc()
 
 	rec := &jobstore.Record{
 		State: traceio.JobQueued, Workload: m.Name, CacheKey: key, Request: &req,
@@ -485,7 +521,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// published during a shutdown race is removed again.
 	id, addErr := s.store.Add(rec)
 	if addErr != nil {
-		s.met.storeError()
+		s.met.storeErrors.inc()
 	}
 	j := &job{
 		id: id, workload: m.Name, cacheKey: key, spec: req.Search,
@@ -508,7 +544,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("queue full (%d jobs waiting); retry later", s.cfg.QueueDepth))
 		return
 	}
-	s.met.setQueueDepth(len(s.queue))
+	s.met.queueDepth.set(float64(len(s.queue)))
 	writeJSON(w, http.StatusAccepted, rec.Status())
 }
 
@@ -557,13 +593,13 @@ func (s *Server) proxy(w http.ResponseWriter, n ring.Node, method, path string, 
 		return false
 	}
 	defer resp.Body.Close()
-	s.met.forward("out")
+	s.met.forwardsOut.inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(resp.StatusCode)
 	if _, err := io.Copy(w, resp.Body); err != nil {
 		// The status line is already on the wire, so the caller can't be
 		// retried here — but a torn relay must be visible to operators.
-		s.met.relayError()
+		s.met.relayErrors.inc()
 	}
 	return true
 }
@@ -591,17 +627,27 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.render(w, s.cache.Len())
+	s.met.cacheEntries.set(float64(s.cache.Len()))
+	writeBody(w, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", s.met.render())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	writeBody(w, code, "application/json", append(body, '\n'))
+}
+
+// writeBody sends one complete response. The body arrives already
+// rendered, so nothing is formatted — and no lock can be held — while a
+// slow client is being written to.
+func writeBody(w http.ResponseWriter, code int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	//lint:allow errsink the response writer is the only channel back to the client; an encode failure has nowhere else to go
-	_ = enc.Encode(v)
+	//lint:allow errsink the response writer is the only channel back to the client; a failed write has nowhere else to go
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

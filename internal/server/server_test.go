@@ -494,6 +494,7 @@ func TestShutdownDeadlineForceCancels(t *testing.T) {
 	// Workers have exited (Shutdown waited for them even on the error
 	// path); every job must be terminal and the deep searches
 	// cancelled, not abandoned mid-run.
+	reachedGA := 0
 	for _, id := range ids {
 		st, ok := s.jobStatus(id)
 		if !ok {
@@ -504,6 +505,25 @@ func TestShutdownDeadlineForceCancels(t *testing.T) {
 		default:
 			t.Errorf("job %s after forced shutdown: %q (%s)", id, st.State, st.Error)
 		}
+		if !strings.Contains(st.Error, "model building") {
+			reachedGA++
+		}
+	}
+	// A job cancelled in the queue never started a search (or a model
+	// build): it must leave no 0 s sample in either histogram.
+	if reachedGA == len(ids) {
+		t.Fatalf("all %d jobs reached the GA; none was cancelled in the queue", reachedGA)
+	}
+	m := metricsText(t, ts)
+	if reachedGA == 0 {
+		if strings.Contains(m, `stage="search"`) {
+			t.Errorf("no job reached the GA, yet a search-stage series exists:\n%s", m)
+		}
+	} else if want := fmt.Sprintf("dvfsd_stage_seconds_count{stage=\"search\"} %d\n", reachedGA); !strings.Contains(m, want) {
+		t.Errorf("search histogram should count the %d job(s) that reached the GA; want %q in:\n%s", reachedGA, want, m)
+	}
+	if want := fmt.Sprintf("dvfsd_stage_seconds_count{stage=\"queue\"} %d\n", len(ids)); !strings.Contains(m, want) {
+		t.Errorf("every dequeued job has a queue sample; want %q", want)
 	}
 	ts.Close()
 	waitForGoroutines(t, base)
