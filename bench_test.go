@@ -13,13 +13,16 @@ import (
 	"sync"
 	"testing"
 
+	"npudvfs/internal/classify"
 	"npudvfs/internal/core"
 	"npudvfs/internal/executor"
 	"npudvfs/internal/experiments"
 	"npudvfs/internal/ga"
 	"npudvfs/internal/perfmodel"
+	"npudvfs/internal/preprocess"
 	"npudvfs/internal/profiler"
 	"npudvfs/internal/thermal"
+	"npudvfs/internal/traceio"
 	"npudvfs/internal/units"
 	"npudvfs/internal/workload"
 )
@@ -503,6 +506,102 @@ func (p *evProblem) Seeds() [][]int {
 		baseline[i] = p.ev.BaselineIndex()
 	}
 	return [][]int{baseline}
+}
+
+// The three benchmarks below are the first rungs of the per-layer
+// ladder (ROADMAP item 1): the layers a cold job runs around the GA,
+// each at the shape the server calls it — the workload's full trace,
+// models from core.DefaultConfig, the 5 ms FAI — on the smallest
+// served trace (ResNet-50) and the largest (GPT-3, ~18,000 ops).
+// scripts/bench_smoke.sh asserts the gpt3 allocation ceilings.
+var ladderWorkloads = []string{"resnet50", "gpt3"}
+
+// ladderModels caches the models a cold job hands to the search, built
+// on first use; benchmarks run one at a time.
+var ladderModels = map[string]*experiments.Models{}
+
+func ladderInput(b *testing.B, name string) core.Input {
+	l := lab()
+	ms, ok := ladderModels[name]
+	if !ok {
+		m, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ms, err = l.BuildModels(m, true); err != nil {
+			b.Fatal(err)
+		}
+		ladderModels[name] = ms
+	}
+	return ms.Input(l.Chip)
+}
+
+// BenchmarkStages measures candidate splitting and FAI merging
+// (Fig. 13 steps 3-4) on a classified baseline profile.
+func BenchmarkStages(b *testing.B) {
+	for _, name := range ladderWorkloads {
+		b.Run(name, func(b *testing.B) {
+			in := ladderInput(b, name)
+			results := classify.Trace(in.Profile)
+			fai := float64(core.DefaultConfig().FAIMicros)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var n int
+			for i := 0; i < b.N; i++ {
+				stages, err := preprocess.Stages(in.Profile, results, fai)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n = len(stages)
+			}
+			b.ReportMetric(float64(n), "stages")
+		})
+	}
+}
+
+// BenchmarkNewEvaluator measures the evaluator-table build: every
+// operator's predicted time and power at every grid frequency,
+// accumulated per stage.
+func BenchmarkNewEvaluator(b *testing.B) {
+	for _, name := range ladderWorkloads {
+		b.Run(name, func(b *testing.B) {
+			in := ladderInput(b, name)
+			cfg := core.DefaultConfig()
+			stages, err := preprocess.Stages(in.Profile, classify.Trace(in.Profile), float64(cfg.FAIMicros))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewEvaluator(in, cfg, stages); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFingerprint measures the canonical trace digest every
+// submission pays, cache hits included.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, name := range ladderWorkloads {
+		b.Run(name, func(b *testing.B) {
+			m, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var fp string
+			for i := 0; i < b.N; i++ {
+				fp = traceio.Fingerprint(m.Trace)
+			}
+			if len(fp) != 64 {
+				b.Fatalf("fingerprint %q is not a SHA-256 hex digest", fp)
+			}
+		})
+	}
 }
 
 // BenchmarkFitFunc2Micro measures the raw cost of one direct Func. 2

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"npudvfs/internal/evaltab"
 	"npudvfs/internal/ga"
 	"npudvfs/internal/npu"
+	"npudvfs/internal/op"
 	"npudvfs/internal/perfmodel"
 	"npudvfs/internal/powermodel"
 	"npudvfs/internal/powersim"
@@ -409,5 +413,84 @@ func TestPredictMonotoneInFrequency(t *testing.T) {
 		if pred.CoreWatts > basePred.CoreWatts+1e-9 {
 			t.Errorf("stage %d at 1000 MHz predicted more AICore power", si)
 		}
+	}
+}
+
+// TestTableMatchesCellMajorFill rebuilds the evaluator table in the
+// stage → grid point → operator nesting buildProblem used before it
+// went operator-major, with the key, the model lookup and OpPowerAt
+// paid per cell, and requires the same bits in every cell: hoisting
+// the lookups must not change what is summed or in which order.
+func TestTableMatchesCellMajorFill(t *testing.T) {
+	f := sharedFixture(t)
+	cfg := testConfig(0.02)
+	stages := mustStages(t, f, cfg)
+	prob, err := buildProblem(f.input, cfg, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := f.input
+	grid := in.Chip.Curve.Grid()
+	ref := evaltab.New(len(stages), len(grid))
+	for si, st := range stages {
+		for gi, fm := range grid {
+			v := float64(in.Chip.Curve.Voltage(fm))
+			for i := st.OpStart; i < st.OpEnd; i++ {
+				rec := &in.Profile.Records[i]
+				dur := rec.DurMicros
+				if rec.Spec.Class == op.Compute {
+					if m, ok := in.Perf[rec.Spec.Key()]; ok {
+						dur = float64(m.Micros(fm))
+					}
+				}
+				core, soc := in.Power.OpPowerAt(rec.Spec.Key(), fm, 0)
+				ref.Add(si, gi, dur, float64(soc)*dur, float64(core)*dur, v*dur)
+			}
+		}
+	}
+	ref.K, ref.TemperatureAware = prob.K, prob.TemperatureAware
+	ref.GammaCore, ref.GammaSoC = prob.GammaCore, prob.GammaSoC
+	ref.PerBaseline, ref.PerLB = prob.PerBaseline, prob.PerLB
+	if !reflect.DeepEqual(ref, prob.Table) {
+		t.Fatal("operator-major table differs from the cell-major fill")
+	}
+}
+
+// TestSearchReturnsTheScoringEvaluator: the evaluator Search hands
+// back is the one the GA ran on — it reproduces the winning score, and
+// a fresh NewEvaluator over its stages predicts the same numbers — and
+// GenerateContext is Search plus the two accessors.
+func TestSearchReturnsTheScoringEvaluator(t *testing.T) {
+	f := sharedFixture(t)
+	cfg := testConfig(0.02)
+	cfg.GA.Generations = 20
+	ev, res, err := Search(context.Background(), f.input, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ev.Score(res.Best); got != res.BestScore {
+		t.Errorf("returned evaluator scores the winner %g, search reported %g", got, res.BestScore)
+	}
+	fresh, err := NewEvaluator(f.input, cfg, ev.Stages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ev.Predict(res.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Predict(res.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("returned evaluator predicts %+v, a fresh one %+v", got, want)
+	}
+	strat, stages, res2, err := GenerateContext(context.Background(), f.input, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(strat, ev.Strategy(res.Best)) || !reflect.DeepEqual(stages, ev.Stages()) || !reflect.DeepEqual(res2.Best, res.Best) {
+		t.Error("GenerateContext disagrees with Search on the same input")
 	}
 }

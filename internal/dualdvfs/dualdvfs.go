@@ -257,22 +257,34 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 	}
 	p.priorHFCIdx = p.alleleOf(len(grid)-1, hfcScale)
 
+	// Fill the table operator by operator (see core.buildProblem): one
+	// key and one power lookup per operator, voltage, idle power and
+	// uncore saving once per allele; each cell still receives its
+	// operators in ascending trace order.
+	volts := make([]float64, len(grid))
+	points := make([]powermodel.Point, len(grid))
+	for fi, f := range grid {
+		volts[fi] = float64(in.Chip.Curve.Voltage(f))
+		points[fi] = in.Power.At(f, 0)
+	}
+	dynSavings := make([]float64, len(scales))
+	for sc, scale := range scales {
+		dynSavings[sc] = in.UncoreDynW * (1 - scale*scale)
+	}
 	for si, st := range stages {
-		for fi, f := range grid {
-			v := float64(in.Chip.Curve.Voltage(f))
-			for sc, scale := range scales {
-				allele := p.alleleOf(fi, sc)
-				dynSaving := in.UncoreDynW * (1 - scale*scale)
-				for i := st.OpStart; i < st.OpEnd; i++ {
-					rec := &in.Profile.Records[i]
+		for i := st.OpStart; i < st.OpEnd; i++ {
+			rec := &in.Profile.Records[i]
+			power, known := in.Power.Ops[rec.Spec.Key()]
+			for fi, f := range grid {
+				coreP, socP := points[fi].OpPower(power, known)
+				for sc := range scales {
 					dur := rec.DurMicros
 					if rec.Spec.Class == op.Compute {
 						// White-box timing on the scaled chip.
 						dur = chips[sc].Time(rec.Spec, float64(f))
 					}
-					coreP, socP := in.Power.OpPowerAt(rec.Spec.Key(), f, 0)
-					soc := float64(socP) - dynSaving
-					p.Table.Add(si, allele, dur, soc*dur, float64(coreP)*dur, v*dur)
+					soc := float64(socP) - dynSavings[sc]
+					p.Table.Add(si, p.alleleOf(fi, sc), dur, soc*dur, float64(coreP)*dur, volts[fi]*dur)
 				}
 			}
 		}

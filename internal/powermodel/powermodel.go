@@ -305,18 +305,47 @@ func (m *Model) gamma() (core, soc float64) {
 // operator at frequency f with temperature rise deltaT. Unknown keys
 // predict idle power.
 func (m *Model) OpPowerAt(key string, f units.MHz, deltaT units.Celsius) (core, soc units.Watt) {
-	x, dt := float64(f), float64(deltaT)
+	p, ok := m.Ops[key]
+	return m.At(f, deltaT).OpPower(p, ok)
+}
+
+// Point is the operator-independent part of a power prediction: the
+// voltage and the idle-plus-temperature power of both domains at one
+// (frequency, ΔT). Table builders that predict every operator at the
+// same few points take each Point once and each operator's Ops entry
+// once, instead of paying both per (operator, point) through
+// OpPowerAt; the arithmetic and its order are OpPowerAt's, so the
+// results are the same bits.
+type Point struct {
+	f, v              float64
+	coreIdle, socIdle float64
+}
+
+// At evaluates the operator-independent terms at frequency f with
+// temperature rise deltaT.
+func (m *Model) At(f units.MHz, deltaT units.Celsius) Point {
+	dt := float64(deltaT)
 	v := float64(m.Chip.Curve.Voltage(f))
 	gc, gs := m.gamma()
-	pc := float64(m.AICore.Idle(f, units.Volt(v))) + gc*dt*v
-	ps := float64(m.SoC.Idle(f, units.Volt(v))) + gs*dt*v
-	p, ok := m.Ops[key]
-	if !ok {
+	return Point{
+		f:        float64(f),
+		v:        v,
+		coreIdle: float64(m.AICore.Idle(f, units.Volt(v))) + gc*dt*v,
+		socIdle:  float64(m.SoC.Idle(f, units.Volt(v))) + gs*dt*v,
+	}
+}
+
+// OpPower adds one operator's load-dependent power to the point's idle
+// power. known is the ok of the Ops lookup; an unknown operator
+// predicts idle power.
+func (pt Point) OpPower(p OpPower, known bool) (core, soc units.Watt) {
+	pc, ps := pt.coreIdle, pt.socIdle
+	if !known {
 		return units.Watt(pc), units.Watt(ps)
 	}
 	if p.Compute {
-		pc += p.AlphaCore * x * v * v
-		ps += p.AlphaSoC * x * v * v
+		pc += p.AlphaCore * pt.f * pt.v * pt.v
+		ps += p.AlphaSoC * pt.f * pt.v * pt.v
 	} else {
 		ps += p.ExtraSoC
 	}

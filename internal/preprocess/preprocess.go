@@ -48,26 +48,18 @@ func Stages(prof *profiler.Profile, results []classify.Result, faiMicros float64
 	}
 	// Step 3 of Fig. 13: split on sensitivity changes.
 	var stages []Stage
-	cur := Stage{OpStart: 0, Sensitive: results[0].Sensitive, StartMicros: prof.Records[0].StartMicros}
+	cur := Stage{OpStart: 0, Sensitive: results[0].Sensitive}
 	for i := range prof.Records {
 		if results[i].Sensitive != cur.Sensitive {
 			cur.OpEnd = i
 			stages = append(stages, cur)
-			cur = Stage{
-				OpStart:     i,
-				Sensitive:   results[i].Sensitive,
-				StartMicros: prof.Records[i].StartMicros,
-			}
+			cur = Stage{OpStart: i, Sensitive: results[i].Sensitive}
 		}
-		cur.DurMicros += prof.Records[i].DurMicros
 	}
-	// Recompute durations from record sums per stage (cur.DurMicros
-	// accumulated across boundary resets above would be wrong).
 	cur.OpEnd = len(prof.Records)
 	stages = append(stages, cur)
 	for si := range stages {
 		s := &stages[si]
-		s.DurMicros = 0
 		for i := s.OpStart; i < s.OpEnd; i++ {
 			s.DurMicros += prof.Records[i].DurMicros
 		}
@@ -76,47 +68,132 @@ func Stages(prof *profiler.Profile, results []classify.Result, faiMicros float64
 	if faiMicros <= 0 {
 		return stages, nil
 	}
-	// Step 4: repeatedly merge the shortest sub-threshold stage into
-	// its longer neighbor, whose sensitivity label wins.
-	for len(stages) > 1 {
-		shortest, minDur := -1, faiMicros
-		for i, s := range stages {
-			if s.DurMicros < minDur {
-				shortest, minDur = i, s.DurMicros
-			}
-		}
-		if shortest < 0 {
-			break
-		}
-		stages = mergeInto(stages, shortest)
-	}
-	return stages, nil
+	return mergeShort(stages, faiMicros), nil
 }
 
-// mergeInto merges stage i into its longer-duration neighbor and
-// returns the shortened slice.
-func mergeInto(stages []Stage, i int) []Stage {
-	target := i - 1
-	if i == 0 {
-		target = 1
-	} else if i+1 < len(stages) && stages[i+1].DurMicros > stages[i-1].DurMicros {
-		target = i + 1
+// mergeShort is step 4 of Fig. 13: repeatedly merge the shortest
+// sub-threshold stage into its longer neighbor, whose sensitivity
+// label wins. Among equally short stages the leftmost goes first; the
+// right neighbor absorbs only when strictly longer than the left, and
+// the first stage always merges right.
+//
+// Stages stay in their slice slots, linked through prev/next, and a
+// merge keeps the left slot of the pair, so slot order is stage order.
+// Sub-threshold stages wait in a min-heap on (duration, slot). A merge
+// does not fix the heap up: the absorbed slot is marked dead, the
+// surviving one bumps its version and is pushed again, and entries
+// whose slot is dead or whose version is stale are dropped when they
+// surface.
+func mergeShort(stages []Stage, faiMicros float64) []Stage {
+	n := len(stages)
+	prev, next := make([]int, n), make([]int, n)
+	version := make([]int, n) // -1 once absorbed
+	h := make(shortHeap, 0, n)
+	for i := range stages {
+		prev[i], next[i] = i-1, i+1
+		if stages[i].DurMicros < faiMicros {
+			h = append(h, shortEntry{dur: stages[i].DurMicros, slot: i})
+		}
 	}
-	lo, hi := i, target
-	if lo > hi {
-		lo, hi = hi, lo
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	merged := Stage{
-		OpStart:     stages[lo].OpStart,
-		OpEnd:       stages[hi].OpEnd,
-		StartMicros: stages[lo].StartMicros,
-		DurMicros:   stages[lo].DurMicros + stages[hi].DurMicros,
-		Sensitive:   stages[target].Sensitive,
+	for alive := n; alive > 1 && len(h) > 0; {
+		e := h.pop()
+		i := e.slot
+		if version[i] != e.version {
+			continue
+		}
+		target := prev[i]
+		if target < 0 || (next[i] < n && stages[next[i]].DurMicros > stages[target].DurMicros) {
+			target = next[i]
+		}
+		lo, hi := i, target
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		stages[lo] = Stage{
+			OpStart:     stages[lo].OpStart,
+			OpEnd:       stages[hi].OpEnd,
+			StartMicros: stages[lo].StartMicros,
+			DurMicros:   stages[lo].DurMicros + stages[hi].DurMicros,
+			Sensitive:   stages[target].Sensitive,
+		}
+		next[lo] = next[hi]
+		if next[hi] < n {
+			prev[next[hi]] = lo
+		}
+		version[hi] = -1
+		version[lo]++
+		alive--
+		if stages[lo].DurMicros < faiMicros {
+			h.push(shortEntry{dur: stages[lo].DurMicros, slot: lo, version: version[lo]})
+		}
 	}
-	out := append([]Stage{}, stages[:lo]...)
-	out = append(out, merged)
-	out = append(out, stages[hi+1:]...)
+	out := stages[:0]
+	for i := 0; i < n; i = next[i] {
+		out = append(out, stages[i])
+	}
 	return out
+}
+
+// shortEntry is a stage waiting to be merged, as it was when queued.
+type shortEntry struct {
+	dur     float64
+	slot    int
+	version int
+}
+
+// shortHeap is a binary min-heap of shortEntry on (dur, slot).
+type shortHeap []shortEntry
+
+func (h shortHeap) less(i, j int) bool {
+	if h[i].dur < h[j].dur {
+		return true
+	}
+	if h[i].dur > h[j].dur {
+		return false
+	}
+	return h[i].slot < h[j].slot
+}
+
+func (h *shortHeap) push(e shortEntry) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *shortHeap) pop() shortEntry {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	*h = s[:last]
+	h.down(0)
+	return top
+}
+
+func (h shortHeap) down(i int) {
+	for {
+		min := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h.less(c, min) {
+				min = c
+			}
+		}
+		if min == i {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
 }
 
 // Validate checks that stages tile the trace contiguously.

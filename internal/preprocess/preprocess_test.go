@@ -1,6 +1,8 @@
 package preprocess
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"npudvfs/internal/classify"
@@ -199,5 +201,132 @@ func TestGPT3StageCountScale(t *testing.T) {
 	}
 	if len(stages) < 100 || len(stages) > 3000 {
 		t.Errorf("GPT-3 stages at 5 ms FAI = %d, want hundreds", len(stages))
+	}
+}
+
+// referenceMerge is step 4 as it was written before the heap: rescan
+// every stage for the shortest one below the FAI, merge it, copy the
+// slice, repeat. Quadratic, and the definition mergeShort must
+// reproduce choice for choice.
+func referenceMerge(stages []Stage, faiMicros float64) []Stage {
+	for len(stages) > 1 {
+		shortest, minDur := -1, faiMicros
+		for i, s := range stages {
+			if s.DurMicros < minDur {
+				shortest, minDur = i, s.DurMicros
+			}
+		}
+		if shortest < 0 {
+			break
+		}
+		stages = referenceMergeInto(stages, shortest)
+	}
+	return stages
+}
+
+// referenceMergeInto merges stage i into its longer-duration neighbor
+// and returns the shortened slice.
+func referenceMergeInto(stages []Stage, i int) []Stage {
+	target := i - 1
+	if i == 0 {
+		target = 1
+	} else if i+1 < len(stages) && stages[i+1].DurMicros > stages[i-1].DurMicros {
+		target = i + 1
+	}
+	lo, hi := i, target
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	merged := Stage{
+		OpStart:     stages[lo].OpStart,
+		OpEnd:       stages[hi].OpEnd,
+		StartMicros: stages[lo].StartMicros,
+		DurMicros:   stages[lo].DurMicros + stages[hi].DurMicros,
+		Sensitive:   stages[target].Sensitive,
+	}
+	out := append([]Stage{}, stages[:lo]...)
+	out = append(out, merged)
+	out = append(out, stages[hi+1:]...)
+	return out
+}
+
+// checkAgainstReference compares Stages at faiMicros with the
+// reference merge of the unmerged split, field for field; the floats
+// must be the same bits, not merely close, because stage durations and
+// start times reach the strategy bytes.
+func checkAgainstReference(t *testing.T, label string, prof *profiler.Profile, res []classify.Result, faiMicros float64) {
+	t.Helper()
+	split, err := Stages(prof, res, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := referenceMerge(split, faiMicros)
+	got, err := Stages(prof, res, faiMicros)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d stages, reference has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: stage %d = %+v, reference %+v", label, i, got[i], want[i])
+		}
+	}
+	if err := Validate(got, len(prof.Records)); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+func TestStagesMatchReferenceOnRegistry(t *testing.T) {
+	p := profiler.NewNoiseless(npu.Default())
+	for _, name := range workload.Names() {
+		m, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := p.Run(m.Trace, 1800)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := classify.Trace(prof)
+		for _, faiMillis := range []float64{0, 1, 5, 20, 100} {
+			checkAgainstReference(t, fmt.Sprintf("%s at %g ms", name, faiMillis), prof, res, faiMillis*1000)
+		}
+	}
+}
+
+// TestStagesMatchReferenceOnTies drives the merge through the cases
+// where the order of choices is decided by position rather than by
+// duration: durations drawn from a handful of values (so equal
+// shortest stages and equal neighbors are the norm), zero-duration
+// stages, a single stage, and thresholds above every stage.
+func TestStagesMatchReferenceOnTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	palettes := [][]float64{
+		{0, 1, 2, 3},
+		{0, 0, 0, 5},
+		{7},
+		{1, 1, 2, 1000},
+		{0.1, 0.2, 0.30000000000000004, 1e-9},
+	}
+	for round := 0; round < 400; round++ {
+		palette := palettes[round%len(palettes)]
+		n := 1 + rng.Intn(60)
+		durs := make([]float64, n)
+		sens := make([]bool, n)
+		for i := range durs {
+			durs[i] = palette[rng.Intn(len(palette))]
+			switch round % 3 {
+			case 0: // every record its own stage
+				sens[i] = i%2 == 0
+			case 1: // random run lengths
+				sens[i] = rng.Intn(2) == 0
+			} // case 2: one stage
+		}
+		prof, res := syntheticProfile(durs, sens)
+		for _, fai := range []float64{0.5, 1, 2.5, 6, 1e12} {
+			checkAgainstReference(t, fmt.Sprintf("round %d fai %g durs %v", round, fai, durs), prof, res, fai)
+		}
 	}
 }

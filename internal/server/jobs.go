@@ -20,8 +20,11 @@ import (
 type job struct {
 	id       string
 	workload string
-	cacheKey string
-	spec     traceio.SearchSpec
+	// fingerprint is the trace digest computed at submission (or
+	// recovery); cacheKey is derived from it and the response echoes it.
+	fingerprint string
+	cacheKey    string
+	spec        traceio.SearchSpec
 	// model is the resolved workload; set at submission (or recovery),
 	// read by the worker.
 	model *workload.Model

@@ -9,6 +9,7 @@ import (
 
 	"npudvfs/internal/cluster/jobstore"
 	"npudvfs/internal/traceio"
+	"npudvfs/internal/workload"
 )
 
 // seedStore simulates a crashed daemon: records written to an fs store
@@ -116,6 +117,10 @@ func TestRecoveryFinishesAcknowledgedJobs(t *testing.T) {
 		}
 		if st.Result == nil || len(st.Result.Strategy) == 0 {
 			t.Errorf("recovered job %s carries no strategy", id)
+		} else if want := traceio.Fingerprint(workload.ResNet50().Trace); st.Result.Fingerprint != want {
+			// The seeded records carry no cache key: the digest has to
+			// come from the re-resolved trace.
+			t.Errorf("recovered job %s: response fingerprint %q, want %q", id, st.Result.Fingerprint, want)
 		}
 	}
 	// The terminal record is untouched and still pollable.

@@ -5,21 +5,20 @@ import (
 	"encoding/json"
 
 	"npudvfs/internal/core"
-	"npudvfs/internal/experiments"
 	"npudvfs/internal/ga"
-	"npudvfs/internal/preprocess"
 	"npudvfs/internal/traceio"
 )
 
 // buildResponse packages a completed search: the strategy in its wire
 // form plus model-predicted deltas against the fixed-maximum baseline,
-// computed with the same evaluator the GA scored individuals on — so
-// the reported numbers are exactly what the search optimized, with no
-// extra simulation runs on the serving path.
-func buildResponse(workloadName string, spec traceio.SearchSpec, ms *experiments.Models,
-	lab *experiments.Lab, cfg core.Config, strat *core.Strategy,
-	stages []preprocess.Stage, gaRes *ga.Result) (*traceio.StrategyResponse, error) {
+// read from ev, the evaluator the GA scored individuals on — so the
+// reported numbers are exactly what the search optimized, with no
+// second table build and no extra simulation runs on the serving path.
+// fingerprint is the trace digest the submission was keyed under.
+func buildResponse(workloadName, fingerprint string, spec traceio.SearchSpec,
+	ev *core.Evaluator, gaRes *ga.Result) (*traceio.StrategyResponse, error) {
 
+	strat := ev.Strategy(gaRes.Best)
 	var pretty bytes.Buffer
 	if err := traceio.WriteStrategy(&pretty, strat); err != nil {
 		return nil, err
@@ -32,10 +31,6 @@ func buildResponse(workloadName string, spec traceio.SearchSpec, ms *experiments
 		return nil, err
 	}
 
-	ev, err := core.NewEvaluator(ms.Input(lab.Chip), cfg, stages)
-	if err != nil {
-		return nil, err
-	}
 	baselineInd := make([]int, ev.Genes())
 	for i := range baselineInd {
 		baselineInd[i] = ev.BaselineIndex()
@@ -51,10 +46,10 @@ func buildResponse(workloadName string, spec traceio.SearchSpec, ms *experiments
 
 	return &traceio.StrategyResponse{
 		Workload:    workloadName,
-		Fingerprint: traceio.Fingerprint(ms.Workload.Trace),
+		Fingerprint: fingerprint,
 		Strategy:    json.RawMessage(buf.Bytes()),
 		Search:      spec,
-		Stages:      len(stages),
+		Stages:      ev.Genes(),
 		Switches:    strat.Switches(),
 		Evaluations: gaRes.Evaluations,
 		BestScore:   gaRes.BestScore,

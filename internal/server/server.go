@@ -3,8 +3,11 @@
 // the Fig. 1 modeling + genetic-search pipeline on a bounded worker
 // pool, and returns strategies with model-predicted energy/perf
 // deltas. Completed strategies are cached in an LRU keyed by canonical
-// trace fingerprint + search config, so resubmitting a trace is a
-// sub-millisecond hit instead of a multi-second search.
+// trace fingerprint + search config, so resubmitting a trace skips the
+// model build and the search. A hit is not free: it still rebuilds the
+// named trace and fingerprints it, which costs milliseconds and grows
+// with the trace (about 2 / 7 / 29 ms for ResNet-50 / BERT / GPT-3 on
+// the reference host, DESIGN.md §10; ROADMAP item 1a).
 //
 // Determinism contract: the pipeline is the exact one cmd/dvfs-run
 // executes (same Lab seed, same profiler offsets, same GA), so for the
@@ -41,7 +44,6 @@ import (
 	"npudvfs/internal/experiments"
 	"npudvfs/internal/ga"
 	"npudvfs/internal/traceio"
-	"npudvfs/internal/workload"
 )
 
 // ForwardHeader marks a proxied request so the receiving node serves
@@ -227,13 +229,14 @@ func (s *Server) requeue(pending []*jobstore.Record) {
 			continue
 		}
 		j := &job{
-			id:        rec.ID,
-			workload:  rec.Workload,
-			cacheKey:  rec.CacheKey,
-			spec:      rec.Request.Search,
-			model:     m,
-			req:       rec.Request,
-			submitted: time.Now(),
+			id:          rec.ID,
+			workload:    rec.Workload,
+			fingerprint: traceio.Fingerprint(m.Trace),
+			cacheKey:    rec.CacheKey,
+			spec:        rec.Request.Search,
+			model:       m,
+			req:         rec.Request,
+			submitted:   time.Now(),
 		}
 		// A record recovered mid-run shows queued again until a worker
 		// picks it up — pollers see a consistent restart of the machine,
@@ -332,7 +335,7 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 
 	start := time.Now()
-	resp, err := s.generate(ctx, j.model, j.spec)
+	resp, err := s.generate(ctx, j)
 	searchDur := time.Since(start)
 
 	// Terminal records drop the request body: there is nothing left to
@@ -364,7 +367,8 @@ func (s *Server) runJob(j *job) {
 // records nothing: a job cancelled before model building leaves no model
 // or search sample, a failed model build no search sample. A stage that
 // started records even when it fails or is cancelled midway.
-func (s *Server) generate(ctx context.Context, m *workload.Model, spec traceio.SearchSpec) (*traceio.StrategyResponse, error) {
+func (s *Server) generate(ctx context.Context, j *job) (*traceio.StrategyResponse, error) {
+	m, spec := j.model, j.spec
 	if err := ctx.Err(); err != nil {
 		// A force-cancelled queued job must not start a multi-second
 		// model build it would only throw away.
@@ -395,12 +399,12 @@ func (s *Server) generate(ctx context.Context, m *workload.Model, spec traceio.S
 	cfg.GA.Generations = spec.Gens
 	cfg.GA.Seed = spec.Seed
 	searchStart := time.Now()
-	strat, stages, gaRes, err := core.GenerateContext(ctx, ms.Input(s.lab.Chip), cfg)
+	ev, gaRes, err := core.Search(ctx, ms.Input(s.lab.Chip), cfg)
 	if err != nil {
 		s.met.stageSearch.observe(time.Since(searchStart).Seconds())
 		return nil, err
 	}
-	resp, err := buildResponse(m.Name, spec, ms, s.lab, cfg, strat, stages, gaRes)
+	resp, err := buildResponse(m.Name, j.fingerprint, spec, ev, gaRes)
 	searchSeconds := time.Since(searchStart).Seconds()
 	s.met.stageSearch.observe(searchSeconds)
 	s.observeGA(m.Name, gaRes, searchSeconds)
@@ -463,7 +467,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	key := traceio.CacheKey(traceio.Fingerprint(m.Trace), req.Search)
+	fingerprint := traceio.Fingerprint(m.Trace)
+	key := traceio.CacheKey(fingerprint, req.Search)
 
 	if s.ring != nil {
 		if r.Header.Get(ForwardHeader) != "" {
@@ -524,7 +529,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.met.storeErrors.inc()
 	}
 	j := &job{
-		id: id, workload: m.Name, cacheKey: key, spec: req.Search,
+		id: id, workload: m.Name, fingerprint: fingerprint, cacheKey: key, spec: req.Search,
 		model: m, req: &req, submitted: time.Now(),
 	}
 	s.mu.Lock()

@@ -236,6 +236,9 @@ func TestSubmitCompletesAndCacheHitOnResubmit(t *testing.T) {
 	if _, err := traceio.ReadStrategy(bytes.NewReader(done.Result.Strategy)); err != nil {
 		t.Errorf("strategy payload does not parse: %v", err)
 	}
+	if want := traceio.Fingerprint(workload.ResNet50().Trace); done.Result.Fingerprint != want {
+		t.Errorf("response fingerprint %q, want the submitted trace's %q", done.Result.Fingerprint, want)
+	}
 
 	// Resubmission: answered immediately from the cache, strategy
 	// byte-identical.

@@ -14,6 +14,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
+	"unicode/utf8"
 
 	"npudvfs/internal/op"
 	"npudvfs/internal/units"
@@ -164,18 +167,121 @@ func (r *StrategyRequest) Resolve() (*workload.Model, error) {
 // the operator specs enter the hash — the workload's display name does
 // not — so a named registry workload and the identical trace submitted
 // inline share one cache entry.
+//
+// The hashed text is a "v1|<n> ops" header followed by one line per
+// operator: the bytes json.Marshal produces for the spec's wire form
+// (specJSON: fields in declaration order, zero-valued omitempty fields
+// left out, floats and strings in encoding/json's formatting). Stored
+// job records, cache keys and ring routing all carry this digest, so
+// the text is frozen; appendSpecLine writes it directly rather than
+// through json.Marshal's reflection walk, and the tests hold it to the
+// json.Marshal form.
+//
+// A spec with a NaN or infinite float has no JSON form; its line is
+// empty, as it was when json.Marshal's error was dropped, so the
+// digest stays defined but no longer distinguishes such specs from one
+// another. None can arrive over the wire: JSON has no spelling for
+// them and ReadWorkload validates what it decodes.
 func Fingerprint(trace []op.Spec) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v1|%d ops\n", len(trace))
+	// Lines are gathered and hashed a few KB at a time; the buffer is
+	// reused for the whole trace.
+	const flushAt = 4096
+	buf := make([]byte, 0, flushAt+1024)
+	buf = append(buf, "v1|"...)
+	buf = strconv.AppendInt(buf, int64(len(trace)), 10)
+	buf = append(buf, " ops\n"...)
 	for i := range trace {
-		j := specToJSON(&trace[i])
-		// encoding/json emits struct fields in declaration order, so
-		// this line is a stable canonical form of the spec.
-		b, _ := json.Marshal(j)
-		h.Write(b)
-		h.Write([]byte{'\n'})
+		buf = appendSpecLine(buf, &trace[i])
+		if len(buf) >= flushAt {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendSpecLine appends json.Marshal(specToJSON(s)) and a newline.
+func appendSpecLine(buf []byte, s *op.Spec) []byte {
+	floats := [...]float64{s.LoadBytes, s.StoreBytes, s.CoreCycles, s.L2Hit, s.PrePostTime, s.FixedTime}
+	for _, f := range floats {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return append(buf, '\n')
+		}
+	}
+	buf = append(buf, `{"name":`...)
+	buf = appendJSONString(buf, s.Name)
+	if s.Shape != "" {
+		buf = append(buf, `,"shape":`...)
+		buf = appendJSONString(buf, s.Shape)
+	}
+	// The enum names are plain ASCII; an out-of-range value has no
+	// name and encodes as "".
+	buf = append(buf, `,"class":"`...)
+	buf = append(buf, classNames[s.Class]...)
+	buf = append(buf, '"')
+	compute := s.Class == op.Compute
+	if name := scenarioNames[s.Scenario]; compute && name != "" {
+		buf = append(buf, `,"scenario":"`...)
+		buf = append(buf, name...)
+		buf = append(buf, '"')
+	}
+	if s.Blocks != 0 {
+		buf = append(buf, `,"blocks":`...)
+		buf = strconv.AppendInt(buf, int64(s.Blocks), 10)
+	}
+	buf = appendJSONFloat(buf, `,"load_bytes":`, s.LoadBytes)
+	buf = appendJSONFloat(buf, `,"store_bytes":`, s.StoreBytes)
+	buf = appendJSONFloat(buf, `,"core_cycles":`, s.CoreCycles)
+	if name := pipeNames[s.CorePipe]; compute && name != "" {
+		buf = append(buf, `,"core_pipe":"`...)
+		buf = append(buf, name...)
+		buf = append(buf, '"')
+	}
+	buf = appendJSONFloat(buf, `,"l2_hit":`, s.L2Hit)
+	buf = appendJSONFloat(buf, `,"prepost_us":`, s.PrePostTime)
+	buf = appendJSONFloat(buf, `,"fixed_us":`, s.FixedTime)
+	return append(buf, '}', '\n')
+}
+
+// appendJSONFloat appends an omitempty float64 field the way
+// encoding/json does: nothing for ±0, otherwise the shortest decimal
+// that round-trips, in exponent form below 1e-6 and from 1e21 up, with
+// a two-digit negative exponent's leading zero dropped (1e-07 → 1e-7).
+// f must be finite.
+func appendJSONFloat(buf []byte, field string, f float64) []byte {
+	abs := math.Abs(f)
+	if !(abs > 0) {
+		return buf
+	}
+	buf = append(buf, field...)
+	if abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(buf, f, 'f', -1, 64)
+	}
+	buf = strconv.AppendFloat(buf, f, 'e', -1, 64)
+	if n := len(buf); n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+		buf[n-2] = buf[n-1]
+		buf = buf[:n-1]
+	}
+	return buf
+}
+
+// appendJSONString appends s as json.Marshal quotes it. Printable
+// ASCII without the characters json.Marshal escapes (quote, backslash
+// and, for HTML safety, <, > and &) is copied as is; anything else —
+// control bytes, non-ASCII, invalid UTF-8 — is left to json.Marshal.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(buf, quoted...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // CacheKey combines the trace fingerprint with the canonical search

@@ -2,12 +2,19 @@ package traceio
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
 	"npudvfs/internal/core"
+	"npudvfs/internal/op"
 	"npudvfs/internal/workload"
 )
 
@@ -150,5 +157,178 @@ func TestStrategyRequestResolve(t *testing.T) {
 	garbage := StrategyRequest{Trace: json.RawMessage(`{"trace": [{"class": "zebra"}]}`)}
 	if _, err := garbage.Resolve(); err == nil {
 		t.Error("garbage trace resolved without error")
+	}
+}
+
+// referenceFingerprint is Fingerprint as it was first written — one
+// json.Marshal of the wire form per operator, the error dropped — and
+// the definition the append-style encoder must keep to, digest for
+// digest.
+func referenceFingerprint(trace []op.Spec) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "v1|%d ops\n", len(trace))
+	for i := range trace {
+		b, _ := json.Marshal(specToJSON(&trace[i]))
+		h.Write(b)
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// checkFingerprint compares the digest with the reference's and, on a
+// mismatch, finds the first operator whose line differs.
+func checkFingerprint(t *testing.T, label string, trace []op.Spec) {
+	t.Helper()
+	if got, want := Fingerprint(trace), referenceFingerprint(trace); got != want {
+		for i := range trace {
+			ref, _ := json.Marshal(specToJSON(&trace[i]))
+			if line := appendSpecLine(nil, &trace[i]); string(line) != string(ref)+"\n" {
+				t.Fatalf("%s: op %d encodes as %q, json.Marshal gives %q", label, i, line, ref)
+			}
+		}
+		t.Fatalf("%s: fingerprint %s, reference %s (every line matches: header or flushing differs)", label, got, want)
+	}
+}
+
+// TestFingerprintPinnedRegistry holds the ten registry digests to the
+// values the json.Marshal implementation produced (generated at commit
+// ad34cb5): fs job stores, ring-aware clients and cached responses
+// carry them.
+func TestFingerprintPinnedRegistry(t *testing.T) {
+	raw, err := os.ReadFile("testdata/registry_fingerprints.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned map[string]string
+	if err := json.Unmarshal(raw, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	names := workload.Names()
+	if len(pinned) != len(names) {
+		t.Errorf("%d pinned fingerprints for %d registry workloads", len(pinned), len(names))
+	}
+	for _, name := range names {
+		m, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Fingerprint(m.Trace); got != pinned[name] {
+			t.Errorf("%s: fingerprint %s, pinned %s", name, got, pinned[name])
+		}
+		checkFingerprint(t, name, m.Trace)
+	}
+}
+
+// awkwardFloats are the values where encoding/json's float formatting
+// changes form: both exponent cut-offs from either side, the
+// two-digit-exponent clean-up, the zeros, the extremes.
+var awkwardFloats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.5, 1e-6, 9.999999999999999e-7, 1.0000000000000002e-6,
+	1e-7, 1e-9, 1e-10, 1.5e-10, -3e-8, 1e-100, 5e-324, 2.2250738585072014e-308,
+	1e21, 9.999999999999999e20, 1.0000000000000001e21, 1e22, -1e21, 1e100, math.MaxFloat64,
+	123456789.125, 100, 1e20, 0.1 + 0.2, 4096, 1 << 53,
+}
+
+// awkwardStrings cover every class appendJSONString must hand to
+// json.Marshal, next to ones it may copy.
+var awkwardStrings = []string{
+	"", "MatMul", "1x512x1024", "a b~c\x7f", `quo"te`, `back\slash`, "<tag>", "a&b", "tab\there", "nul\x00",
+	"line\nbreak", "ünïcode", "日本語", "sep  ", "bad\xffutf8", "\xc3", "trail\xe2\x82",
+}
+
+func randomSpec(rng *rand.Rand) op.Spec {
+	float := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return awkwardFloats[rng.Intn(len(awkwardFloats))]
+		case 1:
+			// Any finite bit pattern.
+			for {
+				if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+					return f
+				}
+			}
+		case 2:
+			// Straddle the exponent-form cut-offs.
+			edge := []float64{1e-6, 1e21}[rng.Intn(2)]
+			return edge * (1 + (rng.Float64()-0.5)*1e-3)
+		}
+		return rng.Float64() * 1e6
+	}
+	str := func() string {
+		if rng.Intn(2) == 0 {
+			return awkwardStrings[rng.Intn(len(awkwardStrings))]
+		}
+		b := make([]byte, rng.Intn(12))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return string(b)
+	}
+	return op.Spec{
+		Name:  str(),
+		Shape: str(),
+		// One past each enum's last value as well: an unnamed value
+		// must encode the way a map miss does.
+		Class:       op.Class(rng.Intn(int(op.Idle) + 2)),
+		Scenario:    op.Scenario(rng.Intn(int(op.PingPongDep) + 2)),
+		CorePipe:    op.Pipe(rng.Intn(int(op.NumPipes) + 1)),
+		Blocks:      rng.Intn(5) - 1,
+		LoadBytes:   float(),
+		StoreBytes:  float(),
+		CoreCycles:  float(),
+		L2Hit:       float(),
+		PrePostTime: float(),
+		FixedTime:   float(),
+	}
+}
+
+func TestFingerprintMatchesJSONMarshal(t *testing.T) {
+	checkFingerprint(t, "empty trace", nil)
+	// Every awkward value in every position once, deterministically.
+	var trace []op.Spec
+	for _, f := range awkwardFloats {
+		trace = append(trace,
+			op.Spec{Name: "f", LoadBytes: f, CoreCycles: -f, PrePostTime: f},
+			op.Spec{Name: "g", Class: op.AICPU, StoreBytes: f, L2Hit: f, FixedTime: -f})
+	}
+	for _, s := range awkwardStrings {
+		trace = append(trace, op.Spec{Name: s, Shape: "plain"}, op.Spec{Name: "plain", Shape: s})
+	}
+	for c := 0; c < 256; c++ {
+		trace = append(trace, op.Spec{
+			Name: string([]byte{'x', byte(c)}), Class: op.Class(c), Scenario: op.Scenario(c), CorePipe: op.Pipe(c),
+		})
+		trace = append(trace, op.Spec{Name: "enum", Scenario: op.Scenario(c), CorePipe: op.Pipe(c), Blocks: c - 3})
+	}
+	checkFingerprint(t, "awkward values", trace)
+
+	rng := rand.New(rand.NewSource(14))
+	for round := 0; round < 200; round++ {
+		trace := make([]op.Spec, rng.Intn(200))
+		for i := range trace {
+			trace[i] = randomSpec(rng)
+		}
+		checkFingerprint(t, fmt.Sprintf("random round %d", round), trace)
+	}
+}
+
+// TestFingerprintNonFinite pins the documented behaviour for specs
+// JSON cannot express: the line is empty, whichever float is NaN or
+// infinite and whatever the other fields hold.
+func TestFingerprintNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field := 0; field < 6; field++ {
+			s := op.Spec{Name: "MatMul", Shape: "8x8", Blocks: 2, LoadBytes: 1, FixedTime: 3}
+			*[]*float64{&s.LoadBytes, &s.StoreBytes, &s.CoreCycles, &s.L2Hit, &s.PrePostTime, &s.FixedTime}[field] = bad
+			if line := appendSpecLine(nil, &s); string(line) != "\n" {
+				t.Errorf("float %d = %g: line %q, want empty", field, bad, line)
+			}
+			trace := []op.Spec{{Name: "before"}, s, {Name: "after"}}
+			checkFingerprint(t, fmt.Sprintf("float %d = %g", field, bad), trace)
+			if Fingerprint(trace) != Fingerprint([]op.Spec{{Name: "before"}, {Name: "other", StoreBytes: bad}, {Name: "after"}}) {
+				t.Errorf("float %d = %g: non-finite specs should hash alike", field, bad)
+			}
+		}
 	}
 }

@@ -2,9 +2,11 @@ package traceio
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"npudvfs/internal/op"
 	"npudvfs/internal/units"
 	"npudvfs/internal/workload"
 )
@@ -102,5 +104,25 @@ func FuzzReadWorkload(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("parser accepted an invalid workload: %v", err)
 		}
+	})
+}
+
+// FuzzFingerprint holds the append-style encoder to the json.Marshal
+// form (referenceFingerprint) for arbitrary specs: raw-bit floats,
+// arbitrary bytes in the strings, arbitrary enum values.
+func FuzzFingerprint(f *testing.F) {
+	f.Add("MatMul", "1x512", uint8(0), uint8(2), uint8(0), 8, uint64(0x40c3880000000000), uint64(0), 1e-7, 1e21, 0.5, 0.0)
+	f.Add("AllReduce", "", uint8(2), uint8(0), uint8(0), 0, uint64(0), uint64(1)<<63, 0.0, 0.0, 0.0, 1234.5)
+	f.Add("a<b>&\"\\", "é\xff ", uint8(9), uint8(9), uint8(9), -1, uint64(0x7ff8000000000001), uint64(1), -1e-9, 9.999999999999999e20, 1e-6, -0.0)
+	f.Fuzz(func(t *testing.T, name, shape string, class, scenario, pipe uint8, blocks int,
+		loadBits, storeBits uint64, cycles, l2, prepost, fixed float64) {
+		s := op.Spec{
+			Name: name, Shape: shape,
+			Class: op.Class(class), Scenario: op.Scenario(scenario), CorePipe: op.Pipe(pipe),
+			Blocks:    blocks,
+			LoadBytes: math.Float64frombits(loadBits), StoreBytes: math.Float64frombits(storeBits),
+			CoreCycles: cycles, L2Hit: l2, PrePostTime: prepost, FixedTime: fixed,
+		}
+		checkFingerprint(t, "fuzzed spec", []op.Spec{s, {Name: "next"}})
 	})
 }

@@ -6,6 +6,11 @@
 #   - BenchmarkGASearch reports 0 allocs/op: the Engine-reuse serving
 #     path must stay GC-quiet (DESIGN.md §13). A regression here is a
 #     correctness-of-intent bug long before it is a latency bug.
+#   - BenchmarkFingerprint/gpt3 reports at most 8 allocs/op: the digest
+#     is written into one reused buffer, not marshalled per operator
+#     (36,982 allocs/op when it was).
+#   - BenchmarkStages/gpt3 reports under 8 MB/op: stage merging keeps
+#     its stages in place (795 MB/op when every merge copied the slice).
 #
 # Wall-clock-dependent floors (the 2x search speedup, the 1->4 worker
 # scaling) are asserted by scripts/bench.sh, which measures properly.
@@ -18,14 +23,35 @@ out=$(go test -run '^$' -bench . -benchtime 1x -benchmem ./... 2>&1) || {
 }
 echo "$out"
 
-line=$(echo "$out" | grep -E '^BenchmarkGASearch(-[0-9]+)?[[:space:]]' | head -1)
-if [ -z "$line" ]; then
-    echo "bench-smoke: BenchmarkGASearch missing from benchmark output" >&2
-    exit 1
-fi
-allocs=$(echo "$line" | awk '{for (i = 1; i < NF; i++) if ($(i + 1) == "allocs/op") print $i}')
+# field NAME UNIT prints the value reported in UNIT by benchmark NAME
+# (sub-benchmark names included), or fails if NAME did not run.
+field() {
+    local line
+    line=$(echo "$out" | grep -E "^$1(-[0-9]+)?[[:space:]]" | head -1)
+    if [ -z "$line" ]; then
+        echo "bench-smoke: $1 missing from benchmark output" >&2
+        exit 1
+    fi
+    echo "$line" | awk -v unit="$2" '{for (i = 1; i < NF; i++) if ($(i + 1) == unit) print $i}'
+}
+
+allocs=$(field BenchmarkGASearch allocs/op)
 if [ "$allocs" != "0" ]; then
     echo "bench-smoke: BenchmarkGASearch reports $allocs allocs/op, want 0 (Engine reuse contract)" >&2
     exit 1
 fi
 echo "bench-smoke: BenchmarkGASearch allocation-free"
+
+allocs=$(field BenchmarkFingerprint/gpt3 allocs/op)
+if [ "$allocs" -gt 8 ]; then
+    echo "bench-smoke: BenchmarkFingerprint/gpt3 reports $allocs allocs/op, want <= 8 (one reused buffer)" >&2
+    exit 1
+fi
+echo "bench-smoke: BenchmarkFingerprint/gpt3 at $allocs allocs/op"
+
+bytes=$(field BenchmarkStages/gpt3 B/op)
+if [ "$bytes" -ge 8000000 ]; then
+    echo "bench-smoke: BenchmarkStages/gpt3 reports $bytes B/op, want < 8 MB (in-place stage merging)" >&2
+    exit 1
+fi
+echo "bench-smoke: BenchmarkStages/gpt3 at $bytes B/op"
