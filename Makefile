@@ -4,7 +4,7 @@
 # parallel experiment harness and the dvfsd serving layer — so a
 # race-clean run is part of "tests pass"), and finally the dvfsd
 # end-to-end smoke.
-.PHONY: verify build bench-build test vet fmt-check lint lint-fast race short bench serve-smoke load-smoke cluster-smoke load-bench
+.PHONY: verify build bench-build bench-traced test vet fmt-check lint lint-fast race short bench serve-smoke load-smoke cluster-smoke load-bench
 
 verify: build bench-build vet fmt-check lint test race serve-smoke load-smoke cluster-smoke
 
@@ -18,6 +18,20 @@ build:
 # the test that spawns dvfsd.
 bench-build:
 	go vet -C bench ./... && go test -C bench -short ./...
+
+# The traced phase of the serving benchmark on all four workloads
+# (~2 min; not part of verify). bench/replay.go mirrors the serving
+# path through the layers' public functions and exits non-zero when
+# trace.coverage (mirrored / served time) leaves [0.85, 1.15]: a layer
+# made faster in place moves both sides, a call the server stops making
+# does not, so this is the check to run after any serving-path
+# speed-up (ROADMAP item 1). Prints each workload's coverage; fails if
+# any run does.
+bench-traced:
+	@for w in hot_named cold_search cold_build inline_durable; do \
+		out=$$(go run -C bench npudvfs/bench -workload $$w -trace 1) || { echo "$$out"; echo "bench-traced: $$w failed"; exit 1; }; \
+		echo "$$out" | awk -v w=$$w '$$1 == "trace.coverage" { print "bench-traced: " w " trace.coverage " $$2 }'; \
+	done
 
 vet:
 	go vet ./...

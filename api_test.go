@@ -1,7 +1,10 @@
 package npudvfs
 
 import (
+	"reflect"
 	"testing"
+
+	"npudvfs/internal/workload"
 )
 
 // The facade must expose a working end-to-end path without touching
@@ -77,5 +80,35 @@ func TestFacadeConstructors(t *testing.T) {
 	th := DefaultThermal()
 	if lab := NewLabFor(chip, g, th, 3); lab == nil || lab.Chip != chip {
 		t.Error("NewLabFor did not wire the chip")
+	}
+}
+
+// A library user may edit the trace WorkloadByName returns before
+// optimizing it; the registry's shared model, which every internal
+// caller and the next WorkloadByName read, must not see the edit.
+func TestWorkloadByNameReturnsOwnedCopy(t *testing.T) {
+	m, err := WorkloadByName("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.Trace[0]
+	m.Name = "edited"
+	m.Trace[0].Name = "edited"
+	m.Trace[0].LoadBytes *= 2
+	m.Trace = append(m.Trace[:1], m.Trace[2:]...)
+
+	again, err := WorkloadByName("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := workload.ByName("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := workload.ResNet50()
+	for label, got := range map[string]*Workload{"second WorkloadByName": again, "workload.ByName": shared} {
+		if got.Name != fresh.Name || got.Trace[0] != want || !reflect.DeepEqual(got.Trace, fresh.Trace) {
+			t.Errorf("%s sees the caller's edits", label)
+		}
 	}
 }

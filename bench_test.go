@@ -10,17 +10,23 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"npudvfs/internal/classify"
 	"npudvfs/internal/core"
 	"npudvfs/internal/executor"
 	"npudvfs/internal/experiments"
 	"npudvfs/internal/ga"
+	"npudvfs/internal/op"
 	"npudvfs/internal/perfmodel"
 	"npudvfs/internal/preprocess"
 	"npudvfs/internal/profiler"
+	"npudvfs/internal/server"
 	"npudvfs/internal/thermal"
 	"npudvfs/internal/traceio"
 	"npudvfs/internal/units"
@@ -508,8 +514,10 @@ func (p *evProblem) Seeds() [][]int {
 	return [][]int{baseline}
 }
 
-// The three benchmarks below are the first rungs of the per-layer
-// ladder (ROADMAP item 1): the layers a cold job runs around the GA,
+// The benchmarks below are the rungs of the per-layer ladder (ROADMAP
+// item 1): the layers a cold job runs around the GA (Stages,
+// NewEvaluator) and the ones every submission runs, cache hits
+// included (ByName, Fingerprint, and ServeHit for the whole hit path),
 // each at the shape the server calls it — the workload's full trace,
 // models from core.DefaultConfig, the 5 ms FAI — on the smallest
 // served trace (ResNet-50) and the largest (GPT-3, ~18,000 ops).
@@ -582,23 +590,103 @@ func BenchmarkNewEvaluator(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint measures the canonical trace digest every
-// submission pays, cache hits included.
-func BenchmarkFingerprint(b *testing.B) {
+// BenchmarkByName measures resolving a registry name, the first thing
+// every named submission does. scripts/bench_smoke.sh holds gpt3 to
+// 0 allocs/op: the registry hands out its one shared model.
+func BenchmarkByName(b *testing.B) {
 	for _, name := range ladderWorkloads {
 		b.Run(name, func(b *testing.B) {
+			// The process's first call builds the model; a request
+			// meets it built.
 			m, err := workload.ByName(name)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m, err = workload.ByName(name); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(m.Ops()), "ops")
+		})
+	}
+}
+
+// BenchmarkFingerprint measures the canonical trace digest every
+// submission pays, cache hits included. The registry traces repeat a
+// hundred or so distinct operators; "distinct" is GPT-3's trace with
+// every operator made unique, the inline trace that gains nothing from
+// Fingerprint remembering the lines it has formatted and must not pay
+// for it either.
+func BenchmarkFingerprint(b *testing.B) {
+	run := func(name string, trace []op.Spec) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
 			var fp string
 			for i := 0; i < b.N; i++ {
-				fp = traceio.Fingerprint(m.Trace)
+				fp = traceio.Fingerprint(trace)
 			}
 			if len(fp) != 64 {
 				b.Fatalf("fingerprint %q is not a SHA-256 hex digest", fp)
+			}
+		})
+	}
+	for _, name := range ladderWorkloads {
+		m, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(name, m.Trace)
+	}
+	distinct := workload.GPT3().Trace
+	for i := range distinct {
+		distinct[i].Blocks += i
+	}
+	run("distinct", distinct)
+}
+
+// BenchmarkServeHit measures a whole cache hit as dvfsd serves it:
+// handleSubmit from the request body to the encoded 200 — decode,
+// Resolve, Fingerprint, the LRU, the job-store write, encode — against
+// a server whose cache already holds the strategy.
+func BenchmarkServeHit(b *testing.B) {
+	for _, name := range ladderWorkloads {
+		b.Run(name, func(b *testing.B) {
+			ladderInput(b, name)
+			bundle, err := ladderModels[name].Bundle()
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv, err := server.New(server.Config{
+				Lab: lab(), Bundles: map[string]*traceio.ModelBundle{name: bundle},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Shutdown(context.Background())
+			body := fmt.Sprintf(`{"workload":%q,"search":{"pop":8,"gens":2}}`, name)
+			submit := func() *httptest.ResponseRecorder {
+				w := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/strategies", strings.NewReader(body)))
+				return w
+			}
+			// Prime: the first submission runs the search, and the
+			// cache holds its strategy once a resubmission answers 200.
+			for deadline := time.Now().Add(time.Minute); submit().Code != http.StatusOK; {
+				if time.Now().After(deadline) {
+					b.Fatal("cache not primed within a minute")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if w := submit(); w.Code != http.StatusOK {
+					b.Fatalf("hit answered %d: %s", w.Code, w.Body)
+				}
 			}
 		})
 	}

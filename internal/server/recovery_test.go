@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -196,5 +198,62 @@ func TestRecoveryResultsSurviveSecondRestart(t *testing.T) {
 	}
 	if !json.Valid(st.Result.Strategy) || len(st.Result.Strategy) == 0 {
 		t.Error("persisted strategy payload is not valid JSON")
+	}
+}
+
+// TestRecoveryRederivesStaleCacheKey restarts over a record whose
+// cache key was written against a registry trace that has since
+// changed: the re-run resolves today's trace, so the strategy must be
+// cached — and the record persisted — under today's key, the one the
+// response's fingerprint belongs to and a resubmission looks up.
+func TestRecoveryRederivesStaleCacheKey(t *testing.T) {
+	lab, bundle := fixture(t)
+	dir := t.TempDir()
+	req := strategyReq(t, smallSearch(34))
+	if _, err := req.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	stale := traceio.CacheKey(strings.Repeat("0", 64), req.Search)
+	ids := seedStore(t, dir, []*jobstore.Record{
+		{State: traceio.JobRunning, Workload: "resnet50", CacheKey: stale, Request: req},
+	})
+
+	store, err := jobstore.OpenFS(dir, 64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Workers: 1, Lab: lab,
+		Bundles: map[string]*traceio.ModelBundle{"resnet50": bundle},
+		Store:   store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+
+	st := waitStatus(t, s, ids[0])
+	if st.State != traceio.JobDone || st.Result == nil {
+		t.Fatalf("recovered job finished %q (%s)", st.State, st.Error)
+	}
+	want := traceio.CacheKey(st.Result.Fingerprint, req.Search)
+	if rec, _ := s.store.Get(ids[0]); rec.CacheKey != want {
+		t.Errorf("record keeps cache key %q, want the re-derived %q", rec.CacheKey, want)
+	}
+	if _, ok := s.cache.Get(stale); ok {
+		t.Error("strategy cached under the stale key")
+	}
+	if _, ok := s.cache.Get(want); !ok {
+		t.Error("strategy not cached under the key of the fingerprint it answers with")
+	}
+	// What a client sees: resubmitting the request is a hit.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, again := submit(t, ts, smallSearch(34)); code != http.StatusOK || !again.Cached {
+		t.Errorf("resubmission after recovery: code %d, status %+v; want a cached 200", code, again)
 	}
 }

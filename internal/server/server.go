@@ -4,10 +4,11 @@
 // pool, and returns strategies with model-predicted energy/perf
 // deltas. Completed strategies are cached in an LRU keyed by canonical
 // trace fingerprint + search config, so resubmitting a trace skips the
-// model build and the search. A hit is not free: it still rebuilds the
-// named trace and fingerprints it, which costs milliseconds and grows
-// with the trace (about 2 / 7 / 29 ms for ResNet-50 / BERT / GPT-3 on
-// the reference host, DESIGN.md §10; ROADMAP item 1a).
+// model build and the search. A hit is not free: the named trace is the
+// registry's shared one (workload.ByName, about a microsecond), but it
+// is still fingerprinted on every request, which grows with the trace —
+// a client sees about 0.6 / 1.5 / 6 ms per hit for ResNet-50 / BERT /
+// GPT-3 on the reference host (DESIGN.md §10; ROADMAP item 1a).
 //
 // Determinism contract: the pipeline is the exact one cmd/dvfs-run
 // executes (same Lab seed, same profiler offsets, same GA), so for the
@@ -228,11 +229,18 @@ func (s *Server) requeue(pending []*jobstore.Record) {
 			s.failRecovered(rec, err)
 			continue
 		}
+		// The trace is resolved against this process's registry, so the
+		// key is derived from it as well, not taken from the record: a
+		// registry trace that changed since the job was acknowledged
+		// would otherwise cache the new strategy under the old trace's
+		// key, beside a response carrying the new fingerprint.
+		fingerprint := traceio.Fingerprint(m.Trace)
+		key := traceio.CacheKey(fingerprint, rec.Request.Search)
 		j := &job{
 			id:          rec.ID,
 			workload:    rec.Workload,
-			fingerprint: traceio.Fingerprint(m.Trace),
-			cacheKey:    rec.CacheKey,
+			fingerprint: fingerprint,
+			cacheKey:    key,
 			spec:        rec.Request.Search,
 			model:       m,
 			req:         rec.Request,
@@ -243,7 +251,7 @@ func (s *Server) requeue(pending []*jobstore.Record) {
 		// not a job stuck "running" in a process that no longer exists.
 		s.storeUpdate(&jobstore.Record{
 			ID: rec.ID, State: traceio.JobQueued, Workload: rec.Workload,
-			CacheKey: rec.CacheKey, Request: rec.Request,
+			CacheKey: key, Request: rec.Request,
 		})
 		select {
 		case s.queue <- j:

@@ -174,8 +174,9 @@ func (r *StrategyRequest) Resolve() (*workload.Model, error) {
 // left out, floats and strings in encoding/json's formatting). Stored
 // job records, cache keys and ring routing all carry this digest, so
 // the text is frozen; appendSpecLine writes it directly rather than
-// through json.Marshal's reflection walk, and the tests hold it to the
-// json.Marshal form.
+// through json.Marshal's reflection walk, an operator equal to one
+// earlier in the trace gets a copy of that one's line (lineTable), and
+// the tests hold the result to the json.Marshal form.
 //
 // A spec with a NaN or infinite float has no JSON form; its line is
 // empty, as it was when json.Marshal's error was dropped, so the
@@ -191,8 +192,9 @@ func Fingerprint(trace []op.Spec) string {
 	buf = append(buf, "v1|"...)
 	buf = strconv.AppendInt(buf, int64(len(trace)), 10)
 	buf = append(buf, " ops\n"...)
+	var seen lineTable
 	for i := range trace {
-		buf = appendSpecLine(buf, &trace[i])
+		buf = seen.appendLine(buf, &trace[i])
 		if len(buf) >= flushAt {
 			h.Write(buf)
 			buf = buf[:0]
@@ -200,6 +202,87 @@ func Fingerprint(trace []op.Spec) string {
 	}
 	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// lineTable remembers, for the length of one Fingerprint call, the
+// canonical line of operators that call has already formatted. A trace
+// repeats a few operators many times — 99 of GPT-3's 18,482 are
+// distinct — and copying a line costs a tenth of formatting it. The
+// table is open-addressed, holds at most lineTableCap lines in lineText
+// bytes and stops taking new ones when either runs out, so a trace
+// that never repeats pays a hash and a short probe per operator and
+// nothing else. It lives in Fingerprint's frame: no state outlasts the
+// call, and the hashed bytes are the ones appendSpecLine would write.
+type lineTable struct {
+	slots [2 * lineTableCap]lineSlot
+	n     int
+	text  [lineText]byte
+	used  int
+}
+
+const (
+	lineTableCap = 256
+	lineText     = 32 << 10
+)
+
+// lineSlot is one remembered line: the operator it was formatted from
+// (an element of the trace being fingerprinted), that operator's hash
+// and the line's place in lineTable.text. An empty slot has a nil spec.
+type lineSlot struct {
+	spec     *op.Spec
+	hash     uint64
+	off, end int32
+}
+
+// appendLine appends the canonical line of s: a copy of the line
+// remembered for an operator equal to s in every field if there is
+// one, else what appendSpecLine writes, which it then remembers if
+// there is room. Equality is op.Spec's ==, so a spec with a NaN never
+// matches (its line is the empty one either way) and +0 matches -0
+// (both are left out of the line). The empty line of a non-finite spec
+// is not worth a slot. At most half the slots are ever taken, so the
+// probe ends.
+func (t *lineTable) appendLine(buf []byte, s *op.Spec) []byte {
+	hash := specHash(s)
+	i := hash % uint64(len(t.slots))
+	for ; t.slots[i].spec != nil; i = (i + 1) % uint64(len(t.slots)) {
+		if slot := &t.slots[i]; slot.hash == hash && *slot.spec == *s {
+			return append(buf, t.text[slot.off:slot.end]...)
+		}
+	}
+	start := len(buf)
+	buf = appendSpecLine(buf, s)
+	line := buf[start:]
+	if end := t.used + len(line); t.n < lineTableCap && end <= len(t.text) && len(line) > 1 {
+		copy(t.text[t.used:], line)
+		t.slots[i] = lineSlot{spec: s, hash: hash, off: int32(t.used), end: int32(end)}
+		t.used = end
+		t.n++
+	}
+	return buf
+}
+
+// specHash mixes the fields that tell a trace's operators apart in
+// practice; appendLine settles equality on the whole spec.
+func specHash(s *op.Spec) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(s.Name))<<8 ^ uint64(len(s.Shape))
+	if len(s.Name) > 0 {
+		h ^= uint64(s.Name[0])<<24 ^ uint64(s.Name[len(s.Name)-1])<<16
+	}
+	if len(s.Shape) > 0 {
+		h ^= uint64(s.Shape[len(s.Shape)-1]) << 32
+	}
+	h = (h ^ uint64(s.Blocks)) * m
+	h = (h ^ math.Float64bits(s.LoadBytes)) * m
+	h = (h ^ math.Float64bits(s.StoreBytes)) * m
+	h = (h ^ math.Float64bits(s.CoreCycles)) * m
+	h = (h ^ math.Float64bits(s.L2Hit)) * m
+	h = (h ^ math.Float64bits(s.PrePostTime)) * m
+	h = (h ^ math.Float64bits(s.FixedTime)) * m
+	// A product's high bits are its mixed ones; the table indexes with
+	// the low bits.
+	return h ^ h>>47
 }
 
 // appendSpecLine appends json.Marshal(specToJSON(s)) and a newline.

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -186,7 +187,7 @@ func checkFingerprint(t *testing.T, label string, trace []op.Spec) {
 				t.Fatalf("%s: op %d encodes as %q, json.Marshal gives %q", label, i, line, ref)
 			}
 		}
-		t.Fatalf("%s: fingerprint %s, reference %s (every line matches: header or flushing differs)", label, got, want)
+		t.Fatalf("%s: fingerprint %s, reference %s (every line matches when formatted alone: header, flushing or line reuse differs)", label, got, want)
 	}
 }
 
@@ -283,7 +284,49 @@ func randomSpec(rng *rand.Rand) op.Spec {
 	}
 }
 
+// reuseTrace surrounds s with the operators a remembered line could be
+// wrongly reused for: s again, s with its strings in other backing
+// arrays, and, for each of op.Spec's twelve fields, a twin that differs
+// from s in that field alone — each followed by s once more, so a twin
+// that displaced s's line would show as well.
+func reuseTrace(s op.Spec) []op.Spec {
+	clone := s
+	clone.Name, clone.Shape = strings.Clone(s.Name), strings.Clone(s.Shape)
+	trace := []op.Spec{s, {Name: "next"}, s, clone}
+	var twins [12]op.Spec
+	for i := range twins {
+		twins[i] = s
+	}
+	twins[0].Name += "'"
+	twins[1].Shape += "'"
+	twins[2].Class ^= 1
+	twins[3].Scenario ^= 1
+	twins[4].Blocks++
+	twins[5].LoadBytes = otherFloat(s.LoadBytes)
+	twins[6].StoreBytes = otherFloat(s.StoreBytes)
+	twins[7].CoreCycles = otherFloat(s.CoreCycles)
+	twins[8].CorePipe ^= 1
+	twins[9].L2Hit = otherFloat(s.L2Hit)
+	twins[10].PrePostTime = otherFloat(s.PrePostTime)
+	twins[11].FixedTime = otherFloat(s.FixedTime)
+	for _, twin := range twins {
+		trace = append(trace, twin, s, twin)
+	}
+	return trace
+}
+
+// otherFloat returns a finite float that differs from f.
+func otherFloat(f float64) float64 {
+	if f == 1 {
+		return 2
+	}
+	return 1
+}
+
 func TestFingerprintMatchesJSONMarshal(t *testing.T) {
+	if n := reflect.TypeOf(op.Spec{}).NumField(); n != 12 {
+		t.Fatalf("op.Spec has %d fields: reuseTrace needs a twin for each", n)
+	}
 	checkFingerprint(t, "empty trace", nil)
 	// Every awkward value in every position once, deterministically.
 	var trace []op.Spec
@@ -303,6 +346,38 @@ func TestFingerprintMatchesJSONMarshal(t *testing.T) {
 	}
 	checkFingerprint(t, "awkward values", trace)
 
+	// The same operators again: the second half meets the lines
+	// Fingerprint remembered from the first — and, the trace holding
+	// more distinct operators than lineTableCap, the ones it could not.
+	if len(trace) <= lineTableCap {
+		t.Fatalf("awkward trace has %d operators, want more than the %d a call remembers", len(trace), lineTableCap)
+	}
+	checkFingerprint(t, "awkward values, twice", append(trace[:len(trace):len(trace)], trace...))
+	// Lines that fill the remembered text before the table has
+	// lineTableCap of them.
+	var long []op.Spec
+	for i := 0; i*1000 < 2*lineText; i++ {
+		long = append(long, op.Spec{Name: strings.Repeat("n", 1000), Blocks: i})
+	}
+	checkFingerprint(t, "long lines, twice", append(long, long...))
+
+	for _, s := range []op.Spec{
+		{},
+		{Name: "MatMul", Shape: "2048x12288x12288", Scenario: op.PingPongIndep, Blocks: 8, LoadBytes: 44040192,
+			StoreBytes: 6291456, CoreCycles: 73728, L2Hit: 0.35, PrePostTime: 2},
+		{Name: "AllReduce", Class: op.Communication, FixedTime: 1200},
+		{Name: "ones", Shape: "1", Blocks: 1, LoadBytes: 1, StoreBytes: 1, CoreCycles: 1, L2Hit: 1, PrePostTime: 1, FixedTime: 1},
+	} {
+		checkFingerprint(t, fmt.Sprintf("twins of %+v", s), reuseTrace(s))
+	}
+	// +0 == -0 under op.Spec's equality, and both are left out of the line.
+	negZero := math.Copysign(0, -1)
+	checkFingerprint(t, "signed zeros", []op.Spec{
+		{Name: "z", LoadBytes: 0, StoreBytes: negZero, FixedTime: 3},
+		{Name: "z", LoadBytes: negZero, StoreBytes: 0, FixedTime: 3},
+		{Name: "z", LoadBytes: 0, StoreBytes: negZero, FixedTime: 3},
+	})
+
 	rng := rand.New(rand.NewSource(14))
 	for round := 0; round < 200; round++ {
 		trace := make([]op.Spec, rng.Intn(200))
@@ -310,6 +385,14 @@ func TestFingerprintMatchesJSONMarshal(t *testing.T) {
 			trace[i] = randomSpec(rng)
 		}
 		checkFingerprint(t, fmt.Sprintf("random round %d", round), trace)
+		// The shape real traces have: many operators, few distinct.
+		if len(trace) > 0 {
+			repeats := make([]op.Spec, 2000)
+			for i := range repeats {
+				repeats[i] = trace[rng.Intn(len(trace))]
+			}
+			checkFingerprint(t, fmt.Sprintf("random round %d, repeating", round), repeats)
+		}
 	}
 }
 
@@ -329,6 +412,11 @@ func TestFingerprintNonFinite(t *testing.T) {
 			if Fingerprint(trace) != Fingerprint([]op.Spec{{Name: "before"}, {Name: "other", StoreBytes: bad}, {Name: "after"}}) {
 				t.Errorf("float %d = %g: non-finite specs should hash alike", field, bad)
 			}
+			// Twice over, around a finite twin: a non-finite spec's line
+			// is the empty one each time, never a remembered neighbour's.
+			twin := s
+			*[]*float64{&twin.LoadBytes, &twin.StoreBytes, &twin.CoreCycles, &twin.L2Hit, &twin.PrePostTime, &twin.FixedTime}[field] = 7
+			checkFingerprint(t, fmt.Sprintf("float %d = %g, duplicated", field, bad), []op.Spec{twin, s, s, twin, s})
 		}
 	}
 }

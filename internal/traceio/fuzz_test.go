@@ -109,7 +109,9 @@ func FuzzReadWorkload(f *testing.F) {
 
 // FuzzFingerprint holds the append-style encoder to the json.Marshal
 // form (referenceFingerprint) for arbitrary specs: raw-bit floats,
-// arbitrary bytes in the strings, arbitrary enum values.
+// arbitrary bytes in the strings, arbitrary enum values — alone and
+// among the repeats and one-field twins of reuseTrace, where a line
+// Fingerprint remembered could be reused for the wrong operator.
 func FuzzFingerprint(f *testing.F) {
 	f.Add("MatMul", "1x512", uint8(0), uint8(2), uint8(0), 8, uint64(0x40c3880000000000), uint64(0), 1e-7, 1e21, 0.5, 0.0)
 	f.Add("AllReduce", "", uint8(2), uint8(0), uint8(0), 0, uint64(0), uint64(1)<<63, 0.0, 0.0, 0.0, 1234.5)
@@ -124,5 +126,6 @@ func FuzzFingerprint(f *testing.F) {
 			CoreCycles: cycles, L2Hit: l2, PrePostTime: prepost, FixedTime: fixed,
 		}
 		checkFingerprint(t, "fuzzed spec", []op.Spec{s, {Name: "next"}})
+		checkFingerprint(t, "fuzzed spec and twins", reuseTrace(s))
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // builders maps canonical lowercase names to model constructors.
@@ -20,6 +21,17 @@ var builders = map[string]func() *Model{
 	"mixtral-moe":      MixtralMoE,
 }
 
+// shared holds one slot per registry name: the slot runs the name's
+// constructor on the first ByName that asks for it and hands every
+// later caller the same *Model.
+var shared = func() map[string]func() *Model {
+	slots := make(map[string]func() *Model, len(builders))
+	for name, build := range builders {
+		slots[name] = sync.OnceValue(build)
+	}
+	return slots
+}()
+
 // Names lists the registered workload names, sorted.
 func Names() []string {
 	names := make([]string, 0, len(builders))
@@ -30,12 +42,16 @@ func Names() []string {
 	return names
 }
 
-// ByName builds a workload by its registry name (case-insensitive).
+// ByName returns the registry workload of that name
+// (case-insensitive). The model is built once per process and shared by
+// every caller, on any goroutine: it is read-only, Name and Trace
+// elements alike. A caller that wants to edit a trace calls the model's
+// constructor (GPT3, BERT, ...), which builds a fresh model it owns.
 func ByName(name string) (*Model, error) {
-	b, ok := builders[strings.ToLower(name)]
+	get, ok := shared[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown model %q (available: %s)",
 			name, strings.Join(Names(), ", "))
 	}
-	return b(), nil
+	return get(), nil
 }

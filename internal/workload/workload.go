@@ -13,6 +13,13 @@
 // shorter than 20 µs yet contribute ~1% of total time (Sect. 7.2), and
 // a GPT-3 training iteration contains roughly 18,000 operators
 // (Sect. 7.4).
+//
+// Ownership: a constructor (GPT3, BERT, MicroOp, ...) returns a fresh
+// model its caller owns and may edit. ByName returns the registry's one
+// shared model of that name, built on first use and read-only from then
+// on — the serving path resolves a name on every request, cache hits
+// included, and a trace is a constant. Nothing in this module writes to
+// a Model's Trace after its constructor returns.
 package workload
 
 import (

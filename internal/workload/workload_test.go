@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"npudvfs/internal/npu"
@@ -262,8 +264,20 @@ func TestRegistryLookup(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		// One shared model per name, whatever the spelling, equal to
+		// what the constructor builds and never the constructor's own.
+		if again, _ := ByName(strings.ToUpper(name)); again != m {
+			t.Errorf("%s: ByName returned two models, want the shared one twice", name)
+		}
+		fresh := builders[name]()
+		if fresh == m || &fresh.Trace[0] == &m.Trace[0] {
+			t.Errorf("%s: the constructor handed out the shared model", name)
+		}
+		if fresh.Name != m.Name || !reflect.DeepEqual(fresh.Trace, m.Trace) {
+			t.Errorf("%s: shared model differs from a freshly built one", name)
+		}
 	}
-	if _, err := ByName("BERT"); err != nil {
-		t.Error("lookup should be case-insensitive")
+	if _, err := ByName("no-such-model"); err == nil {
+		t.Error("unknown name resolved")
 	}
 }

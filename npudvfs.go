@@ -33,6 +33,7 @@ package npudvfs
 
 import (
 	"context"
+	"slices"
 
 	"npudvfs/internal/adaptive"
 	"npudvfs/internal/core"
@@ -155,10 +156,18 @@ func NewLabFor(chip *Chip, ground *GroundTruthPower, th ThermalParams, seed int6
 	return experiments.NewLabFor(chip, ground, th, seed)
 }
 
-// WorkloadByName builds a workload from the registry (gpt3, bert,
+// WorkloadByName returns a workload from the registry (gpt3, bert,
 // resnet50, resnet152, vgg19, vit, deit, shufflenetv2plus,
-// llama2-inference).
-func WorkloadByName(name string) (*Workload, error) { return workload.ByName(name) }
+// llama2-inference, mixtral-moe). The result is the caller's own copy:
+// editing its trace before optimizing it is a legitimate use of the
+// library, and the registry's model is shared by every internal caller.
+func WorkloadByName(name string) (*Workload, error) {
+	m, err := workload.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return &Workload{Name: m.Name, Trace: slices.Clone(m.Trace)}, nil
+}
 
 // WorkloadNames lists the registered workloads.
 func WorkloadNames() []string { return workload.Names() }

@@ -6,9 +6,13 @@
 #   - BenchmarkGASearch reports 0 allocs/op: the Engine-reuse serving
 #     path must stay GC-quiet (DESIGN.md §13). A regression here is a
 #     correctness-of-intent bug long before it is a latency bug.
+#   - BenchmarkByName/gpt3 reports 0 allocs/op: resolving a registry
+#     name hands out the one shared model (42,330 allocs/op when every
+#     request rebuilt the trace).
 #   - BenchmarkFingerprint/gpt3 reports at most 8 allocs/op: the digest
 #     is written into one reused buffer, not marshalled per operator
-#     (36,982 allocs/op when it was).
+#     (36,982 allocs/op when it was), and the lines it remembers within
+#     a call live in its frame.
 #   - BenchmarkStages/gpt3 reports under 8 MB/op: stage merging keeps
 #     its stages in place (795 MB/op when every merge copied the slice).
 #
@@ -41,6 +45,13 @@ if [ "$allocs" != "0" ]; then
     exit 1
 fi
 echo "bench-smoke: BenchmarkGASearch allocation-free"
+
+allocs=$(field BenchmarkByName/gpt3 allocs/op)
+if [ "$allocs" != "0" ]; then
+    echo "bench-smoke: BenchmarkByName/gpt3 reports $allocs allocs/op, want 0 (one shared model per registry name)" >&2
+    exit 1
+fi
+echo "bench-smoke: BenchmarkByName/gpt3 allocation-free"
 
 allocs=$(field BenchmarkFingerprint/gpt3 allocs/op)
 if [ "$allocs" -gt 8 ]; then
