@@ -45,7 +45,9 @@ func strategyHash(t *testing.T, s *core.Strategy) string {
 // scoring paths (PR 12). Every other byte-identity test compares two
 // runs of one binary; this one fails if an engine change moves a
 // trajectory at all. Islands is pinned, so the hashes do not depend on
-// the host's core count.
+// the host's core count. The GPT-3 entries (1,446 genes, the shape
+// whose per-child copy dominates a search) were generated at the
+// parent of the commit that narrowed genes to one byte (PR 16).
 func TestStrategyGoldenAcrossCommits(t *testing.T) {
 	lab := experiments.NewLab()
 	rig := &powermodel.Rig{Chip: lab.Chip, Ground: lab.Ground, Sensor: powersim.NewSensor(lab.Seed + 900), Thermal: lab.Thermal}
@@ -59,7 +61,7 @@ func TestStrategyGoldenAcrossCommits(t *testing.T) {
 		return cfg
 	}
 	got := map[string]string{}
-	for _, name := range []string{"resnet50", "bert"} {
+	for _, name := range []string{"resnet50", "bert", "gpt3"} {
 		m, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)
