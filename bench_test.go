@@ -369,8 +369,10 @@ func BenchmarkGAGeneration(b *testing.B) {
 // BenchmarkGASearch measures a reduced end-to-end GA search (200x60)
 // on the Table 3 (BERT) problem: the unit the ISSUE 5 ≥3x throughput
 // target is stated over. The Engine is built once and reused across
-// iterations — the steady-state shape of the serving path, where a
+// iterations — the shape of a repeat searcher (adaptive), where a
 // search allocates nothing (ISSUE 10 perf contract, DESIGN.md §13).
+// The server builds a fresh Engine per job; BenchmarkGARunContext
+// measures that shape.
 func BenchmarkGASearch(b *testing.B) {
 	ev := benchEvaluator(b)
 	cfg := ga.DefaultConfig()
@@ -586,6 +588,42 @@ func BenchmarkNewEvaluator(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkGARunContext measures the search as every production caller
+// runs it: ga.RunContext at the paper's 200 × 600 on the evaluator's
+// own problem, a fresh Engine and a fresh seed per call (the server
+// gives every cold job its own). scripts/bench_smoke.sh holds gpt3
+// under 1.5 MB/op: at one byte per gene the engine's slabs are ~0.7 MB
+// (4.8 MB when a gene was an int).
+func BenchmarkGARunContext(b *testing.B) {
+	for _, name := range ladderWorkloads {
+		b.Run(name, func(b *testing.B) {
+			in := ladderInput(b, name)
+			cfg := core.DefaultConfig()
+			stages, err := preprocess.Stages(in.Profile, classify.Trace(in.Profile), float64(cfg.FAIMicros))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ev, err := core.NewEvaluator(in, cfg, stages)
+			if err != nil {
+				b.Fatal(err)
+			}
+			search := ga.DefaultConfig()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var evals int
+			for i := 0; i < b.N; i++ {
+				search.Seed = int64(i + 1)
+				res, err := ga.RunContext(context.Background(), ev.Problem(), search)
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals = res.Evaluations
+			}
+			b.ReportMetric(float64(evals)*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
 		})
 	}
 }

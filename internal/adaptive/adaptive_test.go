@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"npudvfs/internal/core"
@@ -216,5 +217,33 @@ func TestReoptimizeWarmSeedsFromPreviousPopulation(t *testing.T) {
 
 	if _, err := Reoptimize(context.Background(), nil, cfg, first); err == nil {
 		t.Fatal("nil problem accepted")
+	}
+}
+
+// TestReoptimizeRejectsForeignAlleles: a previous result captured on a
+// wider grid (or corrupted) carries alleles the new problem does not
+// have. They used to be scored as whatever the neighbouring stage's
+// table cells held; the search must refuse them instead.
+func TestReoptimizeRejectsForeignAlleles(t *testing.T) {
+	cfg := ga.DefaultConfig()
+	cfg.PopSize = 40
+	cfg.Generations = 60
+	cfg.Islands = 2
+	wide := &seekProblem{target: []int{8, 7, 6, 8, 7, 6, 8, 7}, alleles: 9}
+	prev, err := Reoptimize(context.Background(), wide, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	narrow := &seekProblem{target: []int{1, 3, 0, 2, 4, 1, 2, 0}, alleles: 5}
+	_, err = Reoptimize(context.Background(), narrow, cfg, prev)
+	if err == nil || !strings.Contains(err.Error(), "initial individual has allele") || !strings.Contains(err.Error(), "want [0, 5)") {
+		t.Fatalf("population from a 9-point grid on a 5-point problem: err = %v, want an allele range error", err)
+	}
+
+	negative := &ga.Result{Population: [][]int{{1, 3, 0, 2, 4, 1, 2, 0}, {1, 3, 0, -1, 4, 1, 2, 0}}}
+	_, err = Reoptimize(context.Background(), narrow, cfg, negative)
+	if want := "ga: initial individual has allele -1 at gene 3, want [0, 5)"; err == nil || err.Error() != want {
+		t.Fatalf("negative allele: err = %v, want %q", err, want)
 	}
 }

@@ -61,11 +61,13 @@ func TestDeltaScoringMatchesFullOnRealProblem(t *testing.T) {
 	n, alleles := ps.Genes(), ps.Alleles()
 	rng := rand.New(rand.NewSource(7))
 	ind := make([]int, n)
+	narrow := make([]uint8, n) // the GA engine's gene width
 	for i := range ind {
 		ind[i] = rng.Intn(alleles)
+		narrow[i] = uint8(ind[i])
 	}
 	sums := make([]float64, ps.SumCount())
-	ps.InitSumsBatch(ind, 1, sums)
+	ps.InitSumsBatch(narrow, 1, sums)
 	if got, want := ps.ScoreSums(sums), ps.Score(ind); got != want {
 		t.Fatalf("ScoreSums∘InitSumsBatch = %g, Score = %g (contract requires bit-identity)", got, want)
 	}
@@ -74,8 +76,8 @@ func TestDeltaScoringMatchesFullOnRealProblem(t *testing.T) {
 		gene := rng.Intn(n)
 		next := rng.Intn(alleles)
 		ps.UpdateSums(sums, gene, ind[gene], next)
-		ind[gene] = next
-		ps.InitSumsBatch(ind, 1, fresh)
+		ind[gene], narrow[gene] = next, uint8(next)
+		ps.InitSumsBatch(narrow, 1, fresh)
 		ds, fs := ps.ScoreSums(sums), ps.ScoreSums(fresh)
 		if math.Abs(ds-fs)/math.Max(math.Abs(fs), 1e-300) > 1e-9 {
 			t.Fatalf("step %d: delta score %g drifted from full score %g", step, ds, fs)

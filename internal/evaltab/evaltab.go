@@ -181,7 +181,8 @@ const batchTile = 64
 
 // InitSumsBatch fills count partial-sum quadruples (candidate c's
 // sums at sums[c*Quad : (c+1)*Quad]) from full walks of count
-// candidates stored back to back in genes (candidate c at
+// candidates stored back to back in genes, one byte per gene — the GA
+// engine's population slab, swept in place (candidate c at
 // genes[c*stages : (c+1)*stages]). The walk is gene-major within a
 // tile: for each stage, the stage's row of the SoA table is applied
 // to every candidate in the tile before moving on, turning the
@@ -192,14 +193,14 @@ const batchTile = 64
 // contract).
 //
 //lint:hotpath
-func (t *Table) InitSumsBatch(genes []int, count int, sums []float64) {
+func (t *Table) InitSumsBatch(genes []uint8, count int, sums []float64) {
 	for base := 0; base < count; base += batchTile {
 		m := count - base
 		if m > batchTile {
 			m = batchTile
 		}
 		var acc [batchTile * Quad]float64
-		t.accumTile(genes[base*t.stages:], m, &acc)
+		accumTile(t, genes[base*t.stages:], m, &acc)
 		copy(sums[base*Quad:(base+m)*Quad], acc[:m*Quad])
 	}
 }
@@ -218,7 +219,7 @@ func (t *Table) ScoreBatch(genes []int, count int, scores []float64) {
 			m = batchTile
 		}
 		var acc [batchTile * Quad]float64
-		t.accumTile(genes[base*t.stages:], m, &acc)
+		accumTile(t, genes[base*t.stages:], m, &acc)
 		for c := 0; c < m; c++ {
 			scores[base+c] = t.ScoreSums(acc[c*Quad : (c+1)*Quad])
 		}
@@ -227,13 +228,15 @@ func (t *Table) ScoreBatch(genes []int, count int, scores []float64) {
 
 // accumTile accumulates the quadruples of m candidates (m ≤
 // batchTile) into acc, sweeping gene-major: stage s's table row is
-// reused across all m candidates while it is hot.
-func (t *Table) accumTile(genes []int, m int, acc *[batchTile * Quad]float64) {
+// reused across all m candidates while it is hot. One kernel serves
+// both gene widths — the GA engine's byte genes (InitSumsBatch) and
+// ScoreBatch's []int — so the two cannot drift apart.
+func accumTile[G uint8 | int](t *Table, genes []G, m int, acc *[batchTile * Quad]float64) {
 	stages := t.stages
 	for s := 0; s < stages; s++ {
 		row := t.vals[s*t.stride:]
 		for c := 0; c < m; c++ {
-			cell := row[genes[c*stages+s]*Quad:]
+			cell := row[int(genes[c*stages+s])*Quad:]
 			a := acc[c*Quad : c*Quad+Quad]
 			a[SumTime] += cell[SumTime]
 			a[SumSocE] += cell[SumSocE]

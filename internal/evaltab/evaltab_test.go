@@ -190,13 +190,15 @@ func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 
 	for _, count := range []int{0, 1, 63, 64, 65, 150} {
 		genes := make([]int, count*stages)
+		narrow := make([]uint8, count*stages) // the GA engine's gene width
 		for i := range genes {
 			genes[i] = rng.Intn(alleles)
+			narrow[i] = uint8(genes[i])
 		}
 		scores := make([]float64, count)
 		sums := make([]float64, count*Quad)
 		tab.ScoreBatch(genes, count, scores)
-		tab.InitSumsBatch(genes, count, sums)
+		tab.InitSumsBatch(narrow, count, sums)
 		one := make([]float64, Quad)
 		for c := 0; c < count; c++ {
 			ind := genes[c*stages : (c+1)*stages]

@@ -21,6 +21,10 @@ const (
 	DefaultMigrants       = 2
 )
 
+// maxAlleles is the allele ceiling of the one-byte gene (see the
+// package comment).
+const maxAlleles = 256
+
 // maxDefaultIslands caps the GOMAXPROCS-derived default island count:
 // past ~8 islands the paper-scale population (200) splits thin enough
 // that per-island selection pressure starts to degrade convergence.
@@ -82,7 +86,7 @@ type Engine struct {
 	// Migration staging: gather-then-scatter through these slabs so
 	// the exchange is simultaneous (no island sees a half-migrated
 	// neighbor).
-	migGenes  []int
+	migGenes  []uint8
 	migScores []float64
 	migSums   []float64
 
@@ -102,6 +106,9 @@ func New(p Problem, cfg Config) (*Engine, error) {
 	if alleles <= 0 {
 		return nil, fmt.Errorf("ga: problem has %d alleles", alleles)
 	}
+	if alleles > maxAlleles {
+		return nil, fmt.Errorf("ga: problem has %d alleles, at most %d fit the engine's one-byte genes", alleles, maxAlleles)
+	}
 	if cfg.PopSize < 2 {
 		return nil, fmt.Errorf("ga: population size %d too small", cfg.PopSize)
 	}
@@ -114,6 +121,9 @@ func New(p Problem, cfg Config) (*Engine, error) {
 	for _, w := range cfg.WarmStart {
 		if len(w) != n {
 			return nil, fmt.Errorf("ga: warm-start individual of length %d, want %d", len(w), n)
+		}
+		if err := checkAlleles(w, alleles); err != nil {
+			return nil, err
 		}
 	}
 
@@ -173,7 +183,7 @@ func New(p Problem, cfg Config) (*Engine, error) {
 	e.best = make([]int, n)
 	e.islandEvals = make([]int, nIsl)
 	if migrants > 0 {
-		e.migGenes = make([]int, nIsl*migrants*n)
+		e.migGenes = make([]uint8, nIsl*migrants*n)
 		e.migScores = make([]float64, nIsl*migrants)
 		if e.inc {
 			e.migSums = make([]float64, nIsl*migrants*e.sumN)
@@ -211,11 +221,14 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 		if len(s) != e.n {
 			return nil, fmt.Errorf("ga: seed of length %d, want %d", len(s), e.n)
 		}
+		if err := checkAlleles(s, e.alleles); err != nil {
+			return nil, err
+		}
 		e.place(idx, s)
 		idx++
 	}
 	for _, w := range e.cfg.WarmStart {
-		e.place(idx, w) // length-validated in New
+		e.place(idx, w) // length- and allele-validated in New
 		idx++
 	}
 	for i := range e.islands {
@@ -252,14 +265,30 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	return e.assemble(), nil
 }
 
-// place copies one initial individual into the population,
+// checkAlleles rejects an initial individual (seed or warm-start
+// vector) with an allele outside [0, alleles). Unchecked, such an
+// allele would index the neighbouring stage's table cells — a wrong
+// score, no error — and narrowing to a byte would wrap it on top.
+func checkAlleles(vec []int, alleles int) error {
+	for i, g := range vec {
+		if g < 0 || g >= alleles {
+			return fmt.Errorf("ga: initial individual has allele %d at gene %d, want [0, %d)", g, i, alleles)
+		}
+	}
+	return nil
+}
+
+// place narrows one validated initial individual into the population,
 // round-robin by arrival index across islands.
 func (e *Engine) place(idx int, vec []int) {
 	nIsl := len(e.islands)
 	for probe := 0; probe < nIsl; probe++ {
 		isl := &e.islands[(idx+probe)%nIsl]
 		if isl.filled < isl.size {
-			copy(isl.pop[isl.filled].genes, vec)
+			dst := isl.pop[isl.filled].genes
+			for i, g := range vec {
+				dst[i] = uint8(g)
+			}
 			isl.filled++
 			return
 		}
@@ -370,7 +399,7 @@ func (e *Engine) assemble() *Result {
 		}
 	}
 	wisl := &e.islands[win]
-	copy(e.best, wisl.pop[wisl.perm[0]].genes)
+	widen(e.best, wisl.pop[wisl.perm[0]].genes)
 
 	evals := 0
 	for i := range e.islands {
@@ -393,7 +422,7 @@ func (e *Engine) assemble() *Result {
 			isl := &e.islands[i]
 			for r := 0; r < isl.size; r++ {
 				row := e.popGenes[k*e.n : (k+1)*e.n : (k+1)*e.n]
-				copy(row, isl.pop[isl.perm[r]].genes)
+				widen(row, isl.pop[isl.perm[r]].genes)
 				e.popRows[k] = row
 				k++
 			}

@@ -1,8 +1,22 @@
 // Package ga implements the genetic-algorithm search used for DVFS
-// strategy generation (Sect. 6.3): individuals are integer gene
-// vectors (one frequency index per candidate stage), selection is
-// score-based (quadratic rank weights), crossover swaps the last k
-// genes of two parents, and mutation rewrites a random burst of genes.
+// strategy generation (Sect. 6.3): individuals are gene vectors (one
+// frequency index per candidate stage), selection is score-based
+// (quadratic rank weights), crossover swaps the last k genes of two
+// parents, and mutation rewrites a random burst of genes.
+//
+// A gene is an index into the V-F table — nine points in the paper
+// (Fig. 9), 36 core×uncore pairs in dualdvfs — so inside the engine it
+// is one byte: every population slab, migration buffer and the
+// PartialScorer batch walk are []uint8, and breeding a child copies
+// Genes() bytes rather than 8·Genes() (GPT-3: 1,446 against 11,568;
+// the double-buffered population 0.58 MB against 4.6). The
+// API edge stays []int: Problem.Seeds and Config.WarmStart are
+// range-checked and narrowed on the way in, Result.Best and
+// Result.Population widened on the way out, and Problem.Score is
+// handed a widened copy. New rejects a problem with more than 256
+// alleles with an error rather than falling back to a second, wide
+// engine: no caller has one, and a fallback would be a whole code path
+// no benchmark or golden ever runs.
 //
 // The engine is an island model: the population is partitioned into N
 // islands (Config.Islands), each with its own RNG stream and recycled
@@ -43,7 +57,7 @@ type Problem interface {
 	// Genes returns the individual length (number of stages).
 	Genes() int
 	// Alleles returns the number of values a gene can take (number of
-	// supported frequency points).
+	// supported frequency points); at most 256, a gene is one byte.
 	Alleles() int
 	// Score returns the fitness of an individual; higher is better.
 	// Must be safe for concurrent calls (islands score concurrently).
@@ -52,19 +66,26 @@ type Problem interface {
 	// selection. Every individual the engine counts in
 	// Result.Evaluations costs exactly one call — nothing is memoized —
 	// so a Score that spends real hardware time keeps its budget
-	// accounting honest.
+	// accounting honest. The vector is engine scratch, valid for the
+	// call only.
 	Score(individual []int) float64
 	// Seeds returns individuals to include in the first generation
 	// (the paper seeds the baseline all-max-frequency individual and
 	// a prior LFC/HFC individual). May be nil. The engine copies the
-	// vectors, so implementations may return shared storage.
+	// vectors, so implementations may return shared storage. A seed of
+	// the wrong length or with an allele outside [0, Alleles()) fails
+	// the search.
 	Seeds() [][]int
 }
 
 // PartialScorer is the Problem extension that selects incremental
 // (delta) scoring. A conforming problem's fitness must be a pure
 // function of a fixed-size vector of running sums over the gene
-// vector: InitSumsBatch fills the vectors with full walks in ascending
+// vector. It is the one interface that sees the engine's own gene
+// representation — InitSumsBatch sweeps the population slab in place,
+// one byte per gene, each in [0, Alleles()) — while UpdateSums takes
+// its gene index and alleles as plain ints, like Score's vector.
+// InitSumsBatch fills the vectors with full walks in ascending
 // gene order, UpdateSums adjusts one for one gene change in O(1), and
 // ScoreSums maps it to the fitness, with ScoreSums∘InitSumsBatch ≡
 // Score bit-identically. The engine then scores a child by copying a
@@ -81,9 +102,9 @@ type PartialScorer interface {
 	SumCount() int
 	// InitSumsBatch fills count partial-sum vectors (candidate c's sums
 	// occupy sums[c*SumCount() : (c+1)*SumCount()]) from full walks of
-	// count candidates stored back to back in genes (candidate c
-	// occupies genes[c*Genes() : (c+1)*Genes()]).
-	InitSumsBatch(genes []int, count int, sums []float64)
+	// count candidates stored back to back in genes, one byte per gene
+	// (candidate c occupies genes[c*Genes() : (c+1)*Genes()]).
+	InitSumsBatch(genes []uint8, count int, sums []float64)
 	// UpdateSums applies the delta of rewriting one gene from
 	// oldAllele to newAllele.
 	UpdateSums(sums []float64, gene, oldAllele, newAllele int)
@@ -132,7 +153,8 @@ type Config struct {
 	// WarmStart seeds the first generation with previous-search
 	// individuals (e.g. Result.Population from a prior run),
 	// distributed round-robin across islands after Problem.Seeds().
-	// The engine copies the vectors. Length-validated like seeds.
+	// The engine copies the vectors. Length- and allele-validated
+	// like seeds.
 	WarmStart [][]int
 	// CapturePopulation asks the engine to return the final population
 	// (island-major, best-first per island) in Result.Population, for

@@ -32,12 +32,16 @@ func (p *intSumProblem) Genes() int     { return len(p.weights) }
 func (p *intSumProblem) Alleles() int   { return p.alleles }
 func (p *intSumProblem) Seeds() [][]int { return nil }
 func (p *intSumProblem) Score(ind []int) float64 {
+	narrow := make([]uint8, len(ind))
+	for i, a := range ind {
+		narrow[i] = uint8(a)
+	}
 	sums := make([]float64, 2)
-	p.InitSumsBatch(ind, 1, sums)
+	p.InitSumsBatch(narrow, 1, sums)
 	return p.ScoreSums(sums)
 }
 func (p *intSumProblem) SumCount() int { return 2 }
-func (p *intSumProblem) InitSumsBatch(genes []int, count int, sums []float64) {
+func (p *intSumProblem) InitSumsBatch(genes []uint8, count int, sums []float64) {
 	n := len(p.weights)
 	for c := 0; c < count; c++ {
 		var s0, s1 float64

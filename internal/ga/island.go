@@ -11,9 +11,10 @@ import (
 // generation; row is the slot's fixed slab row index, which never
 // changes because ranking permutes an index array instead of moving
 // slots — that is what keeps each generation's children a contiguous
-// slab range InitSumsBatch can sweep.
+// slab range InitSumsBatch can sweep. A gene is one byte (see the
+// package comment): a child is Genes() bytes to copy, not 8·Genes().
 type scored struct {
-	genes []int
+	genes []uint8
 	score float64
 	sums  []float64
 	row   int32
@@ -49,8 +50,12 @@ type island struct {
 	next  []scored
 	spare *scored
 
-	geneBlock []int
+	geneBlock []uint8
 	sumBlock  []float64
+	// wide is the serial path's widening scratch: Problem.Score takes
+	// []int, so each child is widened into it before the call. Nil on
+	// the incremental path, which never calls Score.
+	wide []int
 
 	// perm is the ranking permutation: perm[r] is the pop slot of the
 	// rank-r individual (descending score, ties to the lower slot).
@@ -86,9 +91,11 @@ func (isl *island) init(e *Engine, id, size int) {
 	isl.id, isl.size, isl.elite = id, size, e.cfg.Elitism
 	n := e.n
 	slots := 2*size + 1
-	isl.geneBlock = make([]int, slots*n)
+	isl.geneBlock = make([]uint8, slots*n)
 	if e.inc {
 		isl.sumBlock = make([]float64, slots*e.sumN)
+	} else {
+		isl.wide = make([]int, n)
 	}
 	isl.buf = make([]scored, slots)
 	for i := range isl.buf {
@@ -148,7 +155,7 @@ func (isl *island) fillRandom(e *Engine) {
 	for ; isl.filled < isl.size; isl.filled++ {
 		g := isl.pop[isl.filled].genes
 		for i := range g {
-			g[i] = isl.rng.Intn(e.alleles)
+			g[i] = uint8(isl.rng.Intn(e.alleles))
 		}
 	}
 }
@@ -260,7 +267,7 @@ func (isl *island) makeChild(e *Engine, dst, base, other *scored, lo, hi int) {
 		g := other.genes[i]
 		dst.genes[i] = g
 		if bg := base.genes[i]; bg != g {
-			e.ps.UpdateSums(dst.sums, i, bg, g)
+			e.ps.UpdateSums(dst.sums, i, int(bg), int(g))
 		}
 	}
 }
@@ -275,10 +282,10 @@ func (isl *island) mutate(e *Engine, c *scored) {
 	for m := 0; m < burst; m++ {
 		idx := isl.rng.Intn(e.n)
 		val := isl.rng.Intn(e.alleles)
-		if e.inc && c.genes[idx] != val {
-			e.ps.UpdateSums(c.sums, idx, c.genes[idx], val)
+		if old := int(c.genes[idx]); e.inc && old != val {
+			e.ps.UpdateSums(c.sums, idx, old, val)
 		}
-		c.genes[idx] = val
+		c.genes[idx] = uint8(val)
 	}
 }
 
@@ -384,9 +391,18 @@ func (isl *island) scoreIncremental(e *Engine, cohort []scored, refresh bool) {
 
 // scoreSerial is the scoring path of every problem that is not a
 // PartialScorer: one Score call per individual, in slot order, on the
-// island's goroutine.
+// island's goroutine, each widened into the island's []int scratch
+// first (Score is O(genes) already, so the widening is in its noise).
 func (isl *island) scoreSerial(e *Engine, cohort []scored) {
 	for i := range cohort {
-		cohort[i].score = sanitize(e.p.Score(cohort[i].genes))
+		widen(isl.wide, cohort[i].genes)
+		cohort[i].score = sanitize(e.p.Score(isl.wide))
+	}
+}
+
+// widen copies byte genes into a caller-facing []int vector.
+func widen(dst []int, src []uint8) {
+	for i, g := range src {
+		dst[i] = int(g)
 	}
 }

@@ -162,11 +162,11 @@ func TestRingMigrationTopology(t *testing.T) {
 	if m != DefaultMigrants {
 		t.Fatalf("migrants = %d, want %d", m, DefaultMigrants)
 	}
-	top := make([][][]int, len(e.islands))
+	top := make([][][]uint8, len(e.islands))
 	for i := range e.islands {
 		isl := &e.islands[i]
 		for j := 0; j < m; j++ {
-			g := append([]int(nil), isl.pop[isl.perm[j]].genes...)
+			g := append([]uint8(nil), isl.pop[isl.perm[j]].genes...)
 			top[i] = append(top[i], g)
 		}
 	}

@@ -3,9 +3,13 @@
 # compiles and runs for one iteration, and the perf contracts that are
 # cheap to check at 1x are asserted:
 #
-#   - BenchmarkGASearch reports 0 allocs/op: the Engine-reuse serving
-#     path must stay GC-quiet (DESIGN.md §13). A regression here is a
-#     correctness-of-intent bug long before it is a latency bug.
+#   - BenchmarkGASearch reports 0 allocs/op: a reused Engine (the
+#     repeat searcher's shape) must stay GC-quiet (DESIGN.md §13). A
+#     regression here is a correctness-of-intent bug long before it is
+#     a latency bug.
+#   - BenchmarkGARunContext/gpt3 reports under 1.5 MB/op: a production
+#     search builds its Engine per call, and at one byte per gene the
+#     slabs are ~0.7 MB (4.8 MB/op when a gene was an int).
 #   - BenchmarkByName/gpt3 reports 0 allocs/op: resolving a registry
 #     name hands out the one shared model (42,330 allocs/op when every
 #     request rebuilt the trace).
@@ -45,6 +49,13 @@ if [ "$allocs" != "0" ]; then
     exit 1
 fi
 echo "bench-smoke: BenchmarkGASearch allocation-free"
+
+bytes=$(field BenchmarkGARunContext/gpt3 B/op)
+if [ "$bytes" -ge 1500000 ]; then
+    echo "bench-smoke: BenchmarkGARunContext/gpt3 reports $bytes B/op, want < 1.5 MB (one byte per gene)" >&2
+    exit 1
+fi
+echo "bench-smoke: BenchmarkGARunContext/gpt3 at $bytes B/op"
 
 allocs=$(field BenchmarkByName/gpt3 allocs/op)
 if [ "$allocs" != "0" ]; then
