@@ -4,7 +4,7 @@
 # parallel experiment harness and the dvfsd serving layer — so a
 # race-clean run is part of "tests pass"), and finally the dvfsd
 # end-to-end smoke.
-.PHONY: verify build bench-build bench-traced test vet fmt-check lint lint-fast race short bench serve-smoke load-smoke cluster-smoke load-bench
+.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short bench bench-smoke serve-smoke load-smoke cluster-smoke load-bench
 
 verify: build bench-build vet fmt-check lint test race serve-smoke load-smoke cluster-smoke
 
@@ -43,22 +43,13 @@ fmt-check:
 # dvfslint enforces the determinism, concurrency and serving/cluster
 # contracts (DESIGN.md §9): seeded randomness only, tolerance-based
 # float comparison, ctx-cancellable searches, paired locks, tracked
-# goroutines, dimensional safety, and the interprocedural serving
-# rules (errsink, atomicwrite, respclose). Results are cached per
-# package under .cache/dvfslint, keyed by file content and
-# transitive dependency hashes, so a warm run only re-analyzes what
-# changed. Run a subset with e.g.:
+# goroutines, dimensional safety, and the interprocedural rules
+# (errsink, allocfree, lockorder). One cold whole-module pass, ~4 s,
+# nearly all of it type-checking the stdlib from source. Run a subset
+# with e.g.:
 #   go run ./cmd/dvfslint -rules detrand,floateq
 lint:
-	go run ./cmd/dvfslint -cache .cache/dvfslint
-
-# Changed-packages-only lint for local iteration: diffs the working
-# tree against HEAD, maps changed .go files to their package dirs and
-# analyzes just those (dependencies still type-check for facts, and
-# the warm cache makes that near-free). Full `make lint` remains the
-# gate.
-lint-fast:
-	./scripts/lint_fast.sh
+	go run ./cmd/dvfslint
 
 test:
 	go test ./...

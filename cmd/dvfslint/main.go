@@ -4,19 +4,12 @@
 //
 // Usage:
 //
-//	dvfslint [-rules detrand,errsink] [-dir path] [-format text|json|sarif|github]
-//	         [-cache dir] [-only dir1,dir2] [-list] [packages]
+//	dvfslint [-rules detrand,errsink] [-dir path] [-format text|github] [-list] [packages]
 //
 // The optional packages argument is accepted for familiarity ("./...")
 // but the tool always analyzes the whole module containing -dir (or
-// the working directory); -only restricts analysis and output to the
-// listed package directories (dependencies are still type-checked as
-// needed). -cache enables the content-hash per-package result cache:
-// a warm run re-analyzes only packages whose sources — or whose
-// dependencies' sources — changed. -format selects plain text
-// (default), a JSON array, SARIF 2.1.0 for code-scanning upload, or
-// GitHub ::error workflow commands for inline PR annotations; all
-// formats are byte-identical at any -j.
+// the working directory). -format selects plain text (default) or
+// GitHub ::error workflow commands for inline PR annotations.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load errors. Suppress a
 // finding with an in-tree justification:
@@ -38,19 +31,6 @@ import (
 	"npudvfs/internal/lint"
 )
 
-// timingsJSON renders the per-analyzer wall-clock totals as one
-// compact JSON object line, keyed in execution order (scripts/bench.sh
-// embeds it verbatim into the BENCH artifact). A rule that never ran —
-// everything served from cache — reports 0.
-func timingsJSON(analyzers []*lint.Analyzer, tm *lint.Timings) string {
-	ns := tm.NanosByRule()
-	parts := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		parts[i] = fmt.Sprintf("%q:%d", a.Name, ns[a.Name])
-	}
-	return "{" + strings.Join(parts, ",") + "}\n"
-}
-
 // rulesListing renders one line per registered analyzer, in the
 // canonical execution order: the name, then its one-line contract.
 func rulesListing() string {
@@ -63,17 +43,13 @@ func rulesListing() string {
 
 func main() {
 	var (
-		rules    = flag.String("rules", "all", "comma-separated rule subset to run (e.g. detrand,errsink), all, or list to print the registered rules")
-		dir      = flag.String("dir", ".", "directory inside the module to analyze")
-		list     = flag.Bool("list", false, "list available rules and exit")
-		workers  = flag.Int("j", 0, "worker-pool size for package analysis (0 = min(GOMAXPROCS, 8))")
-		format   = flag.String("format", "text", "output format: text, json, sarif, or github")
-		cacheDir = flag.String("cache", "", "directory for the per-package result cache (empty = no cache)")
-		only     = flag.String("only", "", "comma-separated package directories to analyze (empty = whole module)")
-		timings  = flag.String("timings", "", "file to write per-analyzer wall-clock totals as one-line JSON (empty = don't)")
+		rules  = flag.String("rules", "all", "comma-separated rule subset to run (e.g. detrand,errsink), all, or list to print the registered rules")
+		dir    = flag.String("dir", ".", "directory inside the module to analyze")
+		list   = flag.Bool("list", false, "list available rules and exit")
+		format = flag.String("format", "text", "output format: text or github")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: dvfslint [-rules r1,r2] [-dir path] [-j n] [-format f] [-cache dir] [-only d1,d2] [-list] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: dvfslint [-rules r1,r2] [-dir path] [-format text|github] [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,10 +58,8 @@ func main() {
 		fmt.Print(rulesListing())
 		return
 	}
-	switch *format {
-	case "text", "json", "sarif", "github":
-	default:
-		fmt.Fprintf(os.Stderr, "dvfslint: unknown -format %q (want text, json, sarif, or github)\n", *format)
+	if *format != "text" && *format != "github" {
+		fmt.Fprintf(os.Stderr, "dvfslint: unknown -format %q (want text or github)\n", *format)
 		os.Exit(2)
 	}
 	analyzers, err := lint.SelectAnalyzers(*rules)
@@ -98,30 +72,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	opts := lint.Options{Workers: *workers, CacheDir: *cacheDir}
-	if *timings != "" {
-		opts.Timings = lint.NewTimings()
-	}
-	if strings.TrimSpace(*only) != "" {
-		for _, d := range strings.Split(*only, ",") {
-			if d = strings.TrimSpace(d); d != "" {
-				opts.OnlyDirs = append(opts.OnlyDirs, d)
-			}
-		}
-		if opts.OnlyDirs == nil {
-			opts.OnlyDirs = []string{}
-		}
-	}
-	diags, err := lint.RunAllOpts(root, analyzers, opts)
+	diags, err := lint.RunAll(root, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *timings != "" {
-		if werr := os.WriteFile(*timings, []byte(timingsJSON(analyzers, opts.Timings)), 0o644); werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(2)
-		}
 	}
 	// Report paths relative to the module root for stable output.
 	for i := range diags {
@@ -129,21 +83,15 @@ func main() {
 			diags[i].Pos.Filename = rel
 		}
 	}
-	switch *format {
-	case "json":
-		err = lint.EncodeJSON(os.Stdout, diags)
-	case "sarif":
-		err = lint.EncodeSARIF(os.Stdout, analyzers, diags)
-	case "github":
-		err = lint.EncodeGitHub(os.Stdout, diags)
-	default:
+	if *format == "github" {
+		if err := lint.EncodeGitHub(os.Stdout, diags); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "dvfslint: %d finding(s)\n", len(diags))

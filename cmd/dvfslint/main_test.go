@@ -12,7 +12,7 @@ import (
 func TestRulesListing(t *testing.T) {
 	want := []string{
 		"detrand", "floateq", "ctxflow", "lockpair", "goleak", "unitcheck",
-		"errsink", "atomicwrite", "respclose", "allocfree", "lockorder",
+		"errsink", "allocfree", "lockorder",
 	}
 	listing := rulesListing()
 	lines := strings.Split(strings.TrimRight(listing, "\n"), "\n")

@@ -13,16 +13,22 @@ import (
 )
 
 // FS is the filesystem backend: the Memory index plus one JSON file
-// per record under dir, written atomically (tmp + rename) so a crash
-// at any instant leaves either the previous record or the new one,
-// never a torn file. OpenFS scans the directory, rebuilds the index
-// and the ID sequence, and exposes the non-terminal records through
-// Pending so the daemon can re-enqueue the jobs a dead process
-// acknowledged but never finished.
+// per record under dir, each written by writeAtomic (tmp + rename), so
+// a process crash at any instant — SIGKILL, panic, OOM kill — leaves
+// either the previous record or the new one, never a torn file. That
+// is the whole promise: nothing is fsynced, neither the tmp file nor
+// the directory, so after power loss or a kernel crash a renamed
+// record may be empty, stale or absent (ROADMAP 4c). OpenFS scans the
+// directory, rebuilds the index and the ID sequence, and exposes the
+// non-terminal records through Pending so the daemon can re-enqueue
+// the jobs a dead process acknowledged but never finished.
 type FS struct {
 	*Memory
 	dir     string
 	pending []*Record
+	// write is writeAtomic; a test substitutes a function that fails or
+	// stops between writeAtomic's steps.
+	write func(path string, data []byte) error
 }
 
 // OpenFS opens (creating if needed) a store directory. capacity and
@@ -36,6 +42,7 @@ func OpenFS(dir string, capacity int, idPrefix string) (*FS, error) {
 		return nil, fmt.Errorf("jobstore: creating store dir: %w", err)
 	}
 	f := &FS{Memory: NewMemory(capacity, idPrefix), dir: dir}
+	f.write = writeAtomic
 	f.Memory.persist = f.persistRecord
 	f.Memory.unlink = f.unlinkRecord
 
@@ -99,9 +106,9 @@ func (f *FS) Pending() []*Record {
 // Dir returns the store directory.
 func (f *FS) Dir() string { return f.dir }
 
-// persistRecord writes one record file atomically. Called with the
-// index mutex held (Memory hook contract), so there is exactly one
-// writer per ID and the fixed tmp name cannot collide.
+// persistRecord encodes one record and writes its file. Called with
+// the index mutex held (Memory hook contract), so there is exactly one
+// writer per ID and writeAtomic's fixed tmp name cannot collide.
 func (f *FS) persistRecord(rec *Record) error {
 	out := rec.clone()
 	// Wall-clock stamp for operators reading the store directory; it
@@ -112,13 +119,22 @@ func (f *FS) persistRecord(rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("jobstore: encoding %s: %w", rec.ID, err)
 	}
-	path := filepath.Join(f.dir, rec.ID+".json")
+	return f.write(filepath.Join(f.dir, rec.ID+".json"), append(raw, '\n'))
+}
+
+// writeAtomic is the package's only write to disk
+// (TestWriteAtomicIsTheOnlyDiskWrite): data goes to "<path>.tmp", which is then renamed onto path.
+// A reader — OpenFS after a process crash — therefore sees the old
+// file or the new one, and a leftover *.tmp means the rename never
+// happened. Nothing is fsynced, so this does not hold across power
+// loss (see FS).
+func writeAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("jobstore: writing %s: %w", rec.ID, err)
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("jobstore: writing %s: %w", filepath.Base(path), err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("jobstore: committing %s: %w", rec.ID, err)
+		return fmt.Errorf("jobstore: committing %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }

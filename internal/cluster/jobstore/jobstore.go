@@ -3,7 +3,7 @@
 // backends. Memory preserves the original single-process behavior
 // (jobs die with the daemon); FS persists every record with atomic
 // tmp+rename writes and recovers them on boot, so acknowledged jobs
-// survive a crash or restart (DESIGN.md §12).
+// survive a process crash or restart (DESIGN.md §12).
 //
 // Both backends share the retention policy the serving layer depends
 // on: live (non-terminal) jobs are never evicted — a client can always

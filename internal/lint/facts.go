@@ -2,24 +2,21 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
-	"os"
-	"strings"
 	"sync"
 )
 
-// This file is the interprocedural fact store behind the serving/cluster
-// analyzers (errsink, atomicwrite, respclose). Facts are
+// This file is the interprocedural fact store behind errsink (and,
+// through hotfacts.go, allocfree and lockorder). Facts are
 // per-function summaries keyed by *types.Func identity — valid because
 // the Loader caches every package against one shared FileSet, so a
 // function object seen by a dependent package is the same object its
 // defining package summarized. Facts are computed at package load time
-// (checkParsed), which means the parallel driver's import-DAG
-// scheduling doubles as the bottom-up fact-propagation order: by the
-// time a package analyzes, every module-internal callee already has its
-// summary in the store. Within one package, mutually recursive helpers
-// are handled by iterating to a fixpoint.
+// (Loader.check), and type-checking a package loads its imports first,
+// so the load order doubles as the bottom-up fact-propagation order: by
+// the time a package analyzes, every module-internal callee already has
+// its summary in the store. Within one package, mutually recursive
+// helpers are handled by iterating to a fixpoint.
 
 // FuncFact is the interprocedural summary of one function.
 type FuncFact struct {
@@ -28,19 +25,6 @@ type FuncFact struct {
 	// callees). Consumed by errsink: discarding such an error hides a
 	// real I/O failure.
 	DerivesIOError bool
-	// WritesFinalPath: the function performs (or reaches, through
-	// callees) a create/write/rename touching a path not derived from a
-	// ".tmp" staging name. Consumed by atomicwrite.
-	WritesFinalPath bool
-	// ClosesBody marks parameter indices (receiver = -1) of
-	// *net/http.Response values whose Body the function closes on its
-	// main path. Consumed by respclose: passing a response to such a
-	// function discharges the caller's close obligation.
-	ClosesBody map[int]bool
-	// ClosesCloser marks parameter indices the function calls Close()
-	// on directly (e.g. a func(io.ReadCloser) drain helper). Consumed
-	// by respclose for `helper(resp.Body)` handoffs.
-	ClosesCloser map[int]bool
 
 	// --- performance-contract facts (hotfacts.go) ---
 
@@ -163,11 +147,6 @@ func hasErrorResult(sig *types.Signature) (int, bool) {
 
 var errorType = types.Universe.Lookup("error").Type()
 
-// computePackageFacts summarizes every function declared in p and
-// publishes the summaries to store. Single-pass facts (body closes,
-// direct closes) are computed once; propagation facts (DerivesIOError,
-// WritesFinalPath) iterate to a fixpoint so in-package helper chains
-// and mutual recursion converge.
 // declFn pairs a declared function with its type object for the fact
 // passes.
 type declFn struct {
@@ -175,6 +154,9 @@ type declFn struct {
 	decl *ast.FuncDecl
 }
 
+// computePackageFacts summarizes every function declared in p and
+// publishes the summaries to store. DerivesIOError iterates to a
+// fixpoint so in-package helper chains and mutual recursion converge.
 func computePackageFacts(p *Package, store *Facts) {
 	var fns []declFn
 	for _, f := range p.Files {
@@ -190,25 +172,12 @@ func computePackageFacts(p *Package, store *Facts) {
 			fns = append(fns, declFn{fn, fd})
 		}
 	}
-	// One-shot structural facts first, so the fixpoint below can read
-	// them for in-package callees through the store.
-	for _, df := range fns {
-		fact := FuncFact{
-			ClosesBody:   bodyCloseParams(p, df.decl),
-			ClosesCloser: closerParams(p, df.decl),
-		}
-		store.put(df.fn, fact)
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, df := range fns {
 			fact := store.Lookup(df.fn)
 			if !fact.DerivesIOError && derivesIOError(p, df.fn, df.decl, store) {
 				fact.DerivesIOError = true
-				changed = true
-			}
-			if !fact.WritesFinalPath && writesFinalPath(p, df.decl, store) {
-				fact.WritesFinalPath = true
 				changed = true
 			}
 			store.put(df.fn, fact)
@@ -303,20 +272,6 @@ func allBlank(exprs []ast.Expr) bool {
 	return len(exprs) > 0
 }
 
-// isHTTPResponsePtr reports whether t is *net/http.Response.
-func isHTTPResponsePtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Response" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
-}
-
 // paramObjects maps fn's parameter objects (receiver included at index
 // -1) so body scans can resolve ident uses back to parameter indices.
 func paramObjects(p *Package, decl *ast.FuncDecl) map[types.Object]int {
@@ -351,209 +306,4 @@ func paramObjects(p *Package, decl *ast.FuncDecl) map[types.Object]int {
 	}
 	add(decl.Type.Params, 0)
 	return out
-}
-
-// bodyCloseParams finds *http.Response parameters (receiver = -1)
-// whose Body the function closes: a `param.Body.Close()` call anywhere
-// in the body.
-func bodyCloseParams(p *Package, decl *ast.FuncDecl) map[int]bool {
-	params := paramObjects(p, decl)
-	var out map[int]bool
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		// Match param.Body.Close().
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Close" {
-			return true
-		}
-		inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-		if !ok || inner.Sel.Name != "Body" {
-			return true
-		}
-		id, ok := ast.Unparen(inner.X).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := p.Info.Uses[id]
-		idx, isParam := params[obj]
-		if !isParam || obj == nil || !isHTTPResponsePtr(obj.Type()) {
-			return true
-		}
-		if out == nil {
-			out = map[int]bool{}
-		}
-		out[idx] = true
-		return true
-	})
-	return out
-}
-
-// closerParams finds parameters the function calls Close() on directly
-// (`param.Close()`), e.g. drain helpers taking an io.ReadCloser.
-func closerParams(p *Package, decl *ast.FuncDecl) map[int]bool {
-	params := paramObjects(p, decl)
-	var out map[int]bool
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Close" {
-			return true
-		}
-		id, ok := ast.Unparen(sel.X).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := p.Info.Uses[id]
-		idx, isParam := params[obj]
-		if !isParam || idx < 0 {
-			return true
-		}
-		if out == nil {
-			out = map[int]bool{}
-		}
-		out[idx] = true
-		return true
-	})
-	return out
-}
-
-// --- atomicwrite provenance ------------------------------------------
-
-// writesFinalPath reports whether decl performs a final-path write:
-// an os create/write/rename whose target is not tmp-derived, or a call
-// to a module-internal function already summarized as writing final
-// paths. os.Rename always counts — its destination is by definition
-// the final path — so a helper wrapping rename carries the fact and
-// atomicwrite can require its callers inside jobstore to be audited.
-func writesFinalPath(p *Package, decl *ast.FuncDecl, store *Facts) bool {
-	tmp := tmpDerived(p, decl.Body)
-	found := false
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(p, call)
-		if fn == nil {
-			return true
-		}
-		if kind, arg := finalWriteKind(p, fn, call); kind != "" {
-			if kind == "rename" || !tmpDerivedExpr(p, arg, tmp) {
-				found = true
-			}
-			return false
-		}
-		if isInternalPkg(funcPkgPath(fn)) && store.Lookup(fn).WritesFinalPath {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// finalWriteKind classifies a call as a final-path write primitive:
-// "write" (os.WriteFile / os.Create / write-mode os.OpenFile, arg =
-// path expression) or "rename" (os.Rename, arg = destination). "" for
-// anything else.
-func finalWriteKind(p *Package, fn *types.Func, call *ast.CallExpr) (string, ast.Expr) {
-	switch {
-	case isPkgFunc(fn, "os", "WriteFile") && len(call.Args) >= 1:
-		return "write", call.Args[0]
-	case isPkgFunc(fn, "os", "Create") && len(call.Args) >= 1:
-		return "write", call.Args[0]
-	case isPkgFunc(fn, "os", "OpenFile") && len(call.Args) >= 2:
-		if openFileWrites(p, call.Args[1]) {
-			return "write", call.Args[0]
-		}
-	case isPkgFunc(fn, "os", "Rename") && len(call.Args) >= 2:
-		return "rename", call.Args[1]
-	}
-	return "", nil
-}
-
-// openFileWrites resolves the flag argument of os.OpenFile to its
-// constant value and tests the write-mode bits. Unresolvable flags are
-// treated as writes (conservative).
-func openFileWrites(p *Package, flagArg ast.Expr) bool {
-	tv, ok := p.Info.Types[flagArg]
-	if !ok || tv.Value == nil {
-		return true
-	}
-	v, ok := constant.Int64Val(tv.Value)
-	if !ok {
-		return true
-	}
-	return v&int64(os.O_WRONLY|os.O_RDWR|os.O_CREATE|os.O_APPEND|os.O_TRUNC) != 0
-}
-
-// tmpDerived collects, via a forward pass over the body, the local
-// objects whose values are tmp-staging paths: assigned from an
-// expression ending in ".tmp" (string concat or literal) or copied
-// from another tmp-derived object.
-func tmpDerived(p *Package, body *ast.BlockStmt) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := p.Info.Defs[id]
-				if obj == nil {
-					obj = p.Info.Uses[id]
-				}
-				if obj == nil || out[obj] {
-					continue
-				}
-				if tmpDerivedExpr(p, as.Rhs[i], out) {
-					out[obj] = true
-					changed = true
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// tmpDerivedExpr reports whether e syntactically denotes a ".tmp"
-// staging path: a string literal/constant ending in ".tmp", a concat
-// whose last operand does, a tmp-derived local, or a filepath.Join
-// whose final argument is tmp-derived.
-func tmpDerivedExpr(p *Package, e ast.Expr, tmp map[types.Object]bool) bool {
-	e = ast.Unparen(e)
-	if tv, ok := p.Info.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-		return strings.HasSuffix(constant.StringVal(tv.Value), ".tmp")
-	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := p.Info.Uses[x]
-		if obj == nil {
-			obj = p.Info.Defs[x]
-		}
-		return obj != nil && tmp[obj]
-	case *ast.BinaryExpr:
-		return tmpDerivedExpr(p, x.Y, tmp)
-	case *ast.CallExpr:
-		if fn := calleeFunc(p, x); isPkgFunc(fn, "path/filepath", "Join") && len(x.Args) > 0 {
-			return tmpDerivedExpr(p, x.Args[len(x.Args)-1], tmp)
-		}
-	}
-	return false
 }

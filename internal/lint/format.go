@@ -1,130 +1,10 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
-
-// This file renders diagnostics machine-readably: plain JSON for
-// scripting, SARIF 2.1.0 for code-scanning upload, and GitHub workflow
-// commands for inline PR annotations. All three are pure functions of
-// the (already sorted) diagnostic slice, so output is byte-identical
-// across worker counts by construction.
-
-// jsonDiagnostic is the -format=json element: the Diagnostic fields
-// flattened to stable lowercase keys.
-type jsonDiagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// EncodeJSON writes diags as an indented JSON array (always an array,
-// never null, so consumers can index unconditionally).
-func EncodeJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]jsonDiagnostic, len(diags))
-	for i, d := range diags {
-		out[i] = jsonDiagnostic{File: d.Pos.Filename, Line: d.Pos.Line, Column: d.Pos.Column, Rule: d.Rule, Message: d.Message}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// SARIF 2.1.0 minimal schema: one run, one tool, rules from the
-// analyzer registry, one result per diagnostic.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// EncodeSARIF writes diags as a SARIF 2.1.0 log. The rule table covers
-// the analyzers that ran (plus the engine's "directive" pseudo-rule)
-// so viewers can show rule docs next to findings.
-func EncodeSARIF(w io.Writer, analyzers []*Analyzer, diags []Diagnostic) error {
-	rules := make([]sarifRule, 0, len(analyzers)+1)
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-	}
-	rules = append(rules, sarifRule{ID: "directive", ShortDescription: sarifMessage{Text: "malformed or unused //lint:allow directive"}})
-	results := make([]sarifResult, len(diags))
-	for i, d := range diags {
-		results[i] = sarifResult{
-			RuleID:  d.Rule,
-			Level:   "error",
-			Message: sarifMessage{Text: d.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: d.Pos.Filename},
-				Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
-			}}},
-		}
-	}
-	log := sarifLog{
-		Schema:  "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "dvfslint", InformationURI: "npudvfs/DESIGN.md#9", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}
 
 // EncodeGitHub writes diags as GitHub Actions workflow commands, one
 // ::error per finding, so a plain CI run annotates the PR inline with

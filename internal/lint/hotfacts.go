@@ -14,9 +14,9 @@ import (
 // reaches) and lock summaries (which locks it acquires, what it does
 // while holding them, and whether it can block). Like the PR 8 facts
 // they are computed eagerly at load time inside computePackageFacts, so
-// the import-DAG scheduling of the parallel driver doubles as the
-// bottom-up propagation order and an intra-package fixpoint handles
-// mutual recursion.
+// the Loader's imports-first load order doubles as the bottom-up
+// propagation order and an intra-package fixpoint handles mutual
+// recursion.
 
 // AllocSite is one direct allocation (or forbidden call) in a function
 // body, classified by allocfree's hot-path allocation classes.

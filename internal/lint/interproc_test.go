@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// Tests for the fact-based interprocedural analyzers (errsink,
-// atomicwrite, respclose): golden true-positive +
-// allowlisted cases per analyzer, cross-package fact propagation, and
-// the PR 4 engine guarantees (unknown rules, unused directives) for
-// the four new rules.
+// Tests for the fact-based interprocedural analyzer errsink: golden
+// true-positive + allowlisted cases, cross-package fact propagation,
+// and the engine guarantees (selectable by name, unused directives)
+// for the three interprocedural rules.
 
 // loadTestPkgWithDeps mounts several testdata packages on one Loader
 // (so facts propagate between them) and returns the package loaded
@@ -71,62 +70,10 @@ func TestErrSinkCrossPackage(t *testing.T) {
 	checkGolden(t, p, []*Analyzer{ErrSink})
 }
 
-func TestAtomicWriteGolden(t *testing.T) {
-	p := loadTestPkg(t, "atomicwrite", "npudvfs/internal/cluster/jobstore")
-	checkGolden(t, p, []*Analyzer{AtomicWrite})
-}
-
-// TestAtomicWriteScopedToJobstore: direct writes anywhere else are out
-// of scope.
-func TestAtomicWriteScopedToJobstore(t *testing.T) {
-	p := loadTestPkg(t, "rawwrite", "npudvfs/internal/rawwrite")
-	if diags := Run(p, []*Analyzer{AtomicWrite}); len(diags) != 0 {
-		t.Fatalf("atomicwrite fired outside jobstore: %v", diags)
-	}
-}
-
-// TestAtomicWriteCrossPackage: a final-path write delegated to a
-// helper outside jobstore is flagged at the jobstore call site via the
-// WritesFinalPath fact.
-func TestAtomicWriteCrossPackage(t *testing.T) {
-	p := loadTestPkgWithDeps(t, map[string]string{
-		"rawwrite":     "npudvfs/internal/rawwrite",
-		"atomicwritex": "npudvfs/internal/cluster/jobstore",
-	}, "npudvfs/internal/cluster/jobstore")
-	checkGolden(t, p, []*Analyzer{AtomicWrite})
-}
-
-func TestRespCloseGolden(t *testing.T) {
-	p := loadTestPkg(t, "respclose", "npudvfs/internal/server/client")
-	checkGolden(t, p, []*Analyzer{RespClose})
-}
-
-// TestRespCloseScoped: responses outside server/client are someone
-// else's contract.
-func TestRespCloseScoped(t *testing.T) {
-	p := loadTestPkg(t, "respclose", "npudvfs/internal/loadgen")
-	for _, d := range Run(p, []*Analyzer{RespClose}) {
-		if d.Rule == "respclose" {
-			t.Errorf("respclose fired outside server/client: %s", d)
-		}
-	}
-}
-
-// TestRespCloseCrossPackage: a closer helper in another package
-// discharges the obligation via its ClosesBody fact; a response from a
-// cross-package fetcher still leaks if never closed.
-func TestRespCloseCrossPackage(t *testing.T) {
-	p := loadTestPkgWithDeps(t, map[string]string{
-		"respdep":    "npudvfs/internal/httpx",
-		"respclosex": "npudvfs/internal/server",
-	}, "npudvfs/internal/server")
-	checkGolden(t, p, []*Analyzer{RespClose})
-}
-
 // TestNewRulesSelectable: each new analyzer resolves by name and lists
 // a doc string (the -rules/-list contract).
 func TestNewRulesSelectable(t *testing.T) {
-	for _, rule := range []string{"errsink", "atomicwrite", "respclose", "allocfree", "lockorder"} {
+	for _, rule := range []string{"errsink", "allocfree", "lockorder"} {
 		as, err := SelectAnalyzers(rule)
 		if err != nil || len(as) != 1 || as[0].Name != rule {
 			t.Fatalf("SelectAnalyzers(%q) = %v, %v", rule, as, err)
@@ -141,7 +88,7 @@ func TestNewRulesSelectable(t *testing.T) {
 // the new rules — a no-op exemption is a finding when its rule runs,
 // and silent when it doesn't.
 func TestNewRulesUnusedAllow(t *testing.T) {
-	for _, rule := range []string{"errsink", "atomicwrite", "respclose", "allocfree", "lockorder"} {
+	for _, rule := range []string{"errsink", "allocfree", "lockorder"} {
 		src := "package server\n\n//lint:allow " + rule + " stale exemption kept for the engine test\nfunc ok() int {\n\treturn 1\n}\n"
 		p := mountSource(t, "npudvfs/internal/server", "stale.go", src)
 		diags := Run(p, Analyzers())

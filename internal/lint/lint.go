@@ -1,7 +1,7 @@
 // Package lint is dvfslint: a project-specific static-analysis suite,
 // built entirely on the stdlib go/ast + go/types toolchain, that
 // mechanically enforces the repository's determinism, concurrency and
-// dimensional-safety contracts (DESIGN.md §9). It ships eleven
+// dimensional-safety contracts (DESIGN.md §9). It ships nine
 // analyzers:
 //
 //	detrand     — no process-global math/rand or wall-clock reads in
@@ -19,19 +19,20 @@
 //	errsink     — no discarded errors with os/io/net provenance in the
 //	              serving/cluster packages (interprocedural: a helper
 //	              wrapping os.Rename taints its callers)
-//	atomicwrite — jobstore persistence must go through the audited
-//	              tmp→rename sequence; no direct final-path writes
-//	respclose   — every *http.Response in server/client reaches
-//	              Body.Close (or a summarized closer) on all paths
 //	allocfree   — functions marked //lint:hotpath must not allocate,
 //	              transitively through every module-internal callee
 //	lockorder   — no lock-order cycles across the module's lock graph;
 //	              no blocking ops (channel, Wait, network, store I/O)
 //	              while holding a serving-path mutex
 //
-// The last five are interprocedural: they consume per-function
+// The last three are interprocedural: they consume per-function
 // summaries from a fact store filled bottom-up along the import DAG at
 // load time (facts.go, hotfacts.go).
+//
+// Invariants that one function can hold by construction are not
+// linted: jobstore's only disk write is writeAtomic, client's only
+// *http.Response lives in roundTrip, and /metrics is a declare-once
+// registry (DESIGN.md §9, "What is enforced by construction instead").
 //
 // A diagnostic is suppressed only by an explicit justification on the
 // flagged line (or the line above):
@@ -49,7 +50,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding, printed as "file:line: [rule] message".
@@ -77,7 +77,17 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, FloatEq, CtxFlow, LockPair, GoLeak, UnitCheck, ErrSink, AtomicWrite, RespClose, AllocFree, LockOrder}
+	return []*Analyzer{DetRand, FloatEq, CtxFlow, LockPair, GoLeak, UnitCheck, ErrSink, AllocFree, LockOrder}
+}
+
+// registered reports whether name is a rule of the full suite.
+func registered(name string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // SelectAnalyzers resolves a comma-separated rule list ("" or "all"
@@ -127,7 +137,11 @@ const allowPrefix = "//lint:allow"
 
 // parseAllows extracts every //lint:allow directive in the file, and
 // reports malformed ones (a directive with no reason silently
-// suppressing nothing is worse than an error).
+// suppressing nothing is worse than an error) and ones naming a rule
+// that is not registered. The name is checked against the full
+// registry, not the analyzers selected for this run: a misspelled or
+// retired rule never runs, so its directive could never be "unused"
+// and would excuse nothing, silently.
 func parseAllows(p *Package, f *ast.File, report func(pos token.Pos, format string, args ...any)) []allowDirective {
 	var out []allowDirective
 	for _, cg := range f.Comments {
@@ -139,6 +153,10 @@ func parseAllows(p *Package, f *ast.File, report func(pos token.Pos, format stri
 			fields := strings.Fields(rest)
 			if len(fields) < 2 {
 				report(c.Pos(), "malformed directive %q: want %s <rule> <reason>", c.Text, allowPrefix)
+				continue
+			}
+			if !registered(fields[0]) {
+				report(c.Pos(), "unknown rule %q in %s directive: it suppresses nothing — fix the name or remove it (dvfslint -list prints the rules)", fields[0], allowPrefix)
 				continue
 			}
 			cpos := p.Fset.Position(c.Pos())
@@ -158,12 +176,6 @@ func parseAllows(p *Package, f *ast.File, report func(pos token.Pos, format stri
 // suppression, and returns the surviving diagnostics sorted by
 // position.
 func Run(p *Package, analyzers []*Analyzer) []Diagnostic {
-	return runTimed(p, analyzers, nil)
-}
-
-// runTimed is Run with an optional per-analyzer wall-clock
-// accumulator (nil skips the clock reads entirely).
-func runTimed(p *Package, analyzers []*Analyzer, tm *Timings) []Diagnostic {
 	var diags []Diagnostic
 	collect := func(rule string) func(pos token.Pos, format string, args ...any) {
 		return func(pos token.Pos, format string, args ...any) {
@@ -177,7 +189,8 @@ func runTimed(p *Package, analyzers []*Analyzer, tm *Timings) []Diagnostic {
 	// Allow directives apply per file — the index is keyed by filename
 	// AND line, so a directive in one file can never absorb (and mark
 	// itself used against) a finding at the same line number of a
-	// sibling file. Malformed ones are findings of the pseudo-rule
+	// sibling file. Malformed ones, and ones naming a rule the
+	// registry does not have, are findings of the pseudo-rule
 	// "directive". Each directive tracks whether it suppressed
 	// anything: a no-op exemption is itself a finding.
 	type fileLine struct {
@@ -206,13 +219,7 @@ func runTimed(p *Package, analyzers []*Analyzer, tm *Timings) []Diagnostic {
 		}
 	}
 	for _, a := range analyzers {
-		if tm == nil {
-			a.Run(p, collect(a.Name))
-			continue
-		}
-		start := time.Now()
 		a.Run(p, collect(a.Name))
-		tm.Add(a.Name, time.Since(start))
 	}
 	out := diags[:0]
 	for _, d := range diags {
@@ -264,10 +271,20 @@ func runTimed(p *Package, analyzers []*Analyzer, tm *Timings) []Diagnostic {
 }
 
 // RunAll loads every package under root and runs the analyzers over
-// each, returning all surviving diagnostics sorted per package.
-// Packages are type-checked and analyzed by a bounded worker pool
-// scheduled along the module's import DAG (see RunAllWorkers); the
-// output is byte-identical to a sequential run.
+// each in import-path order: the concatenation of Run over LoadAll's
+// packages.
 func RunAll(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAllWorkers(root, analyzers, 0)
+	ld, err := NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	pkgs, err := ld.LoadAll()
+	if err != nil {
+		return nil, err
+	}
+	var out []Diagnostic
+	for _, p := range pkgs {
+		out = append(out, Run(p, analyzers)...)
+	}
+	return out, nil
 }

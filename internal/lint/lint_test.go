@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -260,6 +261,19 @@ func g(a, b float64) bool {
 	if len(diags) != 1 || diags[0].Rule != "floateq" {
 		t.Fatalf("got %v, want one floateq finding", diags)
 	}
+	// A misspelled rule suppresses nothing either — and says so, where
+	// it used to be accepted in silence.
+	p = mountSource(t, "npudvfs/internal/misspelled", "wrong.go", `package misspelled
+
+func g(a, b float64) bool {
+	//lint:allow floateqq exact sentinel comparison by design
+	return a == b
+}
+`)
+	diags = Run(p, []*Analyzer{FloatEq})
+	if len(diags) != 2 || diags[0].Rule != "directive" || !strings.Contains(diags[0].Message, `unknown rule "floateqq"`) || diags[1].Rule != "floateq" {
+		t.Fatalf("got %v, want an unknown-rule directive finding and the unsuppressed floateq finding", diags)
+	}
 }
 
 // mountSources mounts several files as one synthetic package.
@@ -310,6 +324,18 @@ func same(a, b int) bool {
 	}
 	if diags := Run(p, []*Analyzer{DetRand}); len(diags) != 0 {
 		t.Fatalf("unused floateq directive reported under -rules detrand: %v", diags)
+	}
+	// A directive naming a rule the registry does not have — misspelled,
+	// or retired like respclose — can never be "unused" (its rule never
+	// runs), so it is reported as unknown, whatever -rules selected.
+	for _, rule := range []string{"detrnd", "nosuchrule", "respclose", "atomicwrite"} {
+		p := mountSource(t, "npudvfs/internal/staleallow", "stale.go", "package staleallow\n\n//lint:allow "+rule+" reason\nfunc ok() int {\n\treturn 1\n}\n")
+		for _, analyzers := range [][]*Analyzer{Analyzers(), {DetRand}} {
+			diags := Run(p, analyzers)
+			if len(diags) != 1 || diags[0].Rule != "directive" || diags[0].Pos.Line != 3 || !strings.Contains(diags[0].Message, fmt.Sprintf("unknown rule %q", rule)) {
+				t.Fatalf("rule %s: got %v, want one unknown-rule directive finding on line 3", rule, diags)
+			}
+		}
 	}
 }
 

@@ -233,25 +233,8 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	return p, nil
 }
 
-// loadParsed type-checks pre-parsed files and publishes the package in
-// the cache. It is the parallel driver's entry point: the driver's
-// import-DAG scheduling guarantees every module-internal dependency is
-// already cached, so the type-checker's importer callbacks are pure
-// cache hits and never re-enter a concurrent load.
-func (l *Loader) loadParsed(importPath, dir string, files []*ast.File) (*Package, error) {
-	p, err := l.checkParsed(importPath, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.pkgs[importPath] = p
-	l.mu.Unlock()
-	return p, nil
-}
-
-// parseDir parses the non-test files of one directory into the shared
-// FileSet (which is safe for concurrent use).
-func parseDir(dir string) ([]*ast.File, error) {
+// check parses and type-checks the non-test files of one directory.
+func (l *Loader) check(importPath, dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -271,20 +254,6 @@ func parseDir(dir string) ([]*ast.File, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
 	}
-	return files, nil
-}
-
-// check parses and type-checks the non-test files of one directory.
-func (l *Loader) check(importPath, dir string) (*Package, error) {
-	files, err := parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.checkParsed(importPath, dir, files)
-}
-
-// checkParsed type-checks pre-parsed files as one package.
-func (l *Loader) checkParsed(importPath, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -303,9 +272,8 @@ func (l *Loader) checkParsed(importPath, dir string, files []*ast.File) (*Packag
 	p := &Package{ImportPath: importPath, Dir: dir, Files: files, Fset: sharedFset, Pkg: pkg, Info: info, Module: l.Module, Facts: l.facts}
 	// Summarize this package's functions immediately: type-checking a
 	// package forces its module-internal imports through the Loader
-	// first (and the parallel driver schedules along the import DAG),
-	// so facts flow bottom-up and are complete before any dependent —
-	// or this package's own analyzers — consume them.
+	// first, so facts flow bottom-up and are complete before any
+	// dependent — or this package's own analyzers — consume them.
 	computePackageFacts(p, l.facts)
 	return p, nil
 }
@@ -337,9 +305,8 @@ func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 		return p.Pkg, nil
 	}
 	li.l.mu.Unlock()
-	// The compiler's source importer is not safe for concurrent use;
-	// serialize stdlib imports across the parallel driver's workers
-	// (it caches internally, so contention is a first-touch cost).
+	// The compiler's source importer is process-wide and not safe for
+	// concurrent use; serialize calls from Loaders on other goroutines.
 	srcImportMu.Lock()
 	defer srcImportMu.Unlock()
 	return sourceImporter().ImportFrom(path, dir, mode)

@@ -158,7 +158,7 @@ func runLockOrder(p *Package, report func(pos token.Pos, format string, args ...
 // facts of this package and every transitive module-internal
 // dependency. Enumeration goes through the type-checker's import graph
 // and sorted package scopes — never the shared fact store, whose
-// contents depend on the parallel driver's schedule.
+// contents depend on which other packages the Loader has seen.
 func lockGraph(p *Package, store *Facts) map[string]map[string]bool {
 	graph := map[string]map[string]bool{}
 	add := func(u, v string) {

@@ -1,7 +1,8 @@
 package lint
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -27,49 +28,57 @@ func TestRepoLintClean(t *testing.T) {
 	}
 }
 
-// TestRunAllWorkersDeterministic: the parallel driver must produce
-// byte-identical output at any worker count — results are collected per
-// package index and flattened in sorted import-path order, so the
-// schedule cannot leak into the report.
-func TestRunAllWorkersDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is slow; skipped in -short")
+// TestRunAllIsRunOverLoadAll: the whole-module driver has one path —
+// RunAll is exactly Run over each of LoadAll's packages, concatenated
+// in import-path order, the same Load/Run pair every golden test
+// drives through Mount. The module is synthetic so both sides carry
+// findings (the real tree is clean): "a" imports "z", so loading "a"
+// type-checks "z" first, and the report must still list "a" first.
+func TestRunAllIsRunOverLoadAll(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":   "module example.test/m\n",
+		"a/a.go":   "package a\n\nimport \"example.test/m/z\"\n\nfunc Same(x float64) bool { return x == z.Zero }\n",
+		"z/z.go":   "package z\n\nconst Zero = 0.0\n\nfunc IsZero(x float64) bool { return x != Zero }\n",
+		"z/dir.go": "package z\n\n//lint:allow floateq\nvar _ = 0\n",
+	} {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	root, err := FindModuleRoot(".")
+	got, err := RunAll(root, Analyzers())
 	if err != nil {
-		t.Fatalf("FindModuleRoot: %v", err)
+		t.Fatalf("RunAll: %v", err)
 	}
-	seq, err := RunAllWorkers(root, Analyzers(), 1)
+	ld, err := NewLoader(root)
 	if err != nil {
-		t.Fatalf("RunAllWorkers(1): %v", err)
+		t.Fatalf("NewLoader: %v", err)
 	}
-	par, err := RunAllWorkers(root, Analyzers(), 8)
+	pkgs, err := ld.LoadAll()
 	if err != nil {
-		t.Fatalf("RunAllWorkers(8): %v", err)
+		t.Fatalf("LoadAll: %v", err)
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel output diverged from sequential:\nseq: %v\npar: %v", seq, par)
+	var want []Diagnostic
+	var order []string
+	for _, p := range pkgs {
+		order = append(order, p.ImportPath)
+		want = append(want, Run(p, Analyzers())...)
 	}
-	// The machine-readable encodings must be byte-identical too — CI
-	// uploads the SARIF, so a schedule-dependent byte would churn every
-	// artifact diff.
-	var seqJSON, parJSON, seqSARIF, parSARIF bytes.Buffer
-	if err := EncodeJSON(&seqJSON, seq); err != nil {
-		t.Fatalf("EncodeJSON: %v", err)
+	if !reflect.DeepEqual(order, []string{"example.test/m/a", "example.test/m/z"}) {
+		t.Fatalf("LoadAll order = %v, want import-path order", order)
 	}
-	if err := EncodeJSON(&parJSON, par); err != nil {
-		t.Fatalf("EncodeJSON: %v", err)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunAll diverged from Run over LoadAll:\ngot:  %v\nwant: %v", got, want)
 	}
-	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {
-		t.Fatalf("JSON output diverged between -j 1 and -j 8")
+	var rules []string
+	for _, d := range got {
+		rules = append(rules, filepath.Base(d.Pos.Filename)+":"+d.Rule)
 	}
-	if err := EncodeSARIF(&seqSARIF, Analyzers(), seq); err != nil {
-		t.Fatalf("EncodeSARIF: %v", err)
-	}
-	if err := EncodeSARIF(&parSARIF, Analyzers(), par); err != nil {
-		t.Fatalf("EncodeSARIF: %v", err)
-	}
-	if !bytes.Equal(seqSARIF.Bytes(), parSARIF.Bytes()) {
-		t.Fatalf("SARIF output diverged between -j 1 and -j 8")
+	if wantRules := []string{"a.go:floateq", "dir.go:directive", "z.go:floateq"}; !reflect.DeepEqual(rules, wantRules) {
+		t.Fatalf("RunAll findings = %v, want %v", rules, wantRules)
 	}
 }

@@ -172,13 +172,37 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // doOnce runs a single attempt and returns the HTTP status code (0 on
 // transport failure) alongside the error.
 func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) (int, error) {
+	code, raw, err := c.roundTrip(ctx, method, path, body)
+	if err != nil {
+		return code, err
+	}
+	if code >= 400 {
+		var e traceio.ErrorResponse
+		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+			return code, &StatusError{Code: code, Message: e.Error}
+		}
+		return code, &StatusError{Code: code, Message: string(bytes.TrimSpace(raw))}
+	}
+	if out == nil {
+		return code, nil
+	}
+	return code, json.Unmarshal(raw, out)
+}
+
+// roundTrip sends one request and reads the whole response. It is the
+// only place a *http.Response exists in this package, so the one defer
+// below closes every body on every path
+// (TestEveryResponseBodyClosedOnce counts them).
+// code is 0 when no response arrived; a body that fails mid-read
+// returns the status with the read error.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) (code int, raw []byte, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -187,25 +211,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	resp, err := c.http().Do(req)
 	if err != nil {
 		c.trace(method, path, 0, err, start)
-		return 0, err
+		return 0, nil, err
 	}
 	c.trace(method, path, resp.StatusCode, nil, start)
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, err
-	}
-	if resp.StatusCode >= 400 {
-		var e traceio.ErrorResponse
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return resp.StatusCode, &StatusError{Code: resp.StatusCode, Message: e.Error}
-		}
-		return resp.StatusCode, &StatusError{Code: resp.StatusCode, Message: string(bytes.TrimSpace(raw))}
-	}
-	if out == nil {
-		return resp.StatusCode, nil
-	}
-	return resp.StatusCode, json.Unmarshal(raw, out)
+	raw, err = io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, err
 }
 
 // Submit posts a strategy request and returns the job it created (or
@@ -269,26 +280,15 @@ func (c *Client) Cluster(ctx context.Context) (*traceio.ClusterStatus, error) {
 	return &st, nil
 }
 
-// Metrics returns the raw Prometheus exposition text.
+// Metrics returns the raw Prometheus exposition text. It makes one
+// attempt; Retry does not apply.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
+	code, raw, err := c.roundTrip(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return "", err
 	}
-	start := time.Now()
-	resp, err := c.http().Do(req)
-	if err != nil {
-		c.trace(http.MethodGet, "/metrics", 0, err, start)
-		return "", err
-	}
-	c.trace(http.MethodGet, "/metrics", resp.StatusCode, nil, start)
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &StatusError{Code: resp.StatusCode, Message: string(bytes.TrimSpace(raw))}
+	if code != http.StatusOK {
+		return "", &StatusError{Code: code, Message: string(bytes.TrimSpace(raw))}
 	}
 	return string(raw), nil
 }

@@ -23,27 +23,6 @@ benchtime="${1:-2s}"
 out=results/BENCH_10.json
 seed=results/BENCH_5_SEED.json
 
-# Lint wall-clock: time a cold (empty cache) and a warm (fully cached)
-# dvfslint pass over the module. The pair is the cache's whole value
-# proposition, so the benchmark artifact records both. A prebuilt
-# binary keeps `go run` compilation out of the measurement.
-lintbin=$(mktemp -d)/dvfslint
-lintcache=$(mktemp -d)
-trap 'rm -rf "$(dirname "$lintbin")" "$lintcache"' EXIT
-go build -o "$lintbin" ./cmd/dvfslint
-linttimings="$lintcache/timings.json"
-t0=$(date +%s%N)
-"$lintbin" -cache "$lintcache" -timings "$linttimings" >/dev/null
-t1=$(date +%s%N)
-"$lintbin" -cache "$lintcache" >/dev/null
-t2=$(date +%s%N)
-lint_cold_ms=$(( (t1 - t0) / 1000000 ))
-lint_warm_ms=$(( (t2 - t1) / 1000000 ))
-# Per-analyzer wall-clock breakdown of the cold pass, as one compact
-# JSON object emitted by dvfslint -timings.
-lint_analyzer_ns=$(tr -d '\n' < "$linttimings")
-echo "dvfslint: cold ${lint_cold_ms}ms, warm ${lint_warm_ms}ms"
-
 procs=$(nproc)
 
 raw=$(go test -run '^$' \
@@ -51,9 +30,7 @@ raw=$(go test -run '^$' \
     -benchmem -benchtime "$benchtime" .)
 echo "$raw"
 
-echo "$raw" | awk -v seedfile="$seed" -v procs="$procs" \
-    -v lintcold="$lint_cold_ms" -v lintwarm="$lint_warm_ms" \
-    -v lintns="$lint_analyzer_ns" '
+echo "$raw" | awk -v seedfile="$seed" -v procs="$procs" '
 BEGIN {
     nseed = 0
     if ((getline line < seedfile) >= 0) {
@@ -133,9 +110,7 @@ END {
         printf ", \"speedup_1_to_4\": %.3f", w4 / w1
         printf ", \"parallel_efficiency_4\": %.3f", w4 / (4 * w1)
     }
-    printf "},\n"
-    if (lintns == "") lintns = "{}"
-    printf "  \"lint\": {\"cold_ms\": %d, \"warm_ms\": %d, \"analyzer_ns\": %s}\n", lintcold, lintwarm, lintns
+    printf "}\n"
     printf "}\n"
 }' > "$out"
 

@@ -126,15 +126,6 @@ echo "$resubmit" | grep -q 'served from cache' \
 [ "$(forwards_of "$nonowner" out)" -eq "$out_before" ] \
     || fail "ring-aware submit went through $nonowner instead of straight to the owner"
 
-echo "cluster-smoke: mixed dvfsload stream across the ring"
-load_out=$("$tmp/dvfsload" -addr "$(addr_of n1)" -ring "$ring" \
-    -mixes mixed -mode closed -clients 2 -duration 1s -out "" -baseline "")
-echo "$load_out" | grep -q ' errors=0 ' \
-    || fail "ring-routed dvfsload stream saw hard errors:"$'\n'"$load_out"
-if echo "$load_out" | grep -q ' completed=0 '; then
-    fail "ring-routed dvfsload stream completed nothing:"$'\n'"$load_out"
-fi
-
 # --- crash recovery -------------------------------------------------
 # Two slow searches submitted straight to the owner (workers=1, so the
 # second is still queued), then SIGKILL: no drain, no store close. The
@@ -192,9 +183,24 @@ wait_done "$slow_b"
 echo "cluster-smoke: both interrupted jobs recovered to done"
 
 # The pre-crash terminal record survived too: same job ID, same bytes.
+# This relies on the store's retention bound, not on luck: each node
+# keeps server.Retention(workers=1, queue=16) = 66 records and evicts
+# terminal ones oldest-first, and $owner has written 4 so far ($job_id,
+# the cache-hit resubmission, the two slow jobs). Anything that writes
+# more than 62 further records through $owner — the load stream below
+# does; a cache hit writes a job record too — has to come after this.
 "$tmp/dvfsctl" -addr "$(addr_of "$owner")" fetch -save "$tmp/refetched.json" "$job_id"
 diff -u "$tmp/batch.json" "$tmp/refetched.json" \
     || fail "terminal record's strategy changed across the crash"
 echo "cluster-smoke: pre-crash result still served byte-identically"
+
+echo "cluster-smoke: mixed dvfsload stream across the ring (restarted $owner included)"
+load_out=$("$tmp/dvfsload" -addr "$(addr_of n1)" -ring "$ring" \
+    -mixes mixed -mode closed -clients 2 -duration 1s -out "" -baseline "")
+echo "$load_out" | grep -q ' errors=0 ' \
+    || fail "ring-routed dvfsload stream saw hard errors:"$'\n'"$load_out"
+if echo "$load_out" | grep -q ' completed=0 '; then
+    fail "ring-routed dvfsload stream completed nothing:"$'\n'"$load_out"
+fi
 
 echo "cluster-smoke: PASS"
