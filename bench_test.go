@@ -742,8 +742,63 @@ func BenchmarkFitFunc2Micro(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileGPT3Iteration measures profiling one full GPT-3
-// iteration (~18,000 operators).
+// BenchmarkRunPower measures one power-collecting profiling run as
+// Lab.PowerProfiles makes it ~330 times per ViT build: the noisy
+// profiler at BuildModels' seed, the lab's ground truth, and a die
+// already at thermal equilibrium for 1800 MHz. scripts/bench_smoke.sh
+// holds vit to 2 allocs/op — the Profile and its Records — so the
+// per-operator power terms stay on the stack.
+func BenchmarkRunPower(b *testing.B) {
+	for _, name := range []string{"vit", "gpt3"} {
+		b.Run(name, func(b *testing.B) {
+			l := lab()
+			m, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := profiler.New(l.Chip, l.Seed+200)
+			th := thermal.NewState(l.Thermal)
+			if _, err := p.WarmupIterations(m.Trace, 1800, l.Ground, th, 4000, 0.5); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.RunPower(m.Trace, 1800, l.Ground, th); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildModels measures the model build a cold_build job runs:
+// Lab.BuildModels on ViT with the offline calibration already done (a
+// lab calibrates once), so ns/op is the two warmed power profiles, the
+// fits and the timing runs.
+func BenchmarkBuildModels(b *testing.B) {
+	b.Run("vit", func(b *testing.B) {
+		l := lab()
+		if _, err := l.Offline(); err != nil {
+			b.Fatal(err)
+		}
+		m, err := workload.ByName("vit")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := l.BuildModels(m, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkProfileGPT3Iteration measures one noiseless timing-only Run
+// over a full GPT-3 iteration (~18,000 operators): no sensor draws and
+// no power, so it says nothing about RunPower (BenchmarkRunPower).
 func BenchmarkProfileGPT3Iteration(b *testing.B) {
 	m := workload.GPT3()
 	l := lab()

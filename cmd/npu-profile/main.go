@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,31 +27,42 @@ import (
 )
 
 func main() {
-	modelName := flag.String("model", "gpt3", "workload name ("+strings.Join(workload.Names(), ", ")+")")
-	freqArg := flag.String("freqs", "1800", "comma-separated core frequencies in MHz")
-	dumpOps := flag.Bool("ops", false, "dump every operator record")
-	asJSON := flag.Bool("json", false, "emit JSON instead of text")
-	faiMs := flag.Float64("fai", 5, "frequency adjustment interval in ms for stage summary")
-	seed := flag.Int64("seed", 1, "measurement-noise seed")
-	saveTrace := flag.String("save-trace", "", "export the workload trace JSON to this path")
-	chromeTrace := flag.String("chrome-trace", "", "export a chrome://tracing timeline of the first profiled frequency")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "npu-profile:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("npu-profile", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	modelName := fs.String("model", "gpt3", "workload name ("+strings.Join(workload.Names(), ", ")+")")
+	freqArg := fs.String("freqs", "1800", "comma-separated core frequencies in MHz")
+	dumpOps := fs.Bool("ops", false, "dump every operator record")
+	asJSON := fs.Bool("json", false, "emit JSON instead of text")
+	faiMs := fs.Float64("fai", 5, "frequency adjustment interval in ms for stage summary")
+	seed := fs.Int64("seed", 1, "measurement-noise seed")
+	saveTrace := fs.String("save-trace", "", "export the workload trace JSON to this path")
+	chromeTrace := fs.String("chrome-trace", "", "export a chrome://tracing timeline of the first profiled frequency")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	m, err := workload.ByName(*modelName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *saveTrace != "" {
 		if err := traceio.SaveWorkload(*saveTrace, m); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *saveTrace)
+		fmt.Fprintf(stderr, "trace written to %s\n", *saveTrace)
 	}
 	var freqs []float64
 	for _, part := range strings.Split(*freqArg, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad frequency %q: %w", part, err))
+			return fmt.Errorf("bad frequency %q: %w", part, err)
 		}
 		freqs = append(freqs, f)
 	}
@@ -59,24 +71,28 @@ func main() {
 	for i, f := range freqs {
 		prof, err := p.Run(m.Trace, f)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if i == 0 && *chromeTrace != "" {
 			if err := traceio.SaveChromeTrace(*chromeTrace, prof, nil); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "chrome trace written to %s\n", *chromeTrace)
+			fmt.Fprintf(stderr, "chrome trace written to %s\n", *chromeTrace)
 		}
 		if *asJSON {
-			emitJSON(prof, *dumpOps)
-			continue
+			err = emitJSON(stdout, prof, *dumpOps)
+		} else {
+			err = report(stdout, m, prof, *faiMs*1000, *dumpOps)
 		}
-		report(m, prof, *faiMs*1000, *dumpOps)
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-func report(m *workload.Model, prof *profiler.Profile, faiMicros float64, dumpOps bool) {
-	fmt.Printf("== %s at %.0f MHz: %d operators, iteration %.3f ms\n",
+func report(w io.Writer, m *workload.Model, prof *profiler.Profile, faiMicros float64, dumpOps bool) error {
+	fmt.Fprintf(w, "== %s at %.0f MHz: %d operators, iteration %.3f ms\n",
 		m.Name, prof.FreqMHz, len(prof.Records), prof.TotalMicros/1000)
 	results := classify.Trace(prof)
 	timeBy := map[classify.Bottleneck]float64{}
@@ -88,17 +104,17 @@ func report(m *workload.Model, prof *profiler.Profile, faiMicros float64, dumpOp
 			sensTime += prof.Records[i].DurMicros
 		}
 	}
-	fmt.Printf("   frequency-sensitive time: %.1f%%\n", 100*sensTime/prof.TotalMicros)
+	fmt.Fprintf(w, "   frequency-sensitive time: %.1f%%\n", 100*sensTime/prof.TotalMicros)
 	for b := classify.NoPipeline; b <= classify.IdleSlot; b++ {
 		if countBy[b] == 0 {
 			continue
 		}
-		fmt.Printf("   %-14s ops=%6d  time=%6.2f%%\n",
+		fmt.Fprintf(w, "   %-14s ops=%6d  time=%6.2f%%\n",
 			b, countBy[b], 100*timeBy[b]/prof.TotalMicros)
 	}
 	stages, err := preprocess.Stages(prof, results, faiMicros)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	lfc := 0
 	for _, s := range stages {
@@ -106,15 +122,16 @@ func report(m *workload.Model, prof *profiler.Profile, faiMicros float64, dumpOp
 			lfc++
 		}
 	}
-	fmt.Printf("   stages at %.0f ms FAI: %d (%d LFC, %d HFC)\n",
+	fmt.Fprintf(w, "   stages at %.0f ms FAI: %d (%d LFC, %d HFC)\n",
 		faiMicros/1000, len(stages), lfc, len(stages)-lfc)
 	if dumpOps {
 		for i := range prof.Records {
 			r := &prof.Records[i]
-			fmt.Printf("   #%05d %-28s %-13s %9.2f us  %v\n",
+			fmt.Fprintf(w, "   #%05d %-28s %-13s %9.2f us  %v\n",
 				r.Index, r.Spec.Key(), r.Spec.Class, r.DurMicros, results[i].Bottleneck)
 		}
 	}
+	return nil
 }
 
 // jsonRecord is the stable JSON projection of a profiled operator.
@@ -127,7 +144,7 @@ type jsonRecord struct {
 	Bottle string  `json:"bottleneck"`
 }
 
-func emitJSON(prof *profiler.Profile, dumpOps bool) {
+func emitJSON(w io.Writer, prof *profiler.Profile, dumpOps bool) error {
 	results := classify.Trace(prof)
 	out := struct {
 		FreqMHz     float64      `json:"freq_mhz"`
@@ -152,14 +169,7 @@ func emitJSON(prof *profiler.Profile, dumpOps bool) {
 			})
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "npu-profile:", err)
-	os.Exit(1)
+	return enc.Encode(out)
 }

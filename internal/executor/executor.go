@@ -363,14 +363,16 @@ func (c *runCursor) applyEffects(t float64) {
 }
 
 // integrate accrues energy and thermal state over dur at the current
-// frequency/view (s == nil integrates an idle stall).
+// frequency/view (s == nil integrates an idle stall). The view's
+// ground evaluates the power terms once for both domains; their
+// bandwidth term is its own chip's time at c.freq, whatever share of
+// the operator dur covers.
 func (c *runCursor) integrate(s *op.Spec, dur float64) {
 	if dur <= 0 {
 		return
 	}
-	deltaT := float64(c.th.DeltaT())
-	soc := c.view.ground.SoCPower(s, c.freq, deltaT)
-	coreP := c.view.ground.AICorePower(s, c.freq, deltaT)
+	terms := c.view.ground.Terms(s, c.freq)
+	coreP, soc := terms.Power(float64(c.th.DeltaT()))
 	c.res.EnergySoCJ += soc * dur * 1e-6
 	c.res.EnergyCoreJ += coreP * dur * 1e-6
 	c.th.Step(units.Micros(dur), units.Watt(soc))

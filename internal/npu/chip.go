@@ -163,8 +163,12 @@ func (c *Chip) Cycles(s *op.Spec, fMHz float64) float64 {
 	if s.Class != op.Compute {
 		panic(fmt.Sprintf("npu: Cycles called for %v operator %s", s.Class, s.Key()))
 	}
-	l := c.LdCycles(s, fMHz)
-	st := c.StCycles(s, fMHz)
+	return cycles(s, c.LdCycles(s, fMHz), c.StCycles(s, fMHz))
+}
+
+// cycles composes the per-block Ld and St cycle counts l and st into
+// the operator's total per its scenario (Eqs. 5-8).
+func cycles(s *op.Spec, l, st float64) float64 {
 	k := s.CoreCycles
 	n := float64(s.Blocks)
 	switch s.Scenario {
@@ -192,37 +196,38 @@ func (c *Chip) Time(s *op.Spec, fMHz float64) float64 {
 	return c.Cycles(s, fMHz)/fMHz + s.PrePostTime
 }
 
-// PipeBusy returns the busy time in µs spent in each pipeline during
-// one execution of the operator at fMHz. Every block issues one Ld
-// (MTE2), one St (MTE3) and one core computation on the operator's
-// core pipeline, regardless of how much of that time overlaps.
-func (c *Chip) PipeBusy(s *op.Spec, fMHz float64) [op.NumPipes]float64 {
-	var busy [op.NumPipes]float64
-	if s.Class != op.Compute {
-		return busy
-	}
-	n := float64(s.Blocks)
-	busy[op.MTE2] = n * c.LdCycles(s, fMHz) / fMHz
-	busy[op.MTE3] = n * c.StCycles(s, fMHz) / fMHz
-	busy[s.CorePipe] += n * s.CoreCycles / fMHz
-	return busy
-}
-
-// Ratios returns the per-pipeline utilization ratios over the
-// operator's wall-clock duration, the quantity the CANN profiler
-// reports and Sect. 6.1 classifies on.
-func (c *Chip) Ratios(s *op.Spec, fMHz float64) [op.NumPipes]float64 {
+// TimeRatios returns Time and Ratios from one evaluation of Eq. 4:
+// the operator's Ld and St cycles are computed once and feed both the
+// cycle count and the per-pipeline busy time. Every block issues one Ld
+// (MTE2), one St (MTE3) and one core computation on the operator's core
+// pipeline, regardless of how much of that time overlaps; the ratios
+// are those busy times over the wall-clock duration, the quantity the
+// CANN profiler reports and Sect. 6.1 classifies on. Non-Compute
+// entries have their fixed duration and zero ratios.
+func (c *Chip) TimeRatios(s *op.Spec, fMHz float64) (float64, [op.NumPipes]float64) {
 	var ratios [op.NumPipes]float64
 	if s.Class != op.Compute {
-		return ratios
+		return s.FixedTime, ratios
 	}
-	total := c.Time(s, fMHz)
+	l := c.LdCycles(s, fMHz)
+	st := c.StCycles(s, fMHz)
+	total := cycles(s, l, st)/fMHz + s.PrePostTime
 	if total <= 0 {
-		return ratios
+		return total, ratios
 	}
-	busy := c.PipeBusy(s, fMHz)
+	var busy [op.NumPipes]float64
+	n := float64(s.Blocks)
+	busy[op.MTE2] = n * l / fMHz
+	busy[op.MTE3] = n * st / fMHz
+	busy[s.CorePipe] += n * s.CoreCycles / fMHz
 	for p := range busy {
 		ratios[p] = busy[p] / total
 	}
+	return total, ratios
+}
+
+// Ratios returns the per-pipeline utilization ratios of TimeRatios.
+func (c *Chip) Ratios(s *op.Spec, fMHz float64) [op.NumPipes]float64 {
+	_, ratios := c.TimeRatios(s, fMHz)
 	return ratios
 }

@@ -11,7 +11,10 @@
 // slots, which are insensitive to the AICore frequency (Table 1).
 package op
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Class partitions trace entries by execution engine (Sect. 6.1).
 type Class uint8
@@ -150,6 +153,32 @@ func (s *Spec) Key() string {
 		return s.Name
 	}
 	return s.Name + "/" + s.Shape
+}
+
+// Hash mixes the fields that tell a trace's operators apart in
+// practice, for the per-call tables that remember what they computed
+// for an operator (traceio's Fingerprint lines, the profiler's power
+// terms). It is not an identity: those tables settle equality on the
+// whole spec with ==.
+func (s *Spec) Hash() uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(s.Name))<<8 ^ uint64(len(s.Shape))
+	if len(s.Name) > 0 {
+		h ^= uint64(s.Name[0])<<24 ^ uint64(s.Name[len(s.Name)-1])<<16
+	}
+	if len(s.Shape) > 0 {
+		h ^= uint64(s.Shape[len(s.Shape)-1]) << 32
+	}
+	h = (h ^ uint64(s.Blocks)) * m
+	h = (h ^ math.Float64bits(s.LoadBytes)) * m
+	h = (h ^ math.Float64bits(s.StoreBytes)) * m
+	h = (h ^ math.Float64bits(s.CoreCycles)) * m
+	h = (h ^ math.Float64bits(s.L2Hit)) * m
+	h = (h ^ math.Float64bits(s.PrePostTime)) * m
+	h = (h ^ math.Float64bits(s.FixedTime)) * m
+	// A product's high bits are its mixed ones; the tables index with
+	// the low bits.
+	return h ^ h>>47
 }
 
 // FrequencyScaled reports whether AICore frequency affects this entry's

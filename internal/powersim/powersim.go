@@ -129,13 +129,13 @@ func specHash(s *op.Spec) uint64 {
 }
 
 // kindFactor gives each operator type/shape a stable activity
-// multiplier in [0.7, 1.3].
-func kindFactor(s *op.Spec) float64 { return 0.7 + 0.6*hash01(specHash(s)) }
+// multiplier in [0.7, 1.3], from its specHash h.
+func kindFactor(h uint64) float64 { return 0.7 + 0.6*hash01(h) }
 
-// driftCoef gives each operator a stable frequency drift in
-// [-1, 1] (scaled by DriftFrac when applied).
-func driftCoef(s *op.Spec) float64 {
-	return 2*hash01(fnvString(specHash(s), "/drift")) - 1
+// driftCoef gives each operator a stable frequency drift in [-1, 1]
+// (scaled by DriftFrac when applied), from its specHash h.
+func driftCoef(h uint64) float64 {
+	return 2*hash01(fnvString(h, "/drift")) - 1
 }
 
 // Activity returns the operator's switching-activity level: how much
@@ -146,41 +146,31 @@ func (g *Ground) Activity(s *op.Spec) float64 {
 	if s.Class != op.Compute {
 		return 0
 	}
+	return g.activity(s, specHash(s))
+}
+
+// activity is Activity for a Compute spec whose specHash is h.
+func (g *Ground) activity(s *op.Spec, h uint64) float64 {
 	r := g.Chip.Ratios(s, g.RefMHz)
 	core := r[op.Cube] + r[op.Vector] + r[op.Scalar] + r[op.MTE1]
 	mem := r[op.MTE2] + r[op.MTE3]
 	act := core + 0.35*mem
-	return act * kindFactor(s)
+	return act * kindFactor(h)
 }
 
 // Alpha returns the operator's true activity coefficient α (Eq. 13) at
 // a given frequency, in W per (MHz·V²), including the frequency drift
 // that the analytic model cannot see.
 func (g *Ground) Alpha(s *op.Spec, fMHz float64) float64 {
-	base := g.AlphaScale * g.Activity(s)
-	span := float64(g.Chip.Curve.Max() - g.Chip.Curve.Min())
-	drift := g.DriftFrac * driftCoef(s) * (fMHz - g.RefMHz) / span
-	return base * (1 + drift)
-}
-
-// AICoreIdle returns the load-independent AICore power at frequency
-// fMHz and temperature rise deltaT (Eq. 12 plus the static leakage
-// term, which persists at idle).
-func (g *Ground) AICoreIdle(fMHz, deltaT float64) float64 {
-	v := float64(g.Chip.Curve.Voltage(units.MHz(fMHz)))
-	return g.BetaCore*fMHz*v*v + g.ThetaCore*v + g.GammaCore*deltaT*v
-}
-
-// AICorePower returns the true AICore power while the operator runs at
-// fMHz with temperature rise deltaT. A nil spec or a non-Compute spec
-// yields idle power.
-func (g *Ground) AICorePower(s *op.Spec, fMHz, deltaT float64) float64 {
-	p := g.AICoreIdle(fMHz, deltaT)
-	if s == nil || s.Class != op.Compute {
-		return p
+	h := specHash(s)
+	var act float64
+	if s.Class == op.Compute {
+		act = g.activity(s, h)
 	}
-	v := float64(g.Chip.Curve.Voltage(units.MHz(fMHz)))
-	return p + g.Alpha(s, fMHz)*fMHz*v*v
+	base := g.AlphaScale * act
+	span := float64(g.Chip.Curve.Max() - g.Chip.Curve.Min())
+	drift := g.DriftFrac * driftCoef(h) * (fMHz - g.RefMHz) / span
+	return base * (1 + drift)
 }
 
 // achievedBW returns the operator's realized uncore traffic in
@@ -197,9 +187,64 @@ func (g *Ground) achievedBW(s *op.Spec, fMHz float64) float64 {
 	return bytes / t
 }
 
-// UncorePower returns the true power of the uncore domain (HBM, L2,
-// bus, AICPU) while the given trace entry runs.
-func (g *Ground) UncorePower(s *op.Spec, fMHz, deltaT float64) float64 {
+// Terms are one trace entry's temperature-independent power terms at
+// one core frequency: everything AICorePower, UncorePower and SoCPower
+// compute that does not depend on ΔT. Evaluating them costs the
+// operator's α (Eq. 4 at RefMHz plus an FNV pass over its name) and
+// its achieved bandwidth (Eq. 4 at f, on the ground's own chip); the
+// ΔT-dependent power then costs a few multiply-adds. A caller that
+// needs both domains — SoC power includes AICore power — evaluates the
+// terms once instead of once per domain.
+type Terms struct {
+	g *Ground
+	// class selects which load terms apply; a nil spec draws what an
+	// Idle entry draws.
+	class    op.Class
+	v        float64 // V(f)
+	coreIdle float64 // β·f·V² + θ·V
+	coreDyn  float64 // α·f·V² (Compute)
+	uncoreBW float64 // UncoreBWCoef · achieved bytes/µs (Compute)
+	coupling float64 // UncoreCoupling · α·f·V² (Compute)
+	extra    float64 // AICPUPower or CommPower
+}
+
+// Terms evaluates the temperature-independent power terms of the trace
+// entry s (nil for an idle chip) at fMHz.
+func (g *Ground) Terms(s *op.Spec, fMHz float64) Terms {
+	v := float64(g.Chip.Curve.Voltage(units.MHz(fMHz)))
+	t := Terms{g: g, class: op.Idle, v: v, coreIdle: g.BetaCore*fMHz*v*v + g.ThetaCore*v}
+	if s == nil {
+		return t
+	}
+	t.class = s.Class
+	switch s.Class {
+	case op.Compute:
+		alpha := g.Alpha(s, fMHz)
+		t.coreDyn = alpha * fMHz * v * v
+		t.uncoreBW = g.UncoreBWCoef * g.achievedBW(s, fMHz)
+		t.coupling = g.UncoreCoupling * alpha * fMHz * v * v
+	case op.AICPU:
+		t.extra = g.AICPUPower
+	case op.Communication:
+		t.extra = g.CommPower
+	}
+	return t
+}
+
+// aicore returns the AICore power at temperature rise deltaT: Eq. 12
+// plus the static leakage term, which persists at idle, plus α·f·V²
+// while a Compute operator runs.
+func (t *Terms) aicore(deltaT float64) float64 {
+	p := t.coreIdle + t.g.GammaCore*deltaT*t.v
+	if t.class == op.Compute {
+		p += t.coreDyn
+	}
+	return p
+}
+
+// uncore returns the uncore domain's power at temperature rise deltaT.
+func (t *Terms) uncore(deltaT float64) float64 {
+	g := t.g
 	p := g.UncoreIdle + g.UncoreGamma*deltaT
 	//lint:allow floateq exact sentinel: 1 is the nominal scale, copied verbatim from config
 	if scale := g.UncoreScale; scale > 0 && scale != 1 {
@@ -207,25 +252,49 @@ func (g *Ground) UncorePower(s *op.Spec, fMHz, deltaT float64) float64 {
 		// power (frequency and, mildly, voltage).
 		p -= g.UncoreIdleDyn * (1 - scale*scale)
 	}
-	if s == nil {
-		return p
-	}
-	switch s.Class {
+	switch t.class {
 	case op.Compute:
-		v := float64(g.Chip.Curve.Voltage(units.MHz(fMHz)))
-		p += g.UncoreBWCoef * g.achievedBW(s, fMHz)
-		p += g.UncoreCoupling * g.Alpha(s, fMHz) * fMHz * v * v
-	case op.AICPU:
-		p += g.AICPUPower
-	case op.Communication:
-		p += g.CommPower
+		p += t.uncoreBW
+		p += t.coupling
+	case op.AICPU, op.Communication:
+		p += t.extra
 	}
 	return p
 }
 
+// Power returns the true AICore and SoC (AICore plus uncore) power at
+// temperature rise deltaT.
+func (t *Terms) Power(deltaT float64) (core, soc float64) {
+	core = t.aicore(deltaT)
+	return core, core + t.uncore(deltaT)
+}
+
+// AICoreIdle returns the load-independent AICore power at frequency
+// fMHz and temperature rise deltaT.
+func (g *Ground) AICoreIdle(fMHz, deltaT float64) float64 {
+	return g.AICorePower(nil, fMHz, deltaT)
+}
+
+// AICorePower returns the true AICore power while the operator runs at
+// fMHz with temperature rise deltaT. A nil spec or a non-Compute spec
+// yields idle power.
+func (g *Ground) AICorePower(s *op.Spec, fMHz, deltaT float64) float64 {
+	t := g.Terms(s, fMHz)
+	return t.aicore(deltaT)
+}
+
+// UncorePower returns the true power of the uncore domain (HBM, L2,
+// bus, AICPU) while the given trace entry runs.
+func (g *Ground) UncorePower(s *op.Spec, fMHz, deltaT float64) float64 {
+	t := g.Terms(s, fMHz)
+	return t.uncore(deltaT)
+}
+
 // SoCPower returns the true chip (SoC) power: AICore plus uncore.
 func (g *Ground) SoCPower(s *op.Spec, fMHz, deltaT float64) float64 {
-	return g.AICorePower(s, fMHz, deltaT) + g.UncorePower(s, fMHz, deltaT)
+	t := g.Terms(s, fMHz)
+	_, soc := t.Power(deltaT)
+	return soc
 }
 
 // Sensor models the lpmi_tool telemetry path: readings of true power

@@ -12,6 +12,7 @@ package profiler
 
 import (
 	"fmt"
+	"math"
 
 	"npudvfs/internal/npu"
 	"npudvfs/internal/op"
@@ -124,8 +125,8 @@ func (p *Profiler) Run(trace []op.Spec, fMHz float64) (*Profile, error) {
 	if err := p.Chip.Validate(); err != nil {
 		return nil, err
 	}
-	if fMHz <= 0 {
-		return nil, fmt.Errorf("profiler: invalid frequency %g MHz", fMHz)
+	if math.IsNaN(fMHz) || math.IsInf(fMHz, 0) || fMHz <= 0 {
+		return nil, fmt.Errorf("profiler: invalid frequency %g MHz, want finite and positive", fMHz)
 	}
 	prof := &Profile{FreqMHz: fMHz, Records: make([]Record, len(trace))}
 	now := 0.0
@@ -134,14 +135,15 @@ func (p *Profiler) Run(trace []op.Spec, fMHz float64) (*Profile, error) {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("profiler: trace entry %d: %w", i, err)
 		}
-		dur := p.measure(p.Chip.Time(s, fMHz))
+		t, ratios := p.Chip.TimeRatios(s, fMHz)
+		dur := p.measure(t)
 		prof.Records[i] = Record{
 			Index:       i,
 			Spec:        s,
 			StartMicros: now,
 			DurMicros:   dur,
 			FreqMHz:     fMHz,
-			Ratios:      p.Chip.Ratios(s, fMHz),
+			Ratios:      ratios,
 		}
 		now += dur
 	}
@@ -153,7 +155,10 @@ func (p *Profiler) Run(trace []op.Spec, fMHz float64) (*Profile, error) {
 // power and temperature, advancing the thermal state across operators.
 // The thermal state is shared across calls so repeated iterations warm
 // the chip up, as in the paper's "collect once training is stable"
-// methodology.
+// methodology. An operator's power terms do not depend on ΔT, so each
+// distinct operator's are evaluated once per call (termsTable) and
+// serve both domains; only the ΔT they are read at changes as the die
+// warms.
 func (p *Profiler) RunPower(trace []op.Spec, fMHz float64, g *powersim.Ground, th *thermal.State) (*Profile, error) {
 	if g == nil || th == nil {
 		return nil, fmt.Errorf("profiler: RunPower needs ground truth and thermal state")
@@ -162,11 +167,10 @@ func (p *Profiler) RunPower(trace []op.Spec, fMHz float64, g *powersim.Ground, t
 	if err != nil {
 		return nil, err
 	}
+	var seen termsTable
 	for i := range prof.Records {
 		r := &prof.Records[i]
-		deltaT := float64(th.DeltaT())
-		core := g.AICorePower(r.Spec, fMHz, deltaT)
-		soc := g.SoCPower(r.Spec, fMHz, deltaT)
+		core, soc := seen.terms(g, r.Spec, fMHz).Power(float64(th.DeltaT()))
 		th.Step(units.Micros(r.DurMicros), units.Watt(soc))
 		if p.Sensor != nil {
 			r.AICoreW = p.Sensor.Power(core)
@@ -179,6 +183,53 @@ func (p *Profiler) RunPower(trace []op.Spec, fMHz float64, g *powersim.Ground, t
 		}
 	}
 	return prof, nil
+}
+
+// termsTable remembers, for the length of one RunPower call, the power
+// terms of the operators that call has already evaluated. A trace
+// repeats a few operators many times — 97 of ViT's 721 are distinct —
+// and looking terms up costs a fraction of evaluating them. The table
+// is open-addressed and stops taking operators at termsTableCap, after
+// which each further new one is evaluated into spare. Equality is
+// op.Spec's ==: a spec with a NaN never matches and is evaluated
+// afresh, and +0 matches -0, which every term treats alike. It lives in
+// RunPower's frame, so nothing outlasts the call: a trace edited
+// between calls, or a Ground shared across goroutines, is always read
+// afresh.
+type termsTable struct {
+	slots [2 * termsTableCap]termsSlot
+	n     int
+	spare powersim.Terms
+}
+
+const termsTableCap = 256
+
+// termsSlot is one remembered operator: the spec it was evaluated for
+// (an element of the trace being profiled), that spec's hash and its
+// terms. An empty slot has a nil spec.
+type termsSlot struct {
+	spec  *op.Spec
+	hash  uint64
+	terms powersim.Terms
+}
+
+// terms returns g's power terms for s at fMHz. At most half the slots
+// are ever taken, so the probe ends.
+func (t *termsTable) terms(g *powersim.Ground, s *op.Spec, fMHz float64) *powersim.Terms {
+	hash := s.Hash()
+	i := hash % uint64(len(t.slots))
+	for ; t.slots[i].spec != nil; i = (i + 1) % uint64(len(t.slots)) {
+		if slot := &t.slots[i]; slot.hash == hash && *slot.spec == *s {
+			return &slot.terms
+		}
+	}
+	if t.n == termsTableCap {
+		t.spare = g.Terms(s, fMHz)
+		return &t.spare
+	}
+	t.slots[i] = termsSlot{spec: s, hash: hash, terms: g.Terms(s, fMHz)}
+	t.n++
+	return &t.slots[i].terms
 }
 
 // WarmupIterations repeats RunPower until the die temperature settles

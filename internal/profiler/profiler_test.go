@@ -62,8 +62,16 @@ func TestRunNoiselessMatchesChipTime(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	p := NewNoiseless(npu.Default())
-	if _, err := p.Run(smallTrace(), 0); err == nil {
-		t.Error("zero frequency: want error")
+	// NaN and +Inf used to pass the fMHz <= 0 check and profile a
+	// trace into NaN durations.
+	for _, f := range []float64{0, -1400, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := p.Run(smallTrace(), f); err == nil {
+			t.Errorf("Run at %g MHz: want error", f)
+		}
+		g := powersim.Default(p.Chip)
+		if _, err := p.RunPower(smallTrace(), f, g, thermal.NewState(thermal.Default())); err == nil {
+			t.Errorf("RunPower at %g MHz: want error", f)
+		}
 	}
 	bad := []op.Spec{{Name: "", Class: op.Compute}}
 	if _, err := p.Run(bad, 1500); err == nil {

@@ -1,0 +1,448 @@
+package profiler
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"npudvfs/internal/npu"
+	"npudvfs/internal/op"
+	"npudvfs/internal/powersim"
+	"npudvfs/internal/thermal"
+	"npudvfs/internal/units"
+	"npudvfs/internal/workload"
+)
+
+// This file carries a verbatim copy of the profiling run and the
+// ground-truth power model as they were before RunPower evaluated each
+// operator's power terms once (PR 18): Run with separate Chip.Time and
+// Chip.Ratios calls, RunPower with separate AICorePower and SoCPower
+// calls, and powersim's AICorePower / UncorePower / SoCPower, each
+// recomputing Alpha and the voltage. Methods became functions taking
+// the receiver first; nothing else changed. The rewrite is only correct
+// if it is BIT-identical to these on every input — the models fitted
+// from the profiles feed every strategy — so the tests below compare
+// math.Float64bits, not values. Keep this copy in sync with nothing.
+
+func refCycles(c *npu.Chip, s *op.Spec, fMHz float64) float64 {
+	if s.Class != op.Compute {
+		panic(fmt.Sprintf("npu: Cycles called for %v operator %s", s.Class, s.Key()))
+	}
+	l := c.LdCycles(s, fMHz)
+	st := c.StCycles(s, fMHz)
+	k := s.CoreCycles
+	n := float64(s.Blocks)
+	switch s.Scenario {
+	case op.PingPongFreeIndep:
+		return l + st + n*k + (n-1)*math.Max(l, st)
+	case op.PingPongFreeDep:
+		return n * (l + k + st)
+	case op.PingPongIndep:
+		return l + k + st + (n-1)*math.Max(l, math.Max(k, st))
+	case op.PingPongDep:
+		return l + k + st + (n-1)*math.Max(l+st, k)
+	default:
+		panic(fmt.Sprintf("npu: unknown scenario %v for operator %s", s.Scenario, s.Key()))
+	}
+}
+
+func refTime(c *npu.Chip, s *op.Spec, fMHz float64) float64 {
+	if s.Class != op.Compute {
+		return s.FixedTime
+	}
+	return refCycles(c, s, fMHz)/fMHz + s.PrePostTime
+}
+
+func refPipeBusy(c *npu.Chip, s *op.Spec, fMHz float64) [op.NumPipes]float64 {
+	var busy [op.NumPipes]float64
+	if s.Class != op.Compute {
+		return busy
+	}
+	n := float64(s.Blocks)
+	busy[op.MTE2] = n * c.LdCycles(s, fMHz) / fMHz
+	busy[op.MTE3] = n * c.StCycles(s, fMHz) / fMHz
+	busy[s.CorePipe] += n * s.CoreCycles / fMHz
+	return busy
+}
+
+func refRatios(c *npu.Chip, s *op.Spec, fMHz float64) [op.NumPipes]float64 {
+	var ratios [op.NumPipes]float64
+	if s.Class != op.Compute {
+		return ratios
+	}
+	total := refTime(c, s, fMHz)
+	if total <= 0 {
+		return ratios
+	}
+	busy := refPipeBusy(c, s, fMHz)
+	for p := range busy {
+		ratios[p] = busy[p] / total
+	}
+	return ratios
+}
+
+const refFNVOffset64 = 14695981039346656037
+
+func refFNVString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+func refHash01(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
+
+func refSpecHash(s *op.Spec) uint64 {
+	h := refFNVString(refFNVOffset64, s.Name)
+	if s.Shape != "" {
+		h = refFNVString(h, "/")
+		h = refFNVString(h, s.Shape)
+	}
+	return h
+}
+
+func refKindFactor(s *op.Spec) float64 { return 0.7 + 0.6*refHash01(refSpecHash(s)) }
+
+func refDriftCoef(s *op.Spec) float64 {
+	return 2*refHash01(refFNVString(refSpecHash(s), "/drift")) - 1
+}
+
+func refActivity(g *powersim.Ground, s *op.Spec) float64 {
+	if s.Class != op.Compute {
+		return 0
+	}
+	r := refRatios(g.Chip, s, g.RefMHz)
+	core := r[op.Cube] + r[op.Vector] + r[op.Scalar] + r[op.MTE1]
+	mem := r[op.MTE2] + r[op.MTE3]
+	act := core + 0.35*mem
+	return act * refKindFactor(s)
+}
+
+func refAlpha(g *powersim.Ground, s *op.Spec, fMHz float64) float64 {
+	base := g.AlphaScale * refActivity(g, s)
+	span := float64(g.Chip.Curve.Max() - g.Chip.Curve.Min())
+	drift := g.DriftFrac * refDriftCoef(s) * (fMHz - g.RefMHz) / span
+	return base * (1 + drift)
+}
+
+func refAICoreIdle(g *powersim.Ground, fMHz, deltaT float64) float64 {
+	v := float64(g.Chip.Curve.Voltage(units.MHz(fMHz)))
+	return g.BetaCore*fMHz*v*v + g.ThetaCore*v + g.GammaCore*deltaT*v
+}
+
+func refAICorePower(g *powersim.Ground, s *op.Spec, fMHz, deltaT float64) float64 {
+	p := refAICoreIdle(g, fMHz, deltaT)
+	if s == nil || s.Class != op.Compute {
+		return p
+	}
+	v := float64(g.Chip.Curve.Voltage(units.MHz(fMHz)))
+	return p + refAlpha(g, s, fMHz)*fMHz*v*v
+}
+
+func refAchievedBW(g *powersim.Ground, s *op.Spec, fMHz float64) float64 {
+	if s == nil || s.Class != op.Compute {
+		return 0
+	}
+	bytes := float64(s.Blocks) * (s.LoadBytes + s.StoreBytes)
+	t := refTime(g.Chip, s, fMHz)
+	if t <= 0 {
+		return 0
+	}
+	return bytes / t
+}
+
+func refUncorePower(g *powersim.Ground, s *op.Spec, fMHz, deltaT float64) float64 {
+	p := g.UncoreIdle + g.UncoreGamma*deltaT
+	//lint:allow floateq verbatim copy of the seed's exact sentinel: 1 is the nominal scale
+	if scale := g.UncoreScale; scale > 0 && scale != 1 {
+		p -= g.UncoreIdleDyn * (1 - scale*scale)
+	}
+	if s == nil {
+		return p
+	}
+	switch s.Class {
+	case op.Compute:
+		v := float64(g.Chip.Curve.Voltage(units.MHz(fMHz)))
+		p += g.UncoreBWCoef * refAchievedBW(g, s, fMHz)
+		p += g.UncoreCoupling * refAlpha(g, s, fMHz) * fMHz * v * v
+	case op.AICPU:
+		p += g.AICPUPower
+	case op.Communication:
+		p += g.CommPower
+	}
+	return p
+}
+
+func refSoCPower(g *powersim.Ground, s *op.Spec, fMHz, deltaT float64) float64 {
+	return refAICorePower(g, s, fMHz, deltaT) + refUncorePower(g, s, fMHz, deltaT)
+}
+
+func refRun(p *Profiler, trace []op.Spec, fMHz float64) (*Profile, error) {
+	if err := p.Chip.Validate(); err != nil {
+		return nil, err
+	}
+	if fMHz <= 0 {
+		return nil, fmt.Errorf("profiler: invalid frequency %g MHz", fMHz)
+	}
+	prof := &Profile{FreqMHz: fMHz, Records: make([]Record, len(trace))}
+	now := 0.0
+	for i := range trace {
+		s := &trace[i]
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("profiler: trace entry %d: %w", i, err)
+		}
+		dur := p.measure(refTime(p.Chip, s, fMHz))
+		prof.Records[i] = Record{
+			Index:       i,
+			Spec:        s,
+			StartMicros: now,
+			DurMicros:   dur,
+			FreqMHz:     fMHz,
+			Ratios:      refRatios(p.Chip, s, fMHz),
+		}
+		now += dur
+	}
+	prof.TotalMicros = now
+	return prof, nil
+}
+
+func refRunPower(p *Profiler, trace []op.Spec, fMHz float64, g *powersim.Ground, th *thermal.State) (*Profile, error) {
+	if g == nil || th == nil {
+		return nil, fmt.Errorf("profiler: RunPower needs ground truth and thermal state")
+	}
+	prof, err := refRun(p, trace, fMHz)
+	if err != nil {
+		return nil, err
+	}
+	for i := range prof.Records {
+		r := &prof.Records[i]
+		deltaT := float64(th.DeltaT())
+		core := refAICorePower(g, r.Spec, fMHz, deltaT)
+		soc := refSoCPower(g, r.Spec, fMHz, deltaT)
+		th.Step(units.Micros(r.DurMicros), units.Watt(soc))
+		if p.Sensor != nil {
+			r.AICoreW = p.Sensor.Power(core)
+			r.SoCW = p.Sensor.Power(soc)
+			r.TempC = p.Sensor.Temp(float64(th.TempC()))
+		} else {
+			r.AICoreW = core
+			r.SoCW = soc
+			r.TempC = float64(th.TempC())
+		}
+	}
+	return prof, nil
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit
+// (so -0 differs from +0 and a NaN equals only itself).
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameRatios(a, b [op.NumPipes]float64) bool {
+	for p := range a {
+		if !sameBits(a[p], b[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffProfiles returns the first field where got and want differ in
+// any bit, or "".
+func diffProfiles(got, want *Profile) string {
+	if !sameBits(got.FreqMHz, want.FreqMHz) || !sameBits(got.TotalMicros, want.TotalMicros) {
+		return fmt.Sprintf("header: got (%v, %v), want (%v, %v)", got.FreqMHz, got.TotalMicros, want.FreqMHz, want.TotalMicros)
+	}
+	if len(got.Records) != len(want.Records) {
+		return fmt.Sprintf("%d records, want %d", len(got.Records), len(want.Records))
+	}
+	for i := range got.Records {
+		g, w := &got.Records[i], &want.Records[i]
+		same := g.Index == w.Index && g.Spec == w.Spec &&
+			sameBits(g.StartMicros, w.StartMicros) && sameBits(g.DurMicros, w.DurMicros) &&
+			sameBits(g.FreqMHz, w.FreqMHz) && sameBits(g.AICoreW, w.AICoreW) &&
+			sameBits(g.SoCW, w.SoCW) && sameBits(g.TempC, w.TempC) &&
+			sameRatios(g.Ratios, w.Ratios)
+		if !same {
+			return fmt.Sprintf("record %d (%s): got %+v, want %+v", i, g.Spec.Key(), *g, *w)
+		}
+	}
+	return ""
+}
+
+// TestRunPowerMatchesReferenceBitIdentical chains 30 warm-up calls per
+// registry workload and frequency through the production RunPower and
+// the reference, each with its own profiler (same seed) and thermal
+// state, and requires every profile field and the final die
+// temperature to agree bit for bit. Noisy and noiseless profilers both
+// run: the noisy one also proves the sensor draws stay in order.
+func TestRunPowerMatchesReferenceBitIdentical(t *testing.T) {
+	calls := 30
+	if testing.Short() {
+		calls = 3
+	}
+	chip := npu.Default()
+	g := powersim.Default(chip)
+	profilers := []struct {
+		name string
+		mk   func() *Profiler
+	}{
+		{"noisy", func() *Profiler { return New(chip, 200) }},
+		{"noiseless", func() *Profiler { return NewNoiseless(chip) }},
+	}
+	for _, name := range workload.Names() {
+		m, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []float64{1000, 1400, 1800} {
+			for _, pp := range profilers {
+				label := fmt.Sprintf("%s/%g/%s", name, f, pp.name)
+				compareRunPower(t, label, m.Trace, f, pp.mk(), pp.mk(), g, calls)
+			}
+		}
+	}
+}
+
+// TestRunPowerReferenceOtherChip profiles on a chip that is not the
+// ground's: the durations and ratios are the profiler chip's, while
+// the uncore bandwidth term must stay the ground chip's time.
+func TestRunPowerReferenceOtherChip(t *testing.T) {
+	m, err := workload.ByName("vit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ground := powersim.Default(npu.Default())
+	other := npu.Default().WithUncoreScale(0.8)
+	other.T0 = 0.35
+	mk := func() *Profiler { return New(other, 7) }
+	compareRunPower(t, "vit/other-chip", m.Trace, 1800, mk(), mk(), ground, 5)
+}
+
+// TestRunPowerReferenceTableEdges drives RunPower's per-call table
+// past its edges: more distinct operators than it holds (then repeats
+// of ones it did and did not keep), twins that differ only in the sign
+// of a zero, and a NaN spec — which validates, never matches itself,
+// and poisons every later reading, so it comes last.
+func TestRunPowerReferenceTableEdges(t *testing.T) {
+	m, err := workload.ByName("gpt3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []op.Spec
+	for i := 0; i < 2*termsTableCap; i++ {
+		s := m.Trace[i%len(m.Trace)]
+		s.Blocks += i
+		trace = append(trace, s)
+	}
+	trace = append(trace, trace[:2*termsTableCap]...)
+	plus := op.Spec{
+		Name: "Twin", Shape: "z", Class: op.Compute, Scenario: op.PingPongDep,
+		Blocks: 4, StoreBytes: 1 << 16, CoreCycles: 9000, CorePipe: op.Vector,
+	}
+	minus := plus
+	minus.LoadBytes, minus.L2Hit = math.Copysign(0, -1), math.Copysign(0, -1)
+	trace = append(trace, plus, minus, plus, minus)
+	nan := plus
+	nan.PrePostTime = math.NaN()
+	trace = append(trace, nan, nan)
+
+	g := powersim.Default(npu.Default())
+	mk := func() *Profiler { return New(g.Chip, 3) }
+	compareRunPower(t, "table-edges", trace, 1400, mk(), mk(), g, 3)
+}
+
+func compareRunPower(t *testing.T, label string, trace []op.Spec, f float64, prod, ref *Profiler, g *powersim.Ground, calls int) {
+	t.Helper()
+	thProd := thermal.NewState(thermal.Default())
+	thRef := thermal.NewState(thermal.Default())
+	for call := 0; call < calls; call++ {
+		got, err := prod.RunPower(trace, f, g, thProd)
+		if err != nil {
+			t.Fatalf("%s: RunPower: %v", label, err)
+		}
+		want, err := refRunPower(ref, trace, f, g, thRef)
+		if err != nil {
+			t.Fatalf("%s: reference RunPower: %v", label, err)
+		}
+		if d := diffProfiles(got, want); d != "" {
+			t.Fatalf("%s call %d diverged from the reference: %s", label, call, d)
+		}
+		if !sameBits(float64(thProd.TempC()), float64(thRef.TempC())) {
+			t.Fatalf("%s call %d: die at %v °C, reference %v °C", label, call, thProd.TempC(), thRef.TempC())
+		}
+	}
+}
+
+// TestGroundTermsMatchReferenceBitIdentical compares the one-pass power
+// terms — through Terms and through the AICorePower / UncorePower /
+// SoCPower / AICoreIdle wrappers — with the reference on an idle chip
+// and every entry class, at every grid frequency, three temperature
+// rises and the stock and a downclocked uncore (set up the way the
+// executor's scaled view is).
+func TestGroundTermsMatchReferenceBitIdentical(t *testing.T) {
+	vit, err := workload.ByName("vit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []*op.Spec{
+		nil,
+		{Name: "aicpu", Class: op.AICPU, FixedTime: 30},
+		{Name: "allreduce", Class: op.Communication, FixedTime: 150},
+		{Name: "idle", Class: op.Idle, FixedTime: 40},
+	}
+	seen := map[string]bool{}
+	for i := range vit.Trace {
+		if s := &vit.Trace[i]; s.Class == op.Compute && !seen[s.Key()] {
+			seen[s.Key()] = true
+			specs = append(specs, s)
+		}
+	}
+	for _, scale := range []float64{1, 0.8} {
+		chip := npu.Default()
+		g := powersim.Default(chip)
+		//lint:allow floateq exact sentinel: 1 is the stock view
+		if scale != 1 {
+			g.Chip = chip.WithUncoreScale(scale)
+			g.UncoreScale = scale
+		}
+		for _, f := range units.Floats(chip.Curve.Grid()) {
+			for _, s := range specs {
+				terms := g.Terms(s, f)
+				for _, dt := range []float64{0, 12.5, 30} {
+					label := fmt.Sprintf("scale %g, %g MHz, ΔT %g, spec %v", scale, f, dt, s)
+					core, soc := terms.Power(dt)
+					checks := []struct {
+						what      string
+						got, want float64
+					}{
+						{"Terms.Power core", core, refAICorePower(g, s, f, dt)},
+						{"Terms.Power soc", soc, refSoCPower(g, s, f, dt)},
+						{"AICorePower", g.AICorePower(s, f, dt), refAICorePower(g, s, f, dt)},
+						{"UncorePower", g.UncorePower(s, f, dt), refUncorePower(g, s, f, dt)},
+						{"SoCPower", g.SoCPower(s, f, dt), refSoCPower(g, s, f, dt)},
+						{"AICoreIdle", g.AICoreIdle(f, dt), refAICoreIdle(g, f, dt)},
+					}
+					for _, c := range checks {
+						if !sameBits(c.got, c.want) {
+							t.Fatalf("%s: %s = %v, reference %v", label, c.what, c.got, c.want)
+						}
+					}
+				}
+				if s != nil {
+					if got, want := g.Alpha(s, f), refAlpha(g, s, f); !sameBits(got, want) {
+						t.Fatalf("scale %g, %g MHz, %s: Alpha = %v, reference %v", scale, f, s.Key(), got, want)
+					}
+					if got, want := g.Activity(s), refActivity(g, s); !sameBits(got, want) {
+						t.Fatalf("%s: Activity = %v, reference %v", s.Key(), got, want)
+					}
+					tm, ratios := g.Chip.TimeRatios(s, f)
+					if !sameBits(tm, refTime(g.Chip, s, f)) || !sameRatios(ratios, refRatios(g.Chip, s, f)) {
+						t.Fatalf("%s at %g MHz: TimeRatios = (%v, %v), reference (%v, %v)",
+							s.Key(), f, tm, ratios, refTime(g.Chip, s, f), refRatios(g.Chip, s, f))
+					}
+				}
+			}
+		}
+	}
+}

@@ -243,7 +243,7 @@ type lineSlot struct {
 // is not worth a slot. At most half the slots are ever taken, so the
 // probe ends.
 func (t *lineTable) appendLine(buf []byte, s *op.Spec) []byte {
-	hash := specHash(s)
+	hash := s.Hash()
 	i := hash % uint64(len(t.slots))
 	for ; t.slots[i].spec != nil; i = (i + 1) % uint64(len(t.slots)) {
 		if slot := &t.slots[i]; slot.hash == hash && *slot.spec == *s {
@@ -260,29 +260,6 @@ func (t *lineTable) appendLine(buf []byte, s *op.Spec) []byte {
 		t.n++
 	}
 	return buf
-}
-
-// specHash mixes the fields that tell a trace's operators apart in
-// practice; appendLine settles equality on the whole spec.
-func specHash(s *op.Spec) uint64 {
-	const m = 0x9e3779b97f4a7c15
-	h := uint64(len(s.Name))<<8 ^ uint64(len(s.Shape))
-	if len(s.Name) > 0 {
-		h ^= uint64(s.Name[0])<<24 ^ uint64(s.Name[len(s.Name)-1])<<16
-	}
-	if len(s.Shape) > 0 {
-		h ^= uint64(s.Shape[len(s.Shape)-1]) << 32
-	}
-	h = (h ^ uint64(s.Blocks)) * m
-	h = (h ^ math.Float64bits(s.LoadBytes)) * m
-	h = (h ^ math.Float64bits(s.StoreBytes)) * m
-	h = (h ^ math.Float64bits(s.CoreCycles)) * m
-	h = (h ^ math.Float64bits(s.L2Hit)) * m
-	h = (h ^ math.Float64bits(s.PrePostTime)) * m
-	h = (h ^ math.Float64bits(s.FixedTime)) * m
-	// A product's high bits are its mixed ones; the table indexes with
-	// the low bits.
-	return h ^ h>>47
 }
 
 // appendSpecLine appends json.Marshal(specToJSON(s)) and a newline.

@@ -19,6 +19,9 @@
 #     a call live in its frame.
 #   - BenchmarkStages/gpt3 reports under 8 MB/op: stage merging keeps
 #     its stages in place (795 MB/op when every merge copied the slice).
+#   - BenchmarkRunPower/vit reports at most 2 allocs/op, the Profile and
+#     its Records: each operator's power terms live in RunPower's frame
+#     (were they to escape per operator it would read >= 721).
 #
 # Wall-clock-dependent floors (the 2x search speedup, the 1->4 worker
 # scaling) are asserted by scripts/bench.sh, which measures properly.
@@ -77,3 +80,10 @@ if [ "$bytes" -ge 8000000 ]; then
     exit 1
 fi
 echo "bench-smoke: BenchmarkStages/gpt3 at $bytes B/op"
+
+allocs=$(field BenchmarkRunPower/vit allocs/op)
+if [ "$allocs" -gt 2 ]; then
+    echo "bench-smoke: BenchmarkRunPower/vit reports $allocs allocs/op, want <= 2 (the Profile and its Records)" >&2
+    exit 1
+fi
+echo "bench-smoke: BenchmarkRunPower/vit at $allocs allocs/op"
