@@ -3,10 +3,10 @@
 # (the repo ships concurrency — shared Executors, GA worker pools, the
 # parallel experiment harness and the dvfsd serving layer — so a
 # race-clean run is part of "tests pass"), and finally the dvfsd
-# end-to-end smoke.
-.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short bench bench-smoke serve-smoke load-smoke cluster-smoke load-bench
+# end-to-end smokes.
+.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short bench-smoke serve-smoke cluster-smoke
 
-verify: build bench-build vet fmt-check lint test race serve-smoke load-smoke cluster-smoke
+verify: build bench-build vet fmt-check lint test race serve-smoke cluster-smoke
 
 build:
 	go build ./...
@@ -60,14 +60,6 @@ race:
 short:
 	go test -short ./...
 
-# Runs the hot-path benchmarks (including the island-engine scaling
-# curve) and writes results/BENCH_10.json with speedup_vs_seed ratios
-# against the frozen baseline in results/BENCH_5_SEED.json. On hosts
-# with ≥4 cores it also asserts the 1->4 worker scaling floor. See
-# DESIGN.md §10 and §13 for how to read it.
-bench:
-	./scripts/bench.sh
-
 # Every benchmark in the repo, once each — the CI smoke that they
 # still compile and run — plus the cheap perf-contract assertions
 # (BenchmarkGASearch must stay allocation-free).
@@ -80,21 +72,9 @@ bench-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Bounded dvfsload smoke: replays the three canonical mixes for ~1 s
-# each against fresh in-process daemons and sanity-checks the emitted
-# artifact (every mix present, non-zero QPS, no hard errors).
-load-smoke:
-	./scripts/load_smoke.sh
-
 # Boots a 3-node consistent-hash cluster with durable fs stores,
 # submits through a non-owner (asserting the forward and the cache
 # locality it buys), SIGKILLs the owner mid-search and asserts the
 # restarted node recovers every acknowledged job. DESIGN.md §12.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
-
-# Full load benchmark: replays the canonical mixes at defaults and
-# writes results/BENCH_6.json with qps/p99 _vs_seed ratios against the
-# frozen baseline in results/BENCH_6_SEED.json. See DESIGN.md §11.
-load-bench:
-	go run ./cmd/dvfsload

@@ -403,8 +403,8 @@ func BenchmarkGASearch(b *testing.B) {
 }
 
 // BenchmarkGASearchScaling measures the same search with the
-// population split across 8 islands at increasing worker counts — the
-// evals/s curve scripts/bench.sh turns into parallel_efficiency. On a
+// population split across 8 islands at increasing worker counts: the
+// evals/s curve that says whether islands scale with cores. On a
 // single-CPU runner (GOMAXPROCS=1) the worker goroutines serialize
 // and all points degenerate to the sequential rate; results are
 // byte-identical at every point regardless (determinism contract).

@@ -10,8 +10,6 @@
 //	         optionally wait for the strategy
 //	status   print one job's status
 //	fetch    print (or save) a completed job's strategy JSON
-//	bench    time repeated submissions of one request — demonstrates
-//	         the strategy cache (first run searches, the rest hit)
 //	owner    print which ring node owns a request's strategy key
 //	cluster  print the daemon's /v1/cluster status
 //	metrics  dump the daemon's /metrics text
@@ -27,11 +25,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"time"
 
 	"npudvfs/internal/cluster/ring"
 	"npudvfs/internal/server/client"
@@ -40,11 +39,16 @@ import (
 	"npudvfs/internal/workload"
 )
 
-// ctl bundles the base client with the optional ring-aware peer set.
+// errUsage is a command line naming no known command; main exits 2.
+var errUsage = errors.New("usage: dvfsctl [-addr URL] [-ring FILE] {submit|status|fetch|owner|cluster|metrics} [flags]")
+
+// ctl bundles the base client with the optional ring-aware peer set
+// and the streams the commands write to.
 type ctl struct {
-	base  *client.Client
-	rg    *ring.Ring
-	peers map[string]*client.Client
+	base           *client.Client
+	rg             *ring.Ring
+	peers          map[string]*client.Client
+	stdout, stderr io.Writer
 }
 
 // newClient returns a retrying client for one daemon address.
@@ -71,46 +75,47 @@ func (c *ctl) forRequest(req *traceio.StrategyRequest) *client.Client {
 }
 
 func main() {
-	addr := ""
-	ringPath := ""
-	args := os.Args[1:]
-	// Global -addr/-ring flags may precede the subcommand, in any order.
-	for len(args) >= 2 {
-		switch args[0] {
-		case "-addr", "--addr":
-			addr = args[1]
-		case "-ring", "--ring":
-			ringPath = args[1]
-		default:
-			goto parsed
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "dvfsctl:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		args = args[2:]
+		os.Exit(1)
 	}
-parsed:
+}
+
+// run parses the global flags, which precede the command, and runs the
+// command.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dvfsctl", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "", "daemon URL (default http://127.0.0.1:7077, or the first ring member with -ring)")
+	ringPath := fs.String("ring", "", "ring file: submit straight to each key's owner")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	var rg *ring.Ring
-	if ringPath != "" {
+	if *ringPath != "" {
 		var err error
-		rg, err = ring.Load(ringPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dvfsctl:", err)
-			os.Exit(1)
+		if rg, err = ring.Load(*ringPath); err != nil {
+			return err
 		}
 	}
-	if addr == "" {
+	if *addr == "" {
 		if rg != nil {
 			// No explicit daemon: default to the first ring member.
-			addr = rg.Nodes()[0].Addr
+			*addr = rg.Nodes()[0].Addr
 		} else {
-			addr = "http://127.0.0.1:7077"
+			*addr = "http://127.0.0.1:7077"
 		}
 	}
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
+	if !strings.Contains(*addr, "://") {
+		*addr = "http://" + *addr
 	}
-	if len(args) == 0 {
-		usage()
+	if fs.NArg() == 0 {
+		return errUsage
 	}
-	c := &ctl{base: newClient(addr), rg: rg}
+	c := &ctl{base: newClient(*addr), rg: rg, stdout: stdout, stderr: stderr}
 	if rg != nil {
 		c.peers = make(map[string]*client.Client)
 		for _, n := range rg.Nodes() {
@@ -118,38 +123,29 @@ parsed:
 		}
 	}
 	ctx := context.Background()
-	var err error
-	switch args[0] {
+	args = fs.Args()[1:]
+	switch fs.Arg(0) {
 	case "submit":
-		err = runSubmit(ctx, c, args[1:])
+		return runSubmit(ctx, c, args)
 	case "status":
-		err = runStatus(ctx, c.base, args[1:])
+		return runStatus(ctx, c, args)
 	case "fetch":
-		err = runFetch(ctx, c.base, args[1:])
-	case "bench":
-		err = runBench(ctx, c, args[1:])
+		return runFetch(ctx, c, args)
 	case "owner":
-		err = runOwner(c, args[1:])
+		return runOwner(c, args)
 	case "cluster":
-		err = runCluster(ctx, c.base)
+		return runCluster(ctx, c)
 	case "metrics":
-		err = runMetrics(ctx, c.base)
+		return runMetrics(ctx, c)
 	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dvfsctl:", err)
-		os.Exit(1)
+		return errUsage
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dvfsctl [-addr URL] [-ring FILE] {submit|status|fetch|bench|owner|cluster|metrics} [flags]")
-	os.Exit(2)
-}
-
-func newFlagSet(name string) *flag.FlagSet {
-	return flag.NewFlagSet("dvfsctl "+name, flag.ExitOnError)
+func (c *ctl) newFlagSet(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet("dvfsctl "+name, flag.ExitOnError)
+	fs.SetOutput(c.stderr)
+	return fs
 }
 
 // searchFlags registers the SearchSpec knobs on a flag set and returns
@@ -191,7 +187,7 @@ func buildRequest(workloadName, tracePath string, spec traceio.SearchSpec) (*tra
 }
 
 func runSubmit(ctx context.Context, c *ctl, args []string) error {
-	fs := newFlagSet("submit")
+	fs := c.newFlagSet("submit")
 	workloadName := fs.String("workload", "", "registry workload name")
 	tracePath := fs.String("trace", "", "workload trace JSON file (traceio format)")
 	wait := fs.Bool("wait", true, "poll until the job finishes")
@@ -210,9 +206,9 @@ func runSubmit(ctx context.Context, c *ctl, args []string) error {
 		return err
 	}
 	if st.Cached {
-		fmt.Printf("job %s: served from cache\n", st.ID)
+		fmt.Fprintf(c.stdout, "job %s: served from cache\n", st.ID)
 	} else {
-		fmt.Printf("job %s: %s\n", st.ID, st.State)
+		fmt.Fprintf(c.stdout, "job %s: %s\n", st.ID, st.State)
 	}
 	if !*wait && *save == "" {
 		return nil
@@ -220,26 +216,26 @@ func runSubmit(ctx context.Context, c *ctl, args []string) error {
 	if st, err = cl.Wait(ctx, st.ID, 0); err != nil {
 		return err
 	}
-	return reportJob(st, *save)
+	return reportJob(c.stdout, st, *save)
 }
 
 // reportJob prints the human summary of a finished job and saves the
 // strategy when asked.
-func reportJob(st *traceio.JobStatus, save string) error {
+func reportJob(w io.Writer, st *traceio.JobStatus, save string) error {
 	if st.State != traceio.JobDone {
 		return fmt.Errorf("job %s finished %s: %s", st.ID, st.State, st.Error)
 	}
 	r := st.Result
-	fmt.Printf("workload %s: %d stages, %d SetFreq per iteration, %d evaluations\n",
+	fmt.Fprintf(w, "workload %s: %d stages, %d SetFreq per iteration, %d evaluations\n",
 		r.Workload, r.Stages, r.Switches, r.Evaluations)
-	fmt.Printf("predicted: time %+.2f%%  SoC power -%.2f%%  AICore power -%.2f%%\n",
+	fmt.Fprintf(w, "predicted: time %+.2f%%  SoC power -%.2f%%  AICore power -%.2f%%\n",
 		r.Predicted.PerfLossPct, r.Predicted.SoCSavingPct, r.Predicted.CoreSavingPct)
-	fmt.Printf("latency: queue %.0f ms, search %.0f ms\n", st.QueueMillis, st.SearchMillis)
+	fmt.Fprintf(w, "latency: queue %.0f ms, search %.0f ms\n", st.QueueMillis, st.SearchMillis)
 	if save != "" {
 		if err := saveStrategy(save, r.Strategy); err != nil {
 			return err
 		}
-		fmt.Printf("strategy written to %s\n", save)
+		fmt.Fprintf(w, "strategy written to %s\n", save)
 	}
 	return nil
 }
@@ -255,21 +251,21 @@ func saveStrategy(path string, raw json.RawMessage) error {
 	return traceio.SaveStrategy(path, strat)
 }
 
-func runStatus(ctx context.Context, c *client.Client, args []string) error {
+func runStatus(ctx context.Context, c *ctl, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: dvfsctl status JOB_ID")
 	}
-	st, err := c.Job(ctx, args[0])
+	st, err := c.base.Job(ctx, args[0])
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(c.stdout)
 	enc.SetIndent("", " ")
 	return enc.Encode(st)
 }
 
-func runFetch(ctx context.Context, c *client.Client, args []string) error {
-	fs := newFlagSet("fetch")
+func runFetch(ctx context.Context, c *ctl, args []string) error {
+	fs := c.newFlagSet("fetch")
 	save := fs.String("save", "", "write the strategy JSON to this path instead of stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -277,7 +273,7 @@ func runFetch(ctx context.Context, c *client.Client, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: dvfsctl fetch [-save FILE] JOB_ID")
 	}
-	st, err := c.Job(ctx, fs.Arg(0))
+	st, err := c.base.Job(ctx, fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -287,51 +283,7 @@ func runFetch(ctx context.Context, c *client.Client, args []string) error {
 	if *save != "" {
 		return saveStrategy(*save, st.Result.Strategy)
 	}
-	fmt.Println(string(st.Result.Strategy))
-	return nil
-}
-
-func runBench(ctx context.Context, c *ctl, args []string) error {
-	fs := newFlagSet("bench")
-	workloadName := fs.String("workload", "", "registry workload name")
-	tracePath := fs.String("trace", "", "workload trace JSON file")
-	n := fs.Int("n", 5, "resubmissions after the first completes")
-	spec := searchFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	req, err := buildRequest(*workloadName, *tracePath, spec())
-	if err != nil {
-		return err
-	}
-	cl := c.forRequest(req)
-	start := time.Now()
-	st, err := cl.Submit(ctx, req)
-	if err != nil {
-		return err
-	}
-	if st, err = cl.Wait(ctx, st.ID, 0); err != nil {
-		return err
-	}
-	if st.State != traceio.JobDone {
-		return fmt.Errorf("job %s finished %s: %s", st.ID, st.State, st.Error)
-	}
-	fmt.Printf("cold: %s (cached=%v, search %.0f ms)\n",
-		time.Since(start).Round(time.Millisecond), st.Cached, st.SearchMillis)
-	for i := 0; i < *n; i++ {
-		start = time.Now()
-		hit, err := cl.Submit(ctx, req)
-		if err != nil {
-			return err
-		}
-		if hit.State != traceio.JobDone {
-			if hit, err = cl.Wait(ctx, hit.ID, 0); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("resubmit %d: %s (cached=%v)\n",
-			i+1, time.Since(start).Round(time.Microsecond), hit.Cached)
-	}
+	fmt.Fprintln(c.stdout, string(st.Result.Strategy))
 	return nil
 }
 
@@ -342,7 +294,7 @@ func runOwner(c *ctl, args []string) error {
 	if c.rg == nil {
 		return fmt.Errorf("owner requires -ring FILE")
 	}
-	fs := newFlagSet("owner")
+	fs := c.newFlagSet("owner")
 	workloadName := fs.String("workload", "", "registry workload name")
 	tracePath := fs.String("trace", "", "workload trace JSON file")
 	spec := searchFlags(fs)
@@ -358,25 +310,25 @@ func runOwner(c *ctl, args []string) error {
 		return err
 	}
 	n := c.rg.Owner(key)
-	fmt.Printf("key %s\nowner: %s %s\n", key, n.ID, n.Addr)
+	fmt.Fprintf(c.stdout, "key %s\nowner: %s %s\n", key, n.ID, n.Addr)
 	return nil
 }
 
-func runCluster(ctx context.Context, c *client.Client) error {
-	st, err := c.Cluster(ctx)
+func runCluster(ctx context.Context, c *ctl) error {
+	st, err := c.base.Cluster(ctx)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(c.stdout)
 	enc.SetIndent("", " ")
 	return enc.Encode(st)
 }
 
-func runMetrics(ctx context.Context, c *client.Client) error {
-	text, err := c.Metrics(ctx)
+func runMetrics(ctx context.Context, c *ctl) error {
+	text, err := c.base.Metrics(ctx)
 	if err != nil {
 		return err
 	}
-	fmt.Print(text)
+	fmt.Fprint(c.stdout, text)
 	return nil
 }

@@ -26,13 +26,12 @@ type Client struct {
 	// Trace, if set, is invoked after every HTTP round trip the client
 	// makes — including each poll inside Wait and each retry attempt —
 	// with the request's timing and outcome. It must be safe for
-	// concurrent use; the load generator installs one to build
-	// transport-level latency and status-code distributions.
+	// concurrent use; bench/'s traced phase installs one to time submit
+	// and poll round trips.
 	Trace func(RequestInfo)
 	// Retry, if set, retries transient failures (transport errors and
 	// retryable 5xx responses) with bounded jittered backoff. Nil means
-	// no retries — every attempt is surfaced, which the load generator
-	// depends on to attribute failures.
+	// one attempt per call: every failure is returned as it happened.
 	Retry *Retry
 }
 

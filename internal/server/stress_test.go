@@ -15,7 +15,7 @@ import (
 // Stress tests for the serving path's job lifecycle. Under -race these
 // are the data-race gate for submit/poll/shutdown; without -race they
 // still pin the logical invariants (no lost jobs, shutdown means
-// quiesced) the load harness depends on.
+// quiesced) clients depend on.
 
 // deepSearch is the largest search the API admits: its GA runs long
 // enough (tens of seconds at full speed) to keep a worker busy for a
@@ -88,12 +88,14 @@ func TestSubmitPollNoLostJobs(t *testing.T) {
 }
 
 // TestSubmitPollMetricsConcurrentStress fans concurrent submitters,
-// pollers and /metrics scrapers at one server — the shape dvfsload
-// generates. Under -race this gates the whole serving path including
-// the metrics mutex; the capacity is large enough that a just-added
-// job is never evicted before its first poll.
+// pollers and /metrics scrapers at one server. Under -race this gates
+// the whole serving path including the metrics mutex. Each submitter
+// polls every accepted job until it is terminal: overload surfaces only
+// as a 503 at submit, an accepted job is never lost and finishes done,
+// and its repeat is a cache hit. Retention (37 here) is far above the
+// four jobs live at once, so no job is evicted before its last poll.
 func TestSubmitPollMetricsConcurrentStress(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8}) // retention cap 32
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8})
 
 	perWorker := 25
 	if testing.Short() {
@@ -117,16 +119,31 @@ func TestSubmitPollMetricsConcurrentStress(t *testing.T) {
 					errs <- fmt.Errorf("submitter %d: code %d", g, code)
 					return
 				}
-				if code, _ := getJob(t, ts, st.ID); code != http.StatusOK {
-					errs <- fmt.Errorf("submitter %d: job %s lost right after submit (GET %d)", g, st.ID, code)
+				for {
+					code, polled := getJob(t, ts, st.ID)
+					if code != http.StatusOK {
+						errs <- fmt.Errorf("submitter %d: job %s lost (GET %d)", g, st.ID, code)
+						return
+					}
+					if traceio.IsTerminal(polled.State) {
+						if polled.State != traceio.JobDone {
+							errs <- fmt.Errorf("submitter %d: job %s finished %q (%s)", g, st.ID, polled.State, polled.Error)
+							return
+						}
+						break
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+				if code, hit := submit(t, ts, smallSearch(seed)); code != http.StatusOK || !hit.Cached {
+					errs <- fmt.Errorf("submitter %d: repeat of seed %d answered %d, want a 200 cache hit", g, seed, code)
 					return
 				}
 			}
 		}(g)
 	}
-	// Mid-run scrapes: the load generator reads queue-depth curves
-	// while traffic is in flight, so the metrics path must be
-	// race-clean against the job lifecycle.
+	// Mid-run scrapes: operators read queue-depth curves while traffic
+	// is in flight, so the metrics path must be race-clean against the
+	// job lifecycle.
 	stop := make(chan struct{})
 	var scrapeWG sync.WaitGroup
 	scrapeWG.Add(1)

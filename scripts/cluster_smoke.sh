@@ -11,7 +11,9 @@
 #      straight to the owner and hits its strategy cache,
 #   3. crash recovery: SIGKILL the owner mid-search, restart it over
 #      the same store directory, and every acknowledged job still
-#      reaches done — including jobs that never got to run.
+#      reaches done — including jobs that never got to run,
+#   4. ring-routed submissions after the restart finish done on their
+#      owners, and a repeat is served from its owner's cache.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,10 +27,9 @@ trap cleanup EXIT
 
 fail() { echo "cluster-smoke: FAIL: $*" >&2; exit 1; }
 
-echo "cluster-smoke: building dvfsd, dvfsctl, dvfsload, dvfs-run, freeports"
+echo "cluster-smoke: building dvfsd, dvfsctl, dvfs-run, freeports"
 go build -o "$tmp/dvfsd" ./cmd/dvfsd
 go build -o "$tmp/dvfsctl" ./cmd/dvfsctl
-go build -o "$tmp/dvfsload" ./cmd/dvfsload
 go build -o "$tmp/dvfs-run" ./cmd/dvfs-run
 go build -o "$tmp/freeports" ./scripts/freeports
 
@@ -187,20 +188,22 @@ echo "cluster-smoke: both interrupted jobs recovered to done"
 # keeps server.Retention(workers=1, queue=16) = 66 records and evicts
 # terminal ones oldest-first, and $owner has written 4 so far ($job_id,
 # the cache-hit resubmission, the two slow jobs). Anything that writes
-# more than 62 further records through $owner — the load stream below
-# does; a cache hit writes a job record too — has to come after this.
+# more than 62 further records through $owner — a cache hit writes a
+# job record too — has to come after this.
 "$tmp/dvfsctl" -addr "$(addr_of "$owner")" fetch -save "$tmp/refetched.json" "$job_id"
 diff -u "$tmp/batch.json" "$tmp/refetched.json" \
     || fail "terminal record's strategy changed across the crash"
 echo "cluster-smoke: pre-crash result still served byte-identically"
 
-echo "cluster-smoke: mixed dvfsload stream across the ring (restarted $owner included)"
-load_out=$("$tmp/dvfsload" -addr "$(addr_of n1)" -ring "$ring" \
-    -mixes mixed -mode closed -clients 2 -duration 1s -out "" -baseline "")
-echo "$load_out" | grep -q ' errors=0 ' \
-    || fail "ring-routed dvfsload stream saw hard errors:"$'\n'"$load_out"
-if echo "$load_out" | grep -q ' completed=0 '; then
-    fail "ring-routed dvfsload stream completed nothing:"$'\n'"$load_out"
-fi
+echo "cluster-smoke: ring-routed submissions (fresh seeds, then a repeat)"
+# dvfsctl submit waits for the job and exits non-zero unless it is done.
+for seed in 201 202 203 204 205; do
+    out=$("$tmp/dvfsctl" -ring "$ring" submit -workload resnet50 -pop 16 -gens 8 -seed "$seed") \
+        || fail "ring-routed submit of seed $seed failed:"$'\n'"$out"
+done
+repeat=$("$tmp/dvfsctl" -ring "$ring" submit -workload resnet50 -pop 16 -gens 8 -seed 205) \
+    || fail "ring-routed repeat failed:"$'\n'"$repeat"
+echo "$repeat" | grep -q 'served from cache' \
+    || fail "ring-routed repeat missed its owner's cache:"$'\n'"$repeat"
 
 echo "cluster-smoke: PASS"
