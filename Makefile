@@ -4,7 +4,7 @@
 # parallel experiment harness and the dvfsd serving layer — so a
 # race-clean run is part of "tests pass"), and finally the dvfsd
 # end-to-end smokes.
-.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short bench-smoke serve-smoke cluster-smoke
+.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short bench-smoke fuzz-smoke serve-smoke cluster-smoke
 
 verify: build bench-build vet fmt-check lint test race serve-smoke cluster-smoke
 
@@ -65,6 +65,14 @@ short:
 # (BenchmarkGASearch must stay allocation-free).
 bench-smoke:
 	./scripts/bench_smoke.sh
+
+# Ten seconds of fuzzing for each of the two hand-written codecs held
+# to encoding/json: the fast trace decoder (FuzzReadWorkload) and the
+# fingerprint encoder (FuzzFingerprint). go test -fuzz takes one target
+# per call.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzReadWorkload$$' -fuzztime 10s ./internal/traceio
+	go test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/traceio
 
 # Boots dvfsd on a random port, submits the quickstart trace through
 # dvfsctl, asserts the served strategy matches the batch path and that

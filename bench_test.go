@@ -7,7 +7,9 @@
 package npudvfs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -684,6 +686,41 @@ func BenchmarkFingerprint(b *testing.B) {
 		distinct[i].Blocks += i
 	}
 	run("distinct", distinct)
+}
+
+// BenchmarkReadWorkload measures decoding an inline trace, the body of
+// every inline submission. The body is WriteWorkload's output compacted,
+// as it arrives inside a request's JSON. scripts/bench_smoke.sh holds
+// gpt3 to at most 256 allocs/op: the fast decoder builds the operators
+// in one pass and allocates each distinct name or shape once.
+func BenchmarkReadWorkload(b *testing.B) {
+	for _, name := range []string{"resnet50", "gpt3"} {
+		b.Run(name, func(b *testing.B) {
+			m, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var indented, body bytes.Buffer
+			if err := traceio.WriteWorkload(&indented, m); err != nil {
+				b.Fatal(err)
+			}
+			if err := json.Compact(&body, indented.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(body.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var back *workload.Model
+			for i := 0; i < b.N; i++ {
+				if back, err = traceio.ReadWorkload(bytes.NewReader(body.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if back.Ops() != m.Ops() {
+				b.Fatalf("decoded %d operators, want %d", back.Ops(), m.Ops())
+			}
+		})
+	}
 }
 
 // BenchmarkServeHit measures a whole cache hit as dvfsd serves it:

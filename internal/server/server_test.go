@@ -184,6 +184,103 @@ func TestSubmitBadJSON(t *testing.T) {
 	}
 }
 
+// TestSubmitTraceOpCeiling: an inline trace above traceio's operator
+// ceiling is refused at submit with 400 and an error naming the limit,
+// since a model build cannot be cancelled once a worker starts it; a
+// trace at the ceiling is accepted. The accepted job waits behind a
+// deep search on the one worker, and the forced shutdown cancels it in
+// the queue, before its model build.
+func TestSubmitTraceOpCeiling(t *testing.T) {
+	const maxTraceOps = 1 << 17 // traceio's unexported ceiling
+	lab, bundle := fixture(t)
+	s, err := New(Config{
+		Workers: 1, QueueDepth: 4, Lab: lab,
+		Bundles: map[string]*traceio.ModelBundle{"resnet50": bundle},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		_ = s.Shutdown(ctx) // force-cancels the deep search and the queued job
+	})
+	if code, _ := submit(t, ts, deepSearch(1)); code != http.StatusAccepted {
+		t.Fatalf("deep search: code %d, want 202", code)
+	}
+	body := func(ops int) string {
+		var b strings.Builder
+		b.WriteString(`{"trace":{"name":"ceiling","trace":[`)
+		for i := 0; i < ops; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(`{"name":"i","class":"idle","fixed_us":1}`)
+		}
+		b.WriteString(`]},"search":{"pop":8,"gens":2}}`)
+		return b.String()
+	}
+	resp, err := http.Post(ts.URL+"/v1/strategies", "application/json", strings.NewReader(body(maxTraceOps+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused traceio.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&refused)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refused.Error, fmt.Sprint(maxTraceOps)) {
+		t.Errorf("%d operators: code %d (%q), want 400 naming the limit %d",
+			maxTraceOps+1, resp.StatusCode, refused.Error, maxTraceOps)
+	}
+	if code, _ := submit(t, ts, body(maxTraceOps)); code != http.StatusAccepted {
+		t.Errorf("%d operators: code %d, want 202", maxTraceOps, code)
+	}
+}
+
+// TestInlineFallbackBodySharesCacheEntry: an inline trace outside the
+// fast decoder's subset — an escaped letter in its name, an upper-case
+// key — is decoded by the encoding/json reference to the same trace, so
+// it gets the canonical body's fingerprint and its cache entry.
+func TestInlineFallbackBodySharesCacheEntry(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	m := workload.ResNet50()
+	var indented, canonical bytes.Buffer
+	if err := traceio.WriteWorkload(&indented, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&canonical, indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	variant := strings.Replace(canonical.String(), `{"name":"Resnet50"`, `{"name":"\u0052esnet50"`, 1)
+	variant = strings.Replace(variant, `"class":`, `"CLASS":`, 1)
+	if !strings.Contains(variant, `\u0052`) || !strings.Contains(variant, `"CLASS":`) {
+		t.Fatal("the variant body did not take its edits")
+	}
+	const search = `"search":{"pop":16,"gens":8,"seed":7}`
+	code, st := submit(t, ts, `{"trace":`+canonical.String()+`,`+search+`}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("canonical body: code %d, want 202", code)
+	}
+	done := waitJob(t, ts, st.ID)
+	if done.State != traceio.JobDone {
+		t.Fatalf("canonical body: job %q (%s)", done.State, done.Error)
+	}
+	code, hit := submit(t, ts, `{"trace":`+variant+`,`+search+`}`)
+	if code != http.StatusOK || !hit.Cached {
+		t.Fatalf("fallback body: code %d, want 200 from the cache", code)
+	}
+	if want := traceio.Fingerprint(m.Trace); hit.Result.Fingerprint != want || done.Result.Fingerprint != want {
+		t.Errorf("fingerprints %q and %q, want both %q", done.Result.Fingerprint, hit.Result.Fingerprint, want)
+	}
+	if !bytes.Equal(hit.Result.Strategy, done.Result.Strategy) {
+		t.Error("fallback body got a different strategy")
+	}
+}
+
 func TestSubmitUnknownWorkload(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if code, _ := submit(t, ts, `{"workload": "nonsense"}`); code != http.StatusNotFound {

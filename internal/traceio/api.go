@@ -84,6 +84,13 @@ const (
 	maxGens = 60000
 )
 
+// maxTraceOps bounds the operators in an inline trace. Model building
+// takes no context, so a job's timeout cannot stop it: a trace of a few
+// hundred thousand operators — a 64 MiB body holds ~1.5 M minimal ones —
+// would pin a worker through four profiling passes whatever the client
+// asked. The ceiling is 7× GPT-3's 18,482, the largest registry trace.
+const maxTraceOps = 1 << 17
+
 // Canonicalize fills defaults and validates ranges. The defaults equal
 // the cmd/dvfs-run flag defaults so a server-generated strategy is
 // byte-identical to the batch path's for the same workload and seed.
@@ -138,7 +145,8 @@ type StrategyRequest struct {
 }
 
 // Resolve validates the request, canonicalizes the search spec and
-// returns the workload model it refers to.
+// returns the workload model it refers to. An inline trace is read with
+// ReadWorkload and may hold at most maxTraceOps operators.
 func (r *StrategyRequest) Resolve() (*workload.Model, error) {
 	if err := r.Search.Canonicalize(); err != nil {
 		return nil, err
@@ -158,6 +166,9 @@ func (r *StrategyRequest) Resolve() (*workload.Model, error) {
 		m, err := ReadWorkload(bytes.NewReader(r.Trace))
 		if err != nil {
 			return nil, err
+		}
+		if len(m.Trace) > maxTraceOps {
+			return nil, fmt.Errorf("traceio: inline trace has %d operators, above the limit of %d", len(m.Trace), maxTraceOps)
 		}
 		return m, nil
 	}

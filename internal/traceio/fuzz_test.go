@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -84,18 +85,56 @@ func FuzzSearchSpecHash(f *testing.F) {
 	})
 }
 
-// FuzzReadWorkload ensures the trace parser never panics and validates
-// everything it accepts.
+// FuzzReadWorkload ensures the trace parser never panics, validates
+// everything it accepts, and holds the fast decoder to the encoding/json
+// reference: whatever the fast decoder takes, the reference takes too
+// and decodes to the same model, floats compared by their bits.
 func FuzzReadWorkload(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteWorkload(&buf, workload.MicroOp(workload.TanhOp(), 2)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
+	// A registry trace as written and as a server receives it, cut to
+	// its first operators: a whole one (82 KB at the smallest) leaves
+	// the fuzzer minimizing more than mutating.
+	head := workload.ResNet50()
+	head.Trace = head.Trace[:12]
+	buf.Reset()
+	if err := WriteWorkload(&buf, head); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compact.String())
 	f.Add(`{"name":"x","trace":[]}`)
 	f.Add(`{"name":"x","trace":[{"name":"a","class":"idle","fixed_us":3}]}`)
+	f.Add(`{"trace":[{"name":"a","shape":"1x8","class":"compute","scenario":"pingpong-dep","blocks":2,"load_bytes":1e3,` +
+		`"store_bytes":0.5,"core_cycles":4E+2,"core_pipe":"cube","l2_hit":-0,"prepost_us":1.25e-7,"fixed_us":0}],"name":"y"}`)
+	f.Add(`{"name":"x","trace":[{"name":"Mat\u004dul","class":"idle","fixed_us":3}]}`)
+	f.Add(`{"name":"x","trace":[{"name":"a","shape":"1×8","class":"idle","fixed_us":3}]}`)
+	f.Add(`{"Name":"x","trace":[{"name":"a","class":"idle","fixed_us":3}]}`)
+	f.Add(`{"name":null,"trace":[{"name":"a","shape":null,"class":"idle","fixed_us":null}]}`)
+	f.Add(`{"name":"x","trace":[{"name":"a","name":"b","class":"idle","fixed_us":3}]}`)
+	f.Add(`{"name":"x","trace":[{"name":"a","class":"idle","fixed_us":3,"colour":"red"}]}`)
+	f.Add(`{"name":"x","trace":[{"name":"a","class":"idle","fixed_us":1e400}]}`)
+	f.Add(`{"name":"x","trace":[{"name":"a","class":"idle","fixed_us":-0}]}`)
+	f.Add(`{"name":"x","trace":[{"name":"a","class":"aicpu","blocks":1.0,"fixed_us":3}]}`)
+	f.Add(`{"name":"x","trace":[{"name":"a","class":"idle","fixed_us":3}]} {"name":"y"}`)
 	f.Add(`garbage`)
 	f.Fuzz(func(t *testing.T, in string) {
+		if fast, ok := decodeWorkloadFast([]byte(in)); ok {
+			ref, err := decodeWorkloadReference([]byte(in))
+			if err != nil {
+				t.Fatalf("the fast decoder took what the reference rejects: %v", err)
+			}
+			if diff := sameModel(fast, ref); diff != "" {
+				t.Fatalf("fast and reference decoders differ: %s", diff)
+			}
+		}
 		m, err := ReadWorkload(strings.NewReader(in))
 		if err != nil {
 			return

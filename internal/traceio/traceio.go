@@ -5,9 +5,29 @@
 //
 // Enumerations are encoded as strings for human readability and format
 // stability.
+//
+// ReadWorkload decodes a trace in one of two ways, chosen by its bytes.
+// The common case — everything WriteWorkload writes, compacted or not —
+// takes a single forward pass that builds the operators directly
+// (tracedecode.go). That pass accepts a subset of JSON: the keys "name"
+// and "trace" and the twelve entry keys spelled exactly as specJSON
+// tags them, each at most once per object, in any order, with any JSON
+// whitespace; strings of printable ASCII without a backslash; numbers
+// that parse into their field (float64 with strconv.ParseFloat, as
+// encoding/json does, and an integer for "blocks"); and the enum names
+// specFromJSON knows. Anything else — an escape, a non-ASCII byte,
+// another key spelling, null, a duplicate key, an out-of-range number,
+// a syntax error — goes, as the same bytes, to the reference:
+// json.Unmarshal into workloadJSON and specFromJSON, which defines what
+// a trace may be and writes every decoding error. Both paths end in the
+// model's Validate, and on the subset they produce the same bits.
+//
+// ReadWorkload and ReadStrategy read one JSON value, as json.Unmarshal
+// does: only whitespace may follow it.
 package traceio
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -140,10 +160,42 @@ func WriteWorkload(w io.Writer, m *workload.Model) error {
 	return enc.Encode(out)
 }
 
-// ReadWorkload deserializes and validates a workload from r.
+// ReadWorkload deserializes and validates a workload from r. It reads
+// all of r, which must hold one JSON value and nothing after it but
+// whitespace. A trace in the fast decoder's subset (see the package
+// comment) is decoded in one pass; any other input is decoded by the
+// encoding/json reference, which also writes every error.
 func ReadWorkload(r io.Reader) (*workload.Model, error) {
+	// The buffer is sized once when r knows its length, as the
+	// *bytes.Reader Resolve passes does; io.ReadAll would grow it from
+	// 512 bytes, copying an MB-scale body many times over.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("traceio: reading workload: %w", err)
+	}
+	data := buf.Bytes()
+	m, ok := decodeWorkloadFast(data)
+	if !ok {
+		var err error
+		if m, err = decodeWorkloadReference(data); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeWorkloadReference decodes data with encoding/json. It defines
+// what a trace may be: the fast decoder declines whatever it is not
+// sure this function would decode to the same model.
+func decodeWorkloadReference(data []byte) (*workload.Model, error) {
 	var in workloadJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("traceio: decoding workload: %w", err)
 	}
 	m := &workload.Model{Name: in.Name, Trace: make([]op.Spec, len(in.Trace))}
@@ -153,9 +205,6 @@ func ReadWorkload(r io.Reader) (*workload.Model, error) {
 			return nil, fmt.Errorf("traceio: entry %d: %w", i, err)
 		}
 		m.Trace[i] = s
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
@@ -209,10 +258,15 @@ func WriteStrategy(w io.Writer, s *core.Strategy) error {
 }
 
 // ReadStrategy deserializes a strategy from r and checks basic
-// invariants (ordered, positive frequencies).
+// invariants (ordered, positive frequencies). Like ReadWorkload, it
+// reads all of r and allows only whitespace after the value.
 func ReadStrategy(r io.Reader) (*core.Strategy, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("traceio: reading strategy: %w", err)
+	}
 	var in strategyJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("traceio: decoding strategy: %w", err)
 	}
 	if in.BaselineMHz <= 0 {

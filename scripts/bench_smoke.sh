@@ -17,6 +17,10 @@
 #     is written into one reused buffer, not marshalled per operator
 #     (36,982 allocs/op when it was), and the lines it remembers within
 #     a call live in its frame.
+#   - BenchmarkReadWorkload/gpt3 reports at most 256 allocs/op: an
+#     inline trace is decoded in one pass that allocates each distinct
+#     name and shape once (92,148 allocs/op when encoding/json's
+#     reflection walk decoded every operator).
 #   - BenchmarkStages/gpt3 reports under 8 MB/op: stage merging keeps
 #     its stages in place (795 MB/op when every merge copied the slice).
 #   - BenchmarkRunPower/vit reports at most 2 allocs/op, the Profile and
@@ -74,6 +78,13 @@ if [ "$allocs" -gt 8 ]; then
     exit 1
 fi
 echo "bench-smoke: BenchmarkFingerprint/gpt3 at $allocs allocs/op"
+
+allocs=$(field BenchmarkReadWorkload/gpt3 allocs/op)
+if [ "$allocs" -gt 256 ]; then
+    echo "bench-smoke: BenchmarkReadWorkload/gpt3 reports $allocs allocs/op, want <= 256 (one-pass trace decoding)" >&2
+    exit 1
+fi
+echo "bench-smoke: BenchmarkReadWorkload/gpt3 at $allocs allocs/op"
 
 bytes=$(field BenchmarkStages/gpt3 B/op)
 if [ "$bytes" -ge 8000000 ]; then
