@@ -66,13 +66,14 @@ short:
 bench-smoke:
 	./scripts/bench_smoke.sh
 
-# Ten seconds of fuzzing for each of the two hand-written codecs held
-# to encoding/json: the fast trace decoder (FuzzReadWorkload) and the
-# fingerprint encoder (FuzzFingerprint). go test -fuzz takes one target
-# per call.
+# Ten seconds of fuzzing for each of the three hand-written codecs held
+# to encoding/json: the fast trace decoder (FuzzReadWorkload), the
+# fingerprint encoder (FuzzFingerprint) and the fs job store's record
+# encoder (FuzzEncodeRecord). go test -fuzz takes one target per call.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadWorkload$$' -fuzztime 10s ./internal/traceio
 	go test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/traceio
+	go test -run '^$$' -fuzz '^FuzzEncodeRecord$$' -fuzztime 10s ./internal/cluster/jobstore
 
 # Boots dvfsd on a random port, submits the quickstart trace through
 # dvfsctl, asserts the served strategy matches the batch path and that

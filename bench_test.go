@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"npudvfs/internal/classify"
+	"npudvfs/internal/cluster/jobstore"
 	"npudvfs/internal/core"
 	"npudvfs/internal/executor"
 	"npudvfs/internal/experiments"
@@ -762,6 +763,62 @@ func BenchmarkServeHit(b *testing.B) {
 				if w := submit(); w.Code != http.StatusOK {
 					b.Fatalf("hit answered %d: %s", w.Code, w.Body)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkFSAdd measures the fs job store acknowledging one inline
+// submission: Add of a queued record carrying the request as
+// handleSubmit decodes it, into a store on disk. Each record is removed
+// again outside the timer, so the directory holds one file at a time.
+// scripts/bench_smoke.sh holds gpt3 under 6 MB/op: the record is
+// encoded into one buffer with the trace copied as it arrived
+// (12.8 MB/op when json.MarshalIndent re-scanned and re-indented it).
+func BenchmarkFSAdd(b *testing.B) {
+	for _, name := range ladderWorkloads {
+		b.Run(name, func(b *testing.B) {
+			m, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var indented, trace bytes.Buffer
+			if err := traceio.WriteWorkload(&indented, m); err != nil {
+				b.Fatal(err)
+			}
+			if err := json.Compact(&trace, indented.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+			body := `{"trace":` + trace.String() + `,"search":{"pop":200,"gens":600,"seed":7}}`
+			var req traceio.StrategyRequest
+			dec := json.NewDecoder(strings.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
+				b.Fatal(err)
+			}
+			resolved, err := req.Resolve()
+			if err != nil {
+				b.Fatal(err)
+			}
+			key := traceio.CacheKey(traceio.Fingerprint(resolved.Trace), req.Search)
+			store, err := jobstore.OpenFS(b.TempDir(), 64, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, err := store.Add(&jobstore.Record{
+					State: traceio.JobQueued, Workload: resolved.Name, CacheKey: key, Request: &req,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				store.Remove(id)
+				b.StartTimer()
 			}
 		})
 	}

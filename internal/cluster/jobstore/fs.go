@@ -115,11 +115,57 @@ func (f *FS) persistRecord(rec *Record) error {
 	// never feeds back into scheduling or results.
 	//lint:allow detrand audited observability timestamp on the persisted record, never read back into behavior
 	out.SavedUnixNano = time.Now().UnixNano()
-	raw, err := json.MarshalIndent(out, "", " ")
+	raw, err := encodeRecord(out)
 	if err != nil {
 		return fmt.Errorf("jobstore: encoding %s: %w", rec.ID, err)
 	}
 	return f.write(filepath.Join(f.dir, rec.ID+".json"), append(raw, '\n'))
+}
+
+// encodeRecord returns rec as compact JSON. An inline trace is copied
+// as it arrived: Store's contract makes it a validated JSON value, and
+// json.Marshal would scan all of it again only to compact and
+// HTML-escape it, tens of times the cost of the copy on an MB-scale
+// trace (DESIGN.md §10). For a compact trace with no HTML-escapable
+// byte — every registry trace — the result is byte-identical to
+// json.Marshal(rec). A record with a trace is built in one buffer with
+// room for persistRecord's newline, so it is never copied again.
+func encodeRecord(rec *Record) ([]byte, error) {
+	req := rec.Request
+	if req == nil || len(req.Trace) == 0 {
+		return json.Marshal(rec)
+	}
+	head := *rec
+	head.Request = nil
+	raw, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	search, err := json.Marshal(&req.Search)
+	if err != nil {
+		return nil, err
+	}
+	var name []byte
+	if req.Workload != "" {
+		if name, err = json.Marshal(req.Workload); err != nil {
+			return nil, err
+		}
+	}
+	// 64 bytes hold the request's keys and punctuation and
+	// persistRecord's newline.
+	buf := make([]byte, 0, len(raw)+len(name)+len(req.Trace)+len(search)+64)
+	buf = append(buf, raw[:len(raw)-1]...) // drop the closing brace
+	buf = append(buf, `,"request":{`...)
+	if name != nil {
+		buf = append(buf, `"workload":`...)
+		buf = append(buf, name...)
+		buf = append(buf, ',')
+	}
+	buf = append(buf, `"trace":`...)
+	buf = append(buf, req.Trace...)
+	buf = append(buf, `,"search":`...)
+	buf = append(buf, search...)
+	return append(buf, "}}"...), nil
 }
 
 // writeAtomic is the package's only write to disk

@@ -2,6 +2,7 @@ package jobstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"go/ast"
 	"go/parser"
@@ -53,6 +54,10 @@ func readRecords(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// liveTrace is an inline trace as a client may send it, indented: the
+// store keeps its bytes as they arrived.
+var liveTrace = json.RawMessage("{\n \"name\": \"tiny\",\n \"trace\": [\n  {\"name\": \"a\", \"class\": \"idle\", \"fixed_us\": 3}\n ]\n}")
+
 // TestFSCrashInsideWriteKeepsAcknowledgedRecords is the behaviour the
 // atomicwrite analyzer stood for: whichever step of the write a crash
 // interrupts, Add/Update report it, and a store reopened on the same
@@ -80,7 +85,7 @@ func TestFSCrashInsideWriteKeepsAcknowledgedRecords(t *testing.T) {
 			t.Run(op.name+"/"+cp.name, func(t *testing.T) {
 				dir := t.TempDir()
 				s := openFS(t, dir, 16, "n1-")
-				live := &Record{State: traceio.JobQueued, Workload: "resnet50", Request: &traceio.StrategyRequest{Workload: "resnet50"}}
+				live := &Record{State: traceio.JobQueued, Workload: "tiny", Request: &traceio.StrategyRequest{Trace: liveTrace}}
 				liveID := mustAdd(t, s, live)
 				live = live.clone()
 				live.State = traceio.JobRunning
@@ -108,6 +113,9 @@ func TestFSCrashInsideWriteKeepsAcknowledgedRecords(t *testing.T) {
 				got, ok := s2.Get(liveID)
 				if !ok || got.State != traceio.JobRunning || got.Result != nil {
 					t.Fatalf("record %s after the crash: %+v, want its last acknowledged version (running)", liveID, got)
+				}
+				if got.Request == nil || !bytes.Equal(got.Request.Trace, liveTrace) {
+					t.Fatalf("record %s after the crash carries request %+v, want the submitted trace as sent", liveID, got.Request)
 				}
 				if got, ok := s2.Get(doneID); !ok || got.State != traceio.JobDone {
 					t.Fatalf("record %s after the crash: %+v, want done", doneID, got)

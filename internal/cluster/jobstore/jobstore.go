@@ -32,13 +32,8 @@ type Record struct {
 	CacheKey string `json:"cache_key,omitempty"`
 	// Cached marks jobs answered from the strategy cache (born
 	// terminal; no search ran).
-	Cached bool `json:"cached,omitempty"`
-	// Request is the original submission body. Recovery re-enqueues a
-	// non-terminal record by re-resolving it, so the fs backend can
-	// finish jobs a crashed daemon acknowledged but never ran. Nil for
-	// cache-hit jobs — there is nothing to re-run.
-	Request *traceio.StrategyRequest `json:"request,omitempty"`
-	Error   string                   `json:"error,omitempty"`
+	Cached bool   `json:"cached,omitempty"`
+	Error  string `json:"error,omitempty"`
 
 	QueueMillis  units.Millis `json:"queue_ms"`
 	SearchMillis units.Millis `json:"search_ms"`
@@ -50,6 +45,14 @@ type Record struct {
 	// observability field for operators inspecting a store directory,
 	// never read back into behavior.
 	SavedUnixNano int64 `json:"saved_unix_nano,omitempty"`
+
+	// Request is the original submission body. Recovery re-enqueues a
+	// non-terminal record by re-resolving it, so the fs backend can
+	// finish jobs a crashed daemon acknowledged but never ran. Nil for
+	// cache-hit jobs — there is nothing to re-run. It is the last field
+	// so that encodeRecord, which writes it by hand, emits the bytes
+	// json.Marshal would.
+	Request *traceio.StrategyRequest `json:"request,omitempty"`
 }
 
 // Status renders the record as the wire JobStatus.
@@ -76,6 +79,11 @@ func (r *Record) clone() *Record {
 
 // Store is the durable job index behind the dvfsd serving layer.
 // Implementations must be safe for concurrent use.
+//
+// A record's Request.Trace is a JSON value its producer has already
+// validated: the server only stores requests StrategyRequest.Resolve
+// accepted, and Resolve parses the whole trace. The fs backend copies
+// those bytes into the record file without scanning them again.
 type Store interface {
 	// Add assigns the next job ID (writing it into rec.ID), persists
 	// the record and returns the ID. A record added in a terminal state

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -255,5 +258,162 @@ func TestRecoveryRederivesStaleCacheKey(t *testing.T) {
 	defer ts.Close()
 	if code, again := submit(t, ts, smallSearch(34)); code != http.StatusOK || !again.Cached {
 		t.Errorf("resubmission after recovery: code %d, status %+v; want a cached 200", code, again)
+	}
+}
+
+// inlineResNet50 returns the ResNet-50 trace as WriteWorkload indents
+// it (trimmed, as a decoded RawMessage holds it) and compacted.
+func inlineResNet50(t *testing.T) (indented, compact []byte) {
+	t.Helper()
+	var buf, c bytes.Buffer
+	if err := traceio.WriteWorkload(&buf, workload.ResNet50()); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&c, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.TrimSpace(buf.Bytes()), c.Bytes()
+}
+
+// TestRecoveryFinishesInlineTraceJobs is the zero-lost-jobs guarantee
+// for the requests the fs store exists for: ones carrying their trace
+// inline. A queued and a running job, one trace compact and one
+// indented, finish after a restart with the registry trace's
+// fingerprint and the strategy a named request gets — both from records
+// this store wrote and from records indented by json.MarshalIndent, the
+// form earlier versions of the store wrote.
+func TestRecoveryFinishesInlineTraceJobs(t *testing.T) {
+	lab, bundle := fixture(t)
+	indented, compact := inlineResNet50(t)
+	const search = `"search":{"pop":16,"gens":8,"seed":35}`
+
+	ref, ts := newTestServer(t, Config{Workers: 1})
+	code, st := submit(t, ts, `{"workload":"resnet50",`+search+`}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("named reference: code %d, want 202", code)
+	}
+	want := waitStatus(t, ref, st.ID)
+	if want.State != traceio.JobDone {
+		t.Fatalf("named reference: job %q (%s)", want.State, want.Error)
+	}
+	fingerprint := traceio.Fingerprint(workload.ResNet50().Trace)
+
+	// records returns the queued and the running record as handleSubmit
+	// and a worker hand them to the store.
+	records := func() (queued, running *jobstore.Record) {
+		recs := make([]*jobstore.Record, 2)
+		for i, trace := range [][]byte{compact, indented} {
+			req := strategyReq(t, `{"trace":`+string(trace)+`,`+search+`}`)
+			m, err := req.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[i] = &jobstore.Record{State: traceio.JobQueued, Workload: m.Name, Request: req}
+		}
+		return recs[0], recs[1]
+	}
+
+	written := t.TempDir()
+	st0, err := jobstore.OpenFS(written, 64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, running := records()
+	var ids []string
+	for _, rec := range []*jobstore.Record{queued, running} {
+		id, err := st0.Add(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	running.State = traceio.JobRunning
+	if err := st0.Update(running); err != nil {
+		t.Fatal(err)
+	}
+	if err := st0.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	legacy := t.TempDir()
+	queued, running = records()
+	running.State = traceio.JobRunning
+	for i, rec := range []*jobstore.Record{queued, running} {
+		rec.ID = ids[i]
+		raw, err := json.MarshalIndent(rec, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(legacy, rec.ID+".json"), append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, dir := range []string{written, legacy} {
+		store, err := jobstore.OpenFS(dir, 64, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(store.Pending()); got != 2 {
+			t.Fatalf("%s: recovered %d pending jobs, want 2", dir, got)
+		}
+		if p := store.Pending()[1]; p.State != traceio.JobRunning {
+			t.Errorf("%s: running record recovered as %q", dir, p.State)
+		} else if dir == written && !bytes.Equal(p.Request.Trace, indented) {
+			t.Errorf("%s: running record's trace not kept as it was sent", dir)
+		}
+		s, err := New(Config{
+			Workers: 1, Lab: lab,
+			Bundles: map[string]*traceio.ModelBundle{"resnet50": bundle},
+			Store:   store,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			got := waitStatus(t, s, id)
+			switch {
+			case got.State != traceio.JobDone || got.Result == nil:
+				t.Errorf("%s: recovered job %s finished %q (%s), want done", dir, id, got.State, got.Error)
+			case got.Result.Fingerprint != fingerprint:
+				t.Errorf("%s: recovered job %s: fingerprint %q, want the registry trace's %q", dir, id, got.Result.Fingerprint, fingerprint)
+			case !bytes.Equal(got.Result.Strategy, want.Result.Strategy):
+				t.Errorf("%s: recovered job %s: strategy differs from the named request's", dir, id)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = s.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRejectedInlineBodyPersistsNothing pins the fs store's
+// precondition from the server's side: only a request Resolve accepted
+// reaches the store, so a body whose trace it refuses leaves no record.
+func TestRejectedInlineBodyPersistsNothing(t *testing.T) {
+	dir := t.TempDir()
+	store, err := jobstore.OpenFS(dir, 64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Store: store})
+	for _, body := range []string{
+		`{"trace":{"name":"x","trace":[{"name":"a","class":"zebra"}]},"search":{}}`,
+		`{"trace":"not a trace","search":{}}`,
+		`{"workload":"resnet50","trace":{"name":"x","trace":[]},"search":{}}`,
+	} {
+		if code, _ := submit(t, ts, body); code != http.StatusBadRequest {
+			t.Errorf("%s: code %d, want 400", body, code)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("rejected bodies left %d files in the store directory", len(entries))
 	}
 }

@@ -8,7 +8,7 @@
 // registry's shared one (workload.ByName, about a microsecond), but it
 // is still fingerprinted on every request, which grows with the trace —
 // a client sees about 0.6 / 1.5 / 6 ms per hit for ResNet-50 / BERT /
-// GPT-3 on the reference host (DESIGN.md §10; ROADMAP item 1a).
+// GPT-3 on the reference host (DESIGN.md §10; ROADMAP item 2a).
 //
 // Determinism contract: the pipeline is the exact one cmd/dvfs-run
 // executes (same Lab seed, same profiler offsets, same GA), so for the

@@ -281,6 +281,34 @@ func TestInlineFallbackBodySharesCacheEntry(t *testing.T) {
 	}
 }
 
+// TestSubmitNullTraceIsAbsent: a client that serializes an unset
+// nullable field sends "trace": null. Beside a workload name that is a
+// named request, not a conflict; alone it is a request for nothing.
+func TestSubmitNullTraceIsAbsent(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	code, st := submit(t, ts, `{"workload":"resnet50","trace":null,"search":{"pop":16,"gens":8,"seed":36}}`)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("named request with a null trace: code %d, want 202 or 200", code)
+	}
+	if done := waitJob(t, ts, st.ID); done.State != traceio.JobDone {
+		t.Errorf("named request with a null trace: job %q (%s)", done.State, done.Error)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/strategies", "application/json", strings.NewReader(`{"trace":null,"search":{}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused traceio.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&refused)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refused.Error, "names no workload") {
+		t.Errorf(`{"trace":null}: code %d (%q), want 400 naming no workload`, resp.StatusCode, refused.Error)
+	}
+}
+
 func TestSubmitUnknownWorkload(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if code, _ := submit(t, ts, `{"workload": "nonsense"}`); code != http.StatusNotFound {

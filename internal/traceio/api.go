@@ -146,10 +146,15 @@ type StrategyRequest struct {
 
 // Resolve validates the request, canonicalizes the search spec and
 // returns the workload model it refers to. An inline trace is read with
-// ReadWorkload and may hold at most maxTraceOps operators.
+// ReadWorkload and may hold at most maxTraceOps operators. A trace that
+// is JSON null is absent, as null is for every other optional field,
+// and is cleared.
 func (r *StrategyRequest) Resolve() (*workload.Model, error) {
 	if err := r.Search.Canonicalize(); err != nil {
 		return nil, err
+	}
+	if string(bytes.Trim(r.Trace, " \t\r\n")) == "null" {
+		r.Trace = nil
 	}
 	switch {
 	case r.Workload == "" && len(r.Trace) == 0:

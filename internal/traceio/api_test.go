@@ -161,6 +161,44 @@ func TestStrategyRequestResolve(t *testing.T) {
 	}
 }
 
+// TestStrategyRequestResolveNullTrace: "trace": null is an absent
+// trace, as null is for every other optional field, so a request that
+// also names a workload resolves it, and one that names nothing gets
+// the no-workload error rather than a decode of "null". Resolve clears
+// the trace so nothing downstream sees the four bytes.
+func TestStrategyRequestResolveNullTrace(t *testing.T) {
+	for _, body := range []string{
+		`{"workload":"resnet50","trace":null,"search":{}}`,
+		`{"trace": null , "workload": "resnet50"}`,
+	} {
+		var req StrategyRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		m, err := req.Resolve()
+		if err != nil {
+			t.Errorf("%s: %v", body, err)
+			continue
+		}
+		if !strings.EqualFold(m.Name, "resnet50") || req.Trace != nil {
+			t.Errorf("%s: resolved %q, trace left as %q", body, m.Name, req.Trace)
+		}
+	}
+	for _, raw := range []string{"null", " \n\tnull\r\n"} {
+		req := StrategyRequest{Trace: json.RawMessage(raw)}
+		if _, err := req.Resolve(); err == nil || !strings.Contains(err.Error(), "names no workload") {
+			t.Errorf("trace %q alone: got %v, want the no-workload error", raw, err)
+		}
+	}
+	var bare StrategyRequest
+	if err := json.Unmarshal([]byte(`{"trace":null,"search":{}}`), &bare); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.Resolve(); err == nil || !strings.Contains(err.Error(), "names no workload") {
+		t.Errorf(`{"trace":null}: got %v, want the no-workload error`, err)
+	}
+}
+
 // referenceFingerprint is Fingerprint as it was first written — one
 // json.Marshal of the wire form per operator, the error dropped — and
 // the definition the append-style encoder must keep to, digest for

@@ -26,6 +26,10 @@
 #   - BenchmarkRunPower/vit reports at most 2 allocs/op, the Profile and
 #     its Records: each operator's power terms live in RunPower's frame
 #     (were they to escape per operator it would read >= 721).
+#   - BenchmarkFSAdd/gpt3 reports under 6 MB/op: the fs job store
+#     encodes a record into one buffer and copies the inline trace as it
+#     arrived (12.8 MB/op when json.MarshalIndent re-scanned and
+#     re-indented it).
 #
 # No wall-clock floor is asserted anywhere: one iteration on a shared
 # runner cannot hold one. Serving speed is measured end to end by
@@ -99,3 +103,10 @@ if [ "$allocs" -gt 2 ]; then
     exit 1
 fi
 echo "bench-smoke: BenchmarkRunPower/vit at $allocs allocs/op"
+
+bytes=$(field BenchmarkFSAdd/gpt3 B/op)
+if [ "$bytes" -ge 6000000 ]; then
+    echo "bench-smoke: BenchmarkFSAdd/gpt3 reports $bytes B/op, want < 6 MB (one buffer per record, trace copied verbatim)" >&2
+    exit 1
+fi
+echo "bench-smoke: BenchmarkFSAdd/gpt3 at $bytes B/op"
