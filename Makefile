@@ -67,13 +67,16 @@ bench-smoke:
 	./scripts/bench_smoke.sh
 
 # Ten seconds of fuzzing for each of the three hand-written codecs held
-# to encoding/json: the fast trace decoder (FuzzReadWorkload), the
+# to encoding/json — the fast trace decoder (FuzzReadWorkload), the
 # fingerprint encoder (FuzzFingerprint) and the fs job store's record
-# encoder (FuzzEncodeRecord). go test -fuzz takes one target per call.
+# encoder (FuzzEncodeRecord) — and for the GA child's word-at-a-time
+# parent diff held to the byte loop it replaced (FuzzMakeChild).
+# go test -fuzz takes one target per call.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadWorkload$$' -fuzztime 10s ./internal/traceio
 	go test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/traceio
 	go test -run '^$$' -fuzz '^FuzzEncodeRecord$$' -fuzztime 10s ./internal/cluster/jobstore
+	go test -run '^$$' -fuzz '^FuzzMakeChild$$' -fuzztime 10s ./internal/ga
 
 # Boots dvfsd on a random port, submits the quickstart trace through
 # dvfsctl, asserts the served strategy matches the batch path and that

@@ -2,8 +2,10 @@ package ga
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // scored is one population slot. genes and sums point into the
@@ -263,11 +265,25 @@ func (isl *island) makeChild(e *Engine, dst, base, other *scored, lo, hi int) {
 	} else {
 		copy(ds, bs)
 	}
-	for i := lo; i < hi; i++ {
-		g := other.genes[i]
-		dst.genes[i] = g
-		if bg := base.genes[i]; bg != g {
-			e.ps.UpdateSums(dst.sums, i, int(bg), int(g))
+	// Copy the segment in one memmove, then find the genes that differ
+	// from base eight at a time: each set byte of a word's XOR is one
+	// delta, taken lowest byte first so UpdateSums sees the same
+	// ascending (gene, old, new) sequence a byte loop would.
+	og, bg := other.genes, base.genes
+	copy(dst.genes[lo:hi], og[lo:hi])
+	i := lo
+	for ; i+8 <= hi; i += 8 {
+		x := binary.LittleEndian.Uint64(og[i:]) ^ binary.LittleEndian.Uint64(bg[i:])
+		for x != 0 {
+			s := bits.TrailingZeros64(x) &^ 7
+			j := i + s>>3
+			e.ps.UpdateSums(dst.sums, j, int(bg[j]), int(og[j]))
+			x &^= 0xff << s
+		}
+	}
+	for ; i < hi; i++ {
+		if g, b := og[i], bg[i]; b != g {
+			e.ps.UpdateSums(dst.sums, i, int(b), int(g))
 		}
 	}
 }

@@ -404,6 +404,10 @@ func TestRejectedInlineBodyPersistsNothing(t *testing.T) {
 		`{"trace":{"name":"x","trace":[{"name":"a","class":"zebra"}]},"search":{}}`,
 		`{"trace":"not a trace","search":{}}`,
 		`{"workload":"resnet50","trace":{"name":"x","trace":[]},"search":{}}`,
+		// No operators: refused at submit rather than failing model
+		// building after taking a queue slot and a record.
+		`{"trace":{"name":"x","trace":[]},"search":{"pop":16,"gens":4}}`,
+		`{"trace":{"name":"x"},"search":{"pop":16,"gens":4}}`,
 	} {
 		if code, _ := submit(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("%s: code %d, want 400", body, code)

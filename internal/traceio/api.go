@@ -146,9 +146,10 @@ type StrategyRequest struct {
 
 // Resolve validates the request, canonicalizes the search spec and
 // returns the workload model it refers to. An inline trace is read with
-// ReadWorkload and may hold at most maxTraceOps operators. A trace that
-// is JSON null is absent, as null is for every other optional field,
-// and is cleared.
+// ReadWorkload and must hold at least one operator and at most
+// maxTraceOps: an empty one would take a queue slot and a store record
+// only to fail model building. A trace that is JSON null is absent, as
+// null is for every other optional field, and is cleared.
 func (r *StrategyRequest) Resolve() (*workload.Model, error) {
 	if err := r.Search.Canonicalize(); err != nil {
 		return nil, err
@@ -172,8 +173,11 @@ func (r *StrategyRequest) Resolve() (*workload.Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(m.Trace) > maxTraceOps {
-			return nil, fmt.Errorf("traceio: inline trace has %d operators, above the limit of %d", len(m.Trace), maxTraceOps)
+		switch n := len(m.Trace); {
+		case n == 0:
+			return nil, fmt.Errorf("traceio: inline trace has no operators")
+		case n > maxTraceOps:
+			return nil, fmt.Errorf("traceio: inline trace has %d operators, above the limit of %d", n, maxTraceOps)
 		}
 		return m, nil
 	}

@@ -161,6 +161,22 @@ func TestStrategyRequestResolve(t *testing.T) {
 	}
 }
 
+// TestStrategyRequestResolveEmptyTrace: an inline trace with no
+// operators, whether its list is empty or absent, is refused by
+// Resolve and therefore by Key, rather than accepted only to fail
+// model building with "core: empty profile".
+func TestStrategyRequestResolveEmptyTrace(t *testing.T) {
+	for _, raw := range []string{`{"name":"x","trace":[]}`, `{"name":"x"}`} {
+		req := StrategyRequest{Trace: json.RawMessage(raw)}
+		if _, err := req.Resolve(); err == nil || !strings.Contains(err.Error(), "no operators") {
+			t.Errorf("trace %s: Resolve got %v, want the no-operators error", raw, err)
+		}
+		if key, err := req.Key(); err == nil {
+			t.Errorf("trace %s: Key = %q, want an error", raw, key)
+		}
+	}
+}
+
 // TestStrategyRequestResolveNullTrace: "trace": null is an absent
 // trace, as null is for every other optional field, so a request that
 // also names a workload resolves it, and one that names nothing gets
