@@ -42,10 +42,10 @@ fmt-check:
 
 # dvfslint enforces the determinism, concurrency and serving/cluster
 # contracts (DESIGN.md §9): seeded randomness only, tolerance-based
-# float comparison, ctx-cancellable searches, paired locks, tracked
-# goroutines, dimensional safety, and the interprocedural rules
-# (errsink, allocfree, lockorder). One cold whole-module pass, ~4 s,
-# nearly all of it type-checking the stdlib from source. Run a subset
+# float comparison, paired locks, tracked goroutines, dimensional
+# safety, and the interprocedural rules (errsink, allocfree,
+# lockorder). One cold whole-module pass, ~4 s, nearly all of it
+# type-checking the stdlib from source. Run a subset
 # with e.g.:
 #   go run ./cmd/dvfslint -rules detrand,floateq
 lint:

@@ -1,6 +1,8 @@
 package npudvfs
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -25,7 +27,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	cfg := DefaultStrategyConfig()
 	cfg.GA.PopSize = 40
 	cfg.GA.Generations = 80
-	strat, err := GenerateStrategy(ms.Input(l.Chip), cfg)
+	strat, err := GenerateStrategy(context.Background(), ms.Input(l.Chip), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +44,29 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if loss := res.TimeMicros/base.TimeMicros - 1; loss > 0.05 {
 		t.Errorf("facade pipeline loss %.3f too large", loss)
+	}
+}
+
+// Both facade generators stop at the search's first generation boundary
+// under a cancelled context and report it.
+func TestFacadeGenerateHonoursCancellation(t *testing.T) {
+	l := NewLab()
+	m, err := WorkloadByName("vit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := l.BuildModels(m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := GenerateStrategy(ctx, ms.Input(l.Chip), DefaultStrategyConfig()); !errors.Is(err, context.Canceled) {
+		t.Errorf("GenerateStrategy: want error wrapping context.Canceled, got %v", err)
+	}
+	dual := DualInput{Chip: l.Chip, Profile: ms.Baseline, Power: ms.Power}
+	if _, err := GenerateDualStrategy(ctx, dual, DefaultDualConfig()); !errors.Is(err, context.Canceled) {
+		t.Errorf("GenerateDualStrategy: want error wrapping context.Canceled, got %v", err)
 	}
 }
 

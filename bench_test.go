@@ -134,7 +134,7 @@ func BenchmarkFig17GAConvergence(b *testing.B) {
 	l := lab()
 	var gens int
 	for i := 0; i < b.N; i++ {
-		r, err := l.Fig17()
+		r, err := l.Fig17(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkFig18Comparatives(b *testing.B) {
 	l := lab()
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.Fig18()
+		r, err := l.Fig18(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkTable3EndToEnd(b *testing.B) {
 	l := lab()
 	var avgCore float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.Table3()
+		r, err := l.Table3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func BenchmarkPolicyScoringThroughput(b *testing.B) {
 	l := lab()
 	var perEval float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.ScoringThroughput(20000)
+		r, err := l.ScoringThroughput(context.Background(), 20000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func BenchmarkGAPriorSeeding(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	strat, stages, _, err := core.Generate(ms.Input(l.Chip), core.Config{
+	strat, stages, _, err := core.GenerateContext(context.Background(), ms.Input(l.Chip), core.Config{
 		FAIMicros:      cfg.FAIMicros,
 		PerfLossTarget: cfg.PerfLossTarget,
 		PriorLFCMHz:    cfg.PriorLFCMHz,
@@ -287,11 +287,11 @@ func BenchmarkGAPriorSeeding(b *testing.B) {
 	gaCfg.Generations = 150
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		seeded, err := ga.Run(&evProblem{ev: ev, seeded: true}, gaCfg)
+		seeded, err := ga.RunContext(context.Background(), &evProblem{ev: ev, seeded: true}, gaCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		unseeded, err := ga.Run(&evProblem{ev: ev}, gaCfg)
+		unseeded, err := ga.RunContext(context.Background(), &evProblem{ev: ev}, gaCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func benchEvaluator(b *testing.B) *core.Evaluator {
 			return
 		}
 		cfg := core.DefaultConfig()
-		_, stages, _, err := core.Generate(ms.Input(l.Chip), core.Config{
+		_, stages, _, err := core.GenerateContext(context.Background(), ms.Input(l.Chip), core.Config{
 			FAIMicros:      cfg.FAIMicros,
 			PerfLossTarget: cfg.PerfLossTarget,
 			PriorLFCMHz:    cfg.PriorLFCMHz,
@@ -364,7 +364,7 @@ func BenchmarkGAGeneration(b *testing.B) {
 	cfg.Generations = b.N
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := ga.Run(benchGAProblem(ev), cfg); err != nil {
+	if _, err := ga.RunContext(context.Background(), benchGAProblem(ev), cfg); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -910,7 +910,7 @@ func BenchmarkProfileGPT3Iteration(b *testing.B) {
 // GPT-3 stage problem (the unit of Sect. 8.1's argument).
 func BenchmarkScoreGPT3Policy(b *testing.B) {
 	l := lab()
-	r, err := l.ScoringThroughput(1) // builds and caches the evaluator path
+	r, err := l.ScoringThroughput(context.Background(), 1) // builds and caches the evaluator path
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -920,7 +920,7 @@ func BenchmarkScoreGPT3Policy(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	_, stages, _, err := core.Generate(ms.Input(l.Chip), core.Config{
+	_, stages, _, err := core.GenerateContext(context.Background(), ms.Input(l.Chip), core.Config{
 		FAIMicros:      cfg.FAIMicros,
 		PerfLossTarget: cfg.PerfLossTarget,
 		PriorLFCMHz:    cfg.PriorLFCMHz,
@@ -951,7 +951,7 @@ func BenchmarkCoarseGrainedBaseline(b *testing.B) {
 	l := lab()
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.CoarseGrained()
+		r, err := l.CoarseGrained(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -966,7 +966,7 @@ func BenchmarkModelFreeComparison(b *testing.B) {
 	l := lab()
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.ModelFree(300)
+		r, err := l.ModelFree(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -980,7 +980,7 @@ func BenchmarkUncoreDVFSWhatIf(b *testing.B) {
 	l := lab()
 	var soc float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.UncoreDVFS()
+		r, err := l.UncoreDVFS(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -996,7 +996,7 @@ func BenchmarkDualDomainDVFS(b *testing.B) {
 	l := lab()
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.DualDomain()
+		r, err := l.DualDomain(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1010,7 +1010,7 @@ func BenchmarkFAISweep(b *testing.B) {
 	l := lab()
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.FAISweep()
+		r, err := l.FAISweep(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1025,7 +1025,7 @@ func BenchmarkSeedsRobustness(b *testing.B) {
 	l := lab()
 	var std float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.SeedsRobustness(5)
+		r, err := l.SeedsRobustness(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1040,7 +1040,7 @@ func BenchmarkAdaptiveGuard(b *testing.B) {
 	l := lab()
 	var adj int
 	for i := 0; i < b.N; i++ {
-		r, err := l.Adaptive()
+		r, err := l.Adaptive(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1067,7 +1067,7 @@ func BenchmarkSearchAblation(b *testing.B) {
 	l := lab()
 	var gaMinusGreedy float64
 	for i := 0; i < b.N; i++ {
-		r, err := l.SearchAblation()
+		r, err := l.SearchAblation(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

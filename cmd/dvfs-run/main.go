@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -112,7 +113,7 @@ func main() {
 			dcfg.PerfLossTarget = cfg.PerfLossTarget
 			dcfg.FAIMicros = cfg.FAIMicros
 			dcfg.GA = cfg.GA
-			strat, stages, gaRes, err = dualdvfs.Generate(dualdvfs.Input{
+			strat, stages, gaRes, err = dualdvfs.GenerateContext(context.Background(), dualdvfs.Input{
 				Chip: lab.Chip, Profile: ms.Baseline, Power: ms.Power, UncoreDynW: dyn,
 			}, dcfg)
 			if err != nil {
@@ -121,7 +122,7 @@ func main() {
 			fmt.Printf("dual-domain search: uncore dyn %.1f W, %d uncore switches\n",
 				dyn, strat.UncoreSwitches())
 		} else {
-			strat, stages, gaRes, err = core.Generate(ms.Input(lab.Chip), cfg)
+			strat, stages, gaRes, err = core.GenerateContext(context.Background(), ms.Input(lab.Chip), cfg)
 			if err != nil {
 				fatal(err)
 			}

@@ -64,7 +64,7 @@ func main() {
 	lab := experiments.NewLab()
 	lab.Parallel = *parallel
 	start := time.Now()
-	outcomes, err := lab.RunSuiteContext(ctx, names, *parallel, *timeout)
+	outcomes, err := lab.RunSuite(ctx, names, *timeout)
 	if err != nil {
 		// An interrupted run still reports whatever finished; anything
 		// else (unknown names, ...) is fatal before any work ran.
@@ -75,11 +75,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "interrupted: %v\n", err)
 	}
 
-	failed := 0
+	failed, ran := 0, 0
 	for _, o := range outcomes {
 		if o.Name == "" {
 			continue // skipped after interrupt: never ran
 		}
+		ran++
 		fmt.Fprintf(os.Stderr, "%s: %.1fs\n", o.Name, o.Elapsed.Seconds())
 		if o.Err != nil {
 			failed++
@@ -103,7 +104,7 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "total: %.1fs (%d experiments, parallel=%d)\n",
-		time.Since(start).Seconds(), len(outcomes), *parallel)
+		time.Since(start).Seconds(), ran, *parallel)
 	if failed > 0 || err != nil {
 		os.Exit(1)
 	}

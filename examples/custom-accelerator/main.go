@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -84,7 +85,7 @@ func main() {
 	cfg.PriorLFCMHz = 1600 //lint:allow unitcheck seed frequency for the GA prior, a point on this chip's custom grid
 	cfg.GA.PopSize = 80
 	cfg.GA.Generations = 200
-	strat, err := npudvfs.GenerateStrategy(ms.Input(lab.Chip), cfg)
+	strat, err := npudvfs.GenerateStrategy(context.Background(), ms.Input(lab.Chip), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -47,7 +48,7 @@ func main() {
 			cfg.GA.PopSize = 60
 			cfg.GA.Generations = 150
 		}
-		strat, err := npudvfs.GenerateStrategy(ms.Input(lab.Chip), cfg)
+		strat, err := npudvfs.GenerateStrategy(context.Background(), ms.Input(lab.Chip), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

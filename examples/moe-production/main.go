@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func main() {
 	cfg := npudvfs.DefaultStrategyConfig()
 	cfg.GA.PopSize = 100
 	cfg.GA.Generations = 300
-	strat, err := npudvfs.GenerateStrategy(ms.Input(lab.Chip), cfg)
+	strat, err := npudvfs.GenerateStrategy(context.Background(), ms.Input(lab.Chip), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

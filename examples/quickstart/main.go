@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 	cfg := npudvfs.DefaultStrategyConfig()
 	cfg.GA.PopSize = 80 // reduced from the paper's 200x600 for a fast demo
 	cfg.GA.Generations = 200
-	strat, err := npudvfs.GenerateStrategy(ms.Input(lab.Chip), cfg)
+	strat, err := npudvfs.GenerateStrategy(context.Background(), ms.Input(lab.Chip), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

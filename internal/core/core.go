@@ -249,17 +249,11 @@ func (p *problem) predict(ind []int) Prediction {
 	}
 }
 
-// Generate runs the full strategy-generation pipeline of Fig. 1 on a
-// profiled iteration and returns the strategy, the stage list and the
-// GA convergence result.
-func Generate(in Input, cfg Config) (*Strategy, []preprocess.Stage, *ga.Result, error) {
-	//lint:allow ctxflow context-free convenience wrapper; cancellable callers use GenerateContext
-	return GenerateContext(context.Background(), in, cfg)
-}
-
-// GenerateContext is Generate under a context; see Search for what
-// cancellation does. Callers that go on to predict or score (the
-// server's response builder) use Search and keep its evaluator.
+// GenerateContext runs the full strategy-generation pipeline of Fig. 1
+// on a profiled iteration and returns the strategy, the stage list and
+// the GA convergence result; see Search for what cancellation does.
+// Callers that go on to predict or score (the server's response
+// builder) use Search and keep its evaluator.
 func GenerateContext(ctx context.Context, in Input, cfg Config) (*Strategy, []preprocess.Stage, *ga.Result, error) {
 	ev, res, err := Search(ctx, in, cfg)
 	if err != nil {
@@ -349,7 +343,7 @@ func (e *Evaluator) BaselineIndex() int { return e.prob.baselineIdx }
 // Problem exposes the evaluator's precomputed assignment problem as a
 // ga.Problem (it also satisfies ga.PartialScorer, enabling the
 // engine's incremental scoring). Useful for benchmarks and for callers
-// that drive ga.Run directly against a prebuilt evaluator.
+// that drive ga.RunContext directly against a prebuilt evaluator.
 func (e *Evaluator) Problem() ga.Problem { return e.prob }
 
 // Strategy converts an assignment into a deduplicated switch-point

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -22,7 +23,7 @@ func TestSameSeedStrategyIdenticalAcrossWorkers(t *testing.T) {
 	var refRes *ga.Result
 	for i, workers := range []int{1, 4, 16} {
 		cfg.GA.Workers = workers
-		strat, _, res, err := Generate(f.input, cfg)
+		strat, _, res, err := GenerateContext(context.Background(), f.input, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +107,11 @@ func TestIncrementalMatchesPlainOnRealProblem(t *testing.T) {
 	}
 	for _, islands := range []int{1, 3} {
 		cfg.GA.Islands = islands
-		inc, err := ga.Run(ev.Problem(), cfg.GA)
+		inc, err := ga.RunContext(context.Background(), ev.Problem(), cfg.GA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := ga.Run(plain, cfg.GA)
+		ref, err := ga.RunContext(context.Background(), plain, cfg.GA)
 		if err != nil {
 			t.Fatal(err)
 		}

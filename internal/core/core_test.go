@@ -113,7 +113,7 @@ func testConfig(lossTarget float64) Config {
 
 func TestGenerateProducesValidStrategy(t *testing.T) {
 	f := sharedFixture(t)
-	strat, stages, res, err := Generate(f.input, testConfig(0.02))
+	strat, stages, res, err := GenerateContext(context.Background(), f.input, testConfig(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGenerateProducesValidStrategy(t *testing.T) {
 func TestGeneratedStrategySavesPowerWithinLossTarget(t *testing.T) {
 	f := sharedFixture(t)
 	cfg := testConfig(0.02)
-	strat, stages, _, err := Generate(f.input, cfg)
+	strat, stages, _, err := GenerateContext(context.Background(), f.input, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestLooserTargetSavesMorePower(t *testing.T) {
 	f := sharedFixture(t)
 	socAt := func(target float64) float64 {
 		cfg := testConfig(target)
-		strat, stages, _, err := Generate(f.input, cfg)
+		strat, stages, _, err := GenerateContext(context.Background(), f.input, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,22 +251,22 @@ func TestGenerateValidation(t *testing.T) {
 	cfg := testConfig(0.02)
 	bad := f.input
 	bad.Chip = nil
-	if _, _, _, err := Generate(bad, cfg); err == nil {
+	if _, _, _, err := GenerateContext(context.Background(), bad, cfg); err == nil {
 		t.Error("nil chip: want error")
 	}
 	bad = f.input
 	bad.Profile = nil
-	if _, _, _, err := Generate(bad, cfg); err == nil {
+	if _, _, _, err := GenerateContext(context.Background(), bad, cfg); err == nil {
 		t.Error("nil profile: want error")
 	}
 	bad = f.input
 	bad.Power = nil
-	if _, _, _, err := Generate(bad, cfg); err == nil {
+	if _, _, _, err := GenerateContext(context.Background(), bad, cfg); err == nil {
 		t.Error("nil power model: want error")
 	}
 	bad = f.input
 	bad.Perf = nil
-	if _, _, _, err := Generate(bad, cfg); err == nil {
+	if _, _, _, err := GenerateContext(context.Background(), bad, cfg); err == nil {
 		t.Error("nil perf models: want error")
 	}
 }
@@ -274,7 +274,7 @@ func TestGenerateValidation(t *testing.T) {
 func TestPredictAssignmentValidation(t *testing.T) {
 	f := sharedFixture(t)
 	cfg := testConfig(0.02)
-	_, stages, _, err := Generate(f.input, cfg)
+	_, stages, _, err := GenerateContext(context.Background(), f.input, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPriorSeedIsFeasibleAndCompetitive(t *testing.T) {
 
 func mustStages(t *testing.T, f *fixture, cfg Config) []preprocess.Stage {
 	t.Helper()
-	_, stages, _, err := Generate(f.input, Config{
+	_, stages, _, err := GenerateContext(context.Background(), f.input, Config{
 		FAIMicros:      cfg.FAIMicros,
 		PerfLossTarget: cfg.PerfLossTarget,
 		PriorLFCMHz:    cfg.PriorLFCMHz,

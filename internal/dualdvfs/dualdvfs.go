@@ -175,14 +175,9 @@ func (p *problem) predict(ind []int) core.Prediction {
 	}
 }
 
-// Generate searches (core frequency, uncore scale) pairs per stage.
-func Generate(in Input, cfg Config) (*core.Strategy, []preprocess.Stage, *ga.Result, error) {
-	//lint:allow ctxflow context-free convenience wrapper; cancellable callers use GenerateContext
-	return GenerateContext(context.Background(), in, cfg)
-}
-
-// GenerateContext is Generate with the genetic search observing ctx at
-// generation boundaries, mirroring core.GenerateContext.
+// GenerateContext searches (core frequency, uncore scale) pairs per
+// stage, with the genetic search observing ctx at generation
+// boundaries, mirroring core.GenerateContext.
 func GenerateContext(ctx context.Context, in Input, cfg Config) (*core.Strategy, []preprocess.Stage, *ga.Result, error) {
 	if in.Chip == nil || in.Profile == nil || len(in.Profile.Records) == 0 || in.Power == nil {
 		return nil, nil, nil, fmt.Errorf("dualdvfs: incomplete input")

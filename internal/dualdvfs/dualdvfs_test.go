@@ -1,6 +1,7 @@
 package dualdvfs
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -123,12 +124,12 @@ func TestGenerateValidation(t *testing.T) {
 	f := sharedFixture(t)
 	bad := f.input
 	bad.Chip = nil
-	if _, _, _, err := Generate(bad, testConfig()); err == nil {
+	if _, _, _, err := GenerateContext(context.Background(), bad, testConfig()); err == nil {
 		t.Error("nil chip: want error")
 	}
 	cfg := testConfig()
 	cfg.UncoreScales = []float64{1.5}
-	if _, _, _, err := Generate(f.input, cfg); err == nil {
+	if _, _, _, err := GenerateContext(context.Background(), f.input, cfg); err == nil {
 		t.Error("invalid uncore scale: want error")
 	}
 }
@@ -141,7 +142,7 @@ func TestDualStrategyBeatsCoreOnlySoCSavings(t *testing.T) {
 	dualCfg := testConfig()
 	dualCfg.GA.PopSize = 100
 	dualCfg.GA.Generations = 400
-	dualStrat, _, _, err := Generate(f.input, dualCfg)
+	dualStrat, _, _, err := GenerateContext(context.Background(), f.input, dualCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestDualStrategyBeatsCoreOnlySoCSavings(t *testing.T) {
 	// removed, so both searches share models, scoring and budget.
 	coreCfg := testConfig()
 	coreCfg.UncoreScales = []float64{1.0}
-	coreStrat, _, _, err := Generate(f.input, coreCfg)
+	coreStrat, _, _, err := GenerateContext(context.Background(), f.input, coreCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestScalesAutoIncludeNominal(t *testing.T) {
 	cfg := testConfig()
 	cfg.UncoreScales = []float64{0.9}
 	cfg.GA = ga.Config{PopSize: 4, Generations: 1, MutationRate: 0.1, CrossoverRate: 0.5, Seed: 1}
-	strat, _, _, err := Generate(f.input, cfg)
+	strat, _, _, err := GenerateContext(context.Background(), f.input, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

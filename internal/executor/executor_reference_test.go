@@ -170,7 +170,7 @@ func runReference(e *Executor, trace []op.Spec, strat *core.Strategy, th *therma
 
 // synthStrategy builds a strategy switching among grid frequencies
 // (and occasionally uncore scales) every few operators, with switch
-// times on the baseline timeline as core.Generate produces them.
+// times on the baseline timeline as core.GenerateContext produces them.
 func synthStrategy(e *Executor, trace []op.Spec, rng *rand.Rand, withScale bool) *core.Strategy {
 	grid := e.Chip.Curve.Grid()
 	strat := &core.Strategy{BaselineMHz: 1800}

@@ -35,9 +35,7 @@ type AdaptiveResult struct {
 }
 
 // Adaptive runs the closed loop on BERT.
-func (l *Lab) Adaptive() (*AdaptiveResult, error) { return l.adaptiveClosedLoop(context.Background()) } //lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-
-func (l *Lab) adaptiveClosedLoop(ctx context.Context) (*AdaptiveResult, error) {
+func (l *Lab) Adaptive(ctx context.Context) (*AdaptiveResult, error) {
 	m := workload.BERT()
 	ms, err := l.BuildModels(m, true)
 	if err != nil {

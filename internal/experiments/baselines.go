@@ -41,9 +41,7 @@ type CoarseResult struct {
 
 // CoarseGrained sweeps every fixed frequency on GPT-3 and contrasts
 // the best compliant one with the fine-grained strategy.
-func (l *Lab) CoarseGrained() (*CoarseResult, error) { return l.coarseGrained(context.Background()) } //lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-
-func (l *Lab) coarseGrained(ctx context.Context) (*CoarseResult, error) {
+func (l *Lab) CoarseGrained(ctx context.Context) (*CoarseResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -195,16 +193,15 @@ type ModelFreeResult struct {
 	ModelBasedLoss    float64
 }
 
+// modelFreeBudgetSec is the hardware-time budget of the Sect. 8.1
+// comparison: the paper's five minutes.
+const modelFreeBudgetSec = 300
+
 // ModelFree runs both searches on GPT-3 under a fixed simulated
 // hardware-time budget: with ~12-second training iterations, the
 // budget admits only a few dozen hardware evaluations (the paper
 // counts 30 in five minutes), far too few for a thousand-gene search.
-func (l *Lab) ModelFree(budgetSec float64) (*ModelFreeResult, error) {
-	//lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-	return l.modelFree(context.Background(), budgetSec)
-}
-
-func (l *Lab) modelFree(ctx context.Context, budgetSec float64) (*ModelFreeResult, error) {
+func (l *Lab) ModelFree(ctx context.Context) (*ModelFreeResult, error) {
 	ms, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -221,7 +218,7 @@ func (l *Lab) modelFree(ctx context.Context, budgetSec float64) (*ModelFreeResul
 	}
 	// How many hardware evaluations fit in the budget.
 	iterSec := base.TimeMicros / 1e6
-	evals := int(budgetSec / iterSec)
+	evals := int(modelFreeBudgetSec / iterSec)
 	if evals < 4 {
 		evals = 4
 	}
@@ -270,7 +267,7 @@ func (l *Lab) modelFree(ctx context.Context, budgetSec float64) (*ModelFreeResul
 		return nil, err
 	}
 	return &ModelFreeResult{
-		BudgetSec:         budgetSec,
+		BudgetSec:         modelFreeBudgetSec,
 		ModelFreeEvals:    hwRes.Evaluations,
 		ModelFreeCoreRed:  1 - hwMeas.MeanCoreW/base.MeanCoreW,
 		ModelFreeLoss:     hwMeas.TimeMicros/base.TimeMicros - 1,

@@ -9,10 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"npudvfs/internal/adaptive"
+	"npudvfs/internal/classify"
 	"npudvfs/internal/core"
+	"npudvfs/internal/dualdvfs"
 	"npudvfs/internal/executor"
 	"npudvfs/internal/ga"
 	"npudvfs/internal/op"
+	"npudvfs/internal/preprocess"
 	"npudvfs/internal/thermal"
 	"npudvfs/internal/units"
 	"npudvfs/internal/workload"
@@ -93,12 +97,12 @@ func TestGASharedExecutorStress(t *testing.T) {
 		PopSize: 16, Generations: 6, MutationRate: 0.2,
 		CrossoverRate: 0.7, Elitism: 1, Seed: 77, Workers: 8, Islands: 2,
 	}
-	par, err := ga.Run(newProblem(), cfg)
+	par, err := ga.RunContext(context.Background(), newProblem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 1
-	ser, err := ga.Run(newProblem(), cfg)
+	ser, err := ga.RunContext(context.Background(), newProblem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +125,13 @@ func TestGASharedExecutorStress(t *testing.T) {
 var deterministicSuite = []string{"fig3", "fig4", "fig9", "sensitivity"}
 
 func TestRunSuiteParallelMatchesSerial(t *testing.T) {
-	l := sharedLab()
-	serial, err := l.RunSuite(deterministicSuite, 1, 0)
+	serialLab, parallelLab := NewLab(), NewLab()
+	serialLab.Parallel, parallelLab.Parallel = 1, 4
+	serial, err := serialLab.RunSuite(context.Background(), deterministicSuite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := l.RunSuite(deterministicSuite, 4, 0)
+	parallel, err := parallelLab.RunSuite(context.Background(), deterministicSuite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +160,7 @@ func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 
 func TestRunSuiteUnknownName(t *testing.T) {
 	l := sharedLab()
-	_, err := l.RunSuite([]string{"fig3", "nonsense"}, 1, 0)
+	_, err := l.RunSuite(context.Background(), []string{"fig3", "nonsense"}, 0)
 	if err == nil || !strings.Contains(err.Error(), "nonsense") {
 		t.Fatalf("want error naming the unknown experiment, got %v", err)
 	}
@@ -266,6 +271,77 @@ func TestGARunContextCancels(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want error wrapping context.Canceled, got %v", err)
+	}
+}
+
+// searchFree lists the registry entries that run no genetic search.
+// They ignore ctx, and on a cold lab some take seconds (fig15, table2),
+// so TestSearchesHonourCancellation does not run them. Every entry not
+// listed here must honour cancellation, so a new search experiment is
+// covered without editing the test.
+var searchFree = map[string]bool{
+	"fig3": true, "fig4": true, "fig9": true, "fig10": true, "fig15": true,
+	"fig16": true, "table2": true, "fitcost": true, "inference": true,
+	"sensitivity": true,
+}
+
+// TestSearchesHonourCancellation holds every search entry point to its
+// ctx: under an already-cancelled context each one returns an error
+// wrapping context.Canceled instead of searching to completion. Each
+// search has exactly one entry point, and its first parameter is ctx,
+// so there is no context-free twin to reach for.
+func TestSearchesHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	l := sharedLab()
+	for _, s := range Registry() {
+		if searchFree[s.Name] {
+			continue
+		}
+		t.Run(s.Name, func(t *testing.T) {
+			o := runOne(ctx, l, s, 0)
+			if !errors.Is(o.Err, context.Canceled) {
+				t.Fatalf("want error wrapping context.Canceled, got %v", o.Err)
+			}
+			if o.Result != nil || o.Report != "" {
+				t.Errorf("cancelled outcome carries a result: %#v", o.Result)
+			}
+		})
+	}
+
+	gpt, err := l.gpt3Models()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := gpt.Input(l.Chip)
+	cfg := core.DefaultConfig()
+	stages, err := preprocess.Stages(in.Profile, classify.Trace(in.Profile), float64(cfg.FAIMicros))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := core.NewEvaluator(in, cfg, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual := dualdvfs.Input{Chip: l.Chip, Profile: gpt.Baseline, Power: gpt.Power}
+	for name, search := range map[string]func() error{
+		"core.Search": func() error { _, _, err := core.Search(ctx, in, cfg); return err },
+		"core.GenerateContext": func() error {
+			_, _, _, err := core.GenerateContext(ctx, in, cfg)
+			return err
+		},
+		"dualdvfs.GenerateContext": func() error {
+			_, _, _, err := dualdvfs.GenerateContext(ctx, dual, dualdvfs.DefaultConfig())
+			return err
+		},
+		"adaptive.Reoptimize": func() error {
+			_, err := adaptive.Reoptimize(ctx, ev.Problem(), cfg.GA, nil)
+			return err
+		},
+	} {
+		if err := search(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: want error wrapping context.Canceled, got %v", name, err)
+		}
 	}
 }
 

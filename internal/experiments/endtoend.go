@@ -85,9 +85,7 @@ func (l *Lab) table3Case(ctx context.Context, ms *Models, target float64, gaSeed
 // plus BERT, ResNet-50 and ResNet-152 at the production 2% target.
 // Cases fan out over l.Parallel workers; every case's GA seed is fixed
 // per case, so rows are identical at any worker count.
-func (l *Lab) Table3() (*Table3Result, error) { return l.table3(context.Background()) } //lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-
-func (l *Lab) table3(ctx context.Context) (*Table3Result, error) {
+func (l *Lab) Table3(ctx context.Context) (*Table3Result, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -151,9 +149,7 @@ type Fig17Result struct {
 
 // Fig17 runs the full 200x600 search at each loss target on GPT-3 and
 // records the best score per generation.
-func (l *Lab) Fig17() (*Fig17Result, error) { return l.fig17(context.Background()) } //lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-
-func (l *Lab) fig17(ctx context.Context) (*Fig17Result, error) {
+func (l *Lab) Fig17(ctx context.Context) (*Fig17Result, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -218,9 +214,7 @@ type Fig18Result struct {
 // Fig18 compares the production configuration against a simulated
 // V100-latency deployment (SetFreq delayed by 14 ms) and coarser
 // frequency adjustment intervals (100 ms, 1 s).
-func (l *Lab) Fig18() (*Fig18Result, error) { return l.fig18(context.Background()) } //lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-
-func (l *Lab) fig18(ctx context.Context) (*Fig18Result, error) {
+func (l *Lab) Fig18(ctx context.Context) (*Fig18Result, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -341,24 +335,17 @@ type ThroughputResult struct {
 	ModelFreeEquivalentSec float64
 }
 
-// ScoringThroughput times policy evaluation on the GPT-3 problem.
-func (l *Lab) ScoringThroughput(policies int) (*ThroughputResult, error) {
+// ScoringThroughput times policy evaluation on the GPT-3 problem. The
+// evaluator comes from a quick search under the production settings;
+// the evaluator tables do not depend on the GA configuration.
+func (l *Lab) ScoringThroughput(ctx context.Context, policies int) (*ThroughputResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
-	strat, stages, _, err := core.Generate(gpt.Input(l.Chip), core.Config{
-		FAIMicros:      cfg.FAIMicros,
-		PerfLossTarget: cfg.PerfLossTarget,
-		PriorLFCMHz:    cfg.PriorLFCMHz,
-		GA:             quickGA(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	_ = strat
-	ev, err := core.NewEvaluator(gpt.Input(l.Chip), cfg, stages)
+	cfg.GA = quickGA()
+	ev, _, err := core.Search(ctx, gpt.Input(l.Chip), cfg)
 	if err != nil {
 		return nil, err
 	}

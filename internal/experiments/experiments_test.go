@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -164,7 +165,7 @@ func TestEndToEndBERTQuick(t *testing.T) {
 	cfg.GA.PopSize = 60
 	cfg.GA.Generations = 150
 	cfg.GA.Seed = 4
-	strat, _, _, err := core.Generate(ms.Input(l.Chip), cfg)
+	strat, _, _, err := core.GenerateContext(context.Background(), ms.Input(l.Chip), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestFig17StricterConvergesFasterQuick(t *testing.T) {
 		cfg.PerfLossTarget = target
 		cfg.GA = ga.Config{PopSize: 60, Generations: 200, MutationRate: 0.15,
 			CrossoverRate: 0.7, Elitism: 2, Seed: 9}
-		_, _, res, err := core.Generate(ms.Input(l.Chip), cfg)
+		_, _, res, err := core.GenerateContext(context.Background(), ms.Input(l.Chip), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +228,7 @@ func TestScoringThroughputFastEnough(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GPT-3 modeling in -short mode")
 	}
-	r, err := sharedLab().ScoringThroughput(2000)
+	r, err := sharedLab().ScoringThroughput(context.Background(), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestCoarseGrainedLosesToFineGrained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GPT-3 pipeline in -short mode")
 	}
-	r, err := sharedLab().CoarseGrained()
+	r, err := sharedLab().CoarseGrained(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestModelFreeStarved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GPT-3 pipeline in -short mode")
 	}
-	r, err := sharedLab().ModelFree(300)
+	r, err := sharedLab().ModelFree(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestUncoreWhatIfAddsHeadroom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GPT-3 pipeline in -short mode")
 	}
-	r, err := sharedLab().UncoreDVFS()
+	r, err := sharedLab().UncoreDVFS(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestDualDomainAddsSoCSavings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GPT-3 pipeline in -short mode")
 	}
-	r, err := sharedLab().DualDomain()
+	r, err := sharedLab().DualDomain(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestAttributionMemoryOpsGoLow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GPT-3 pipeline in -short mode")
 	}
-	r, err := sharedLab().Attribution(0.10)
+	r, err := sharedLab().Attribution(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestSearchAblationGAWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GPT-3 pipeline in -short mode")
 	}
-	r, err := sharedLab().SearchAblation()
+	r, err := sharedLab().SearchAblation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

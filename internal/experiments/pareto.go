@@ -35,9 +35,7 @@ type ParetoResult struct {
 }
 
 // Pareto sweeps loss targets on GPT-3.
-func (l *Lab) Pareto() (*ParetoResult, error) { return l.pareto(context.Background()) } //lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-
-func (l *Lab) pareto(ctx context.Context) (*ParetoResult, error) {
+func (l *Lab) Pareto(ctx context.Context) (*ParetoResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

@@ -36,6 +36,8 @@ type Spec struct {
 	// genetic search observes it (the search cancels at generation
 	// boundaries) and returns an error wrapping ctx.Err(); cheap
 	// model-validation experiments ignore it.
+	// TestSearchesHonourCancellation requires the former of every
+	// entry not on its search-free list.
 	Run func(ctx context.Context, l *Lab) (fmt.Stringer, error)
 }
 
@@ -49,24 +51,24 @@ func Registry() []Spec {
 		{"fig10", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig10() }},
 		{"fig15", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig15() }},
 		{"fig16", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig16() }},
-		{"fig17", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.fig17(ctx) }},
-		{"fig18", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.fig18(ctx) }},
+		{"fig17", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig17(ctx) }},
+		{"fig18", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig18(ctx) }},
 		{"table2", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Table2() }},
-		{"table3", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.table3(ctx) }},
+		{"table3", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Table3(ctx) }},
 		{"fitcost", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.FitCost() }},
 		{"inference", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Inference() }},
-		{"throughput", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.ScoringThroughput(20000) }},
-		{"coarse", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.coarseGrained(ctx) }},
-		{"modelfree", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.modelFree(ctx, 300) }},
-		{"uncore", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.uncoreDVFS(ctx) }},
+		{"throughput", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.ScoringThroughput(ctx, 20000) }},
+		{"coarse", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.CoarseGrained(ctx) }},
+		{"modelfree", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.ModelFree(ctx) }},
+		{"uncore", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.UncoreDVFS(ctx) }},
 		{"sensitivity", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Sensitivity(1800, 1600), nil }},
-		{"adaptive", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.adaptiveClosedLoop(ctx) }},
-		{"dual", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.dualDomain(ctx) }},
-		{"faisweep", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.faiSweep(ctx) }},
-		{"seeds", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.seedsRobustness(ctx, 5) }},
-		{"pareto", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.pareto(ctx) }},
-		{"attribution", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.attribution(ctx, 0.10) }},
-		{"search", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.searchAblation(ctx) }},
+		{"adaptive", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Adaptive(ctx) }},
+		{"dual", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.DualDomain(ctx) }},
+		{"faisweep", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.FAISweep(ctx) }},
+		{"seeds", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.SeedsRobustness(ctx) }},
+		{"pareto", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Pareto(ctx) }},
+		{"attribution", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Attribution(ctx) }},
+		{"search", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.SearchAblation(ctx) }},
 	}
 }
 
@@ -139,29 +141,25 @@ type Outcome struct {
 }
 
 // RunSuite executes the named experiments (nil or "all" = the full
-// registry) on up to parallel workers, with an optional per-experiment
-// timeout (0 = none). Outcomes are returned in canonical registry
-// order regardless of completion order; with parallel <= 1 execution
-// order equals report order, matching the historical serial harness
-// exactly. Errors are per-outcome, not returned, so one failing
-// experiment cannot hide the others' results.
-func (l *Lab) RunSuite(names []string, parallel int, timeout time.Duration) ([]Outcome, error) {
-	//lint:allow ctxflow context-free convenience wrapper; cancellable callers use RunSuiteContext
-	return l.RunSuiteContext(context.Background(), names, parallel, timeout)
-}
-
-// RunSuiteContext is RunSuite under a caller-supplied root context:
-// cancelling ctx stops unstarted experiments from launching and
-// reaches every running search at its next generation boundary.
-// cmd/experiments wires an interrupt-cancelled context here so ^C
-// drains the suite instead of killing it mid-write.
-func (l *Lab) RunSuiteContext(ctx context.Context, names []string, parallel int, timeout time.Duration) ([]Outcome, error) {
+// registry) on up to l.Parallel workers, with an optional
+// per-experiment timeout (0 = none). Outcomes are returned in
+// canonical registry order regardless of completion order; with
+// l.Parallel <= 1 execution order equals report order, matching the
+// historical serial harness exactly. Errors are per-outcome, not
+// returned, so one failing experiment cannot hide the others' results.
+//
+// Cancelling ctx stops unstarted experiments from launching (their
+// outcomes stay zero-valued, with an empty Name) and reaches every
+// running search at its next generation boundary. cmd/experiments
+// wires an interrupt-cancelled context here so ^C drains the suite
+// instead of killing it mid-write.
+func (l *Lab) RunSuite(ctx context.Context, names []string, timeout time.Duration) ([]Outcome, error) {
 	specs, err := Select(names)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Outcome, len(specs))
-	perr := pool.Each(ctx, l.Seed, len(specs), parallel, func(i int, _ *rand.Rand) error {
+	perr := pool.Each(ctx, l.Seed, len(specs), l.workers(), func(i int, _ *rand.Rand) error {
 		out[i] = runOne(ctx, l, specs[i], timeout)
 		return nil
 	})
@@ -239,9 +237,13 @@ func runOne(ctx context.Context, l *Lab, s Spec, timeout time.Duration) Outcome 
 	}
 }
 
+// finishOutcome keeps res only on success: a failed experiment returns
+// a typed nil (say (*Table3Result)(nil)), which would be a non-nil
+// fmt.Stringer in Result.
 func finishOutcome(name string, res fmt.Stringer, err error, elapsed time.Duration) Outcome {
-	o := Outcome{Name: name, Result: res, Elapsed: elapsed, Err: err}
+	o := Outcome{Name: name, Elapsed: elapsed, Err: err}
 	if err == nil && res != nil {
+		o.Result = res
 		o.Report = res.String()
 	}
 	return o

@@ -105,12 +105,7 @@ func randomSearch(ev *core.Evaluator, budget int, seed int64) ([]int, int) {
 
 // SearchAblation runs all three searches on the GPT-3 problem at the
 // 4% target and measures each winning strategy on the simulator.
-func (l *Lab) SearchAblation() (*SearchAblationResult, error) {
-	//lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to searchAblation
-	return l.searchAblation(context.Background())
-}
-
-func (l *Lab) searchAblation(ctx context.Context) (*SearchAblationResult, error) {
+func (l *Lab) SearchAblation(ctx context.Context) (*SearchAblationResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -154,7 +149,7 @@ func (l *Lab) searchAblation(ctx context.Context) (*SearchAblationResult, error)
 	if err != nil {
 		return nil, err
 	}
-	// The evaluator's internal bound mirrors core.Generate's.
+	// The evaluator's internal bound mirrors core.GenerateContext's.
 	guard := cfg.Guard
 	if guard <= 0 || guard > 1 {
 		guard = 1

@@ -33,9 +33,7 @@ type FAISweepResult struct {
 
 // FAISweep generates and measures GPT-3 strategies across adjustment
 // intervals from 5 ms to 1 s.
-func (l *Lab) FAISweep() (*FAISweepResult, error) { return l.faiSweep(context.Background()) } //lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-
-func (l *Lab) faiSweep(ctx context.Context) (*FAISweepResult, error) {
+func (l *Lab) FAISweep(ctx context.Context) (*FAISweepResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -102,17 +100,13 @@ type SeedsResult struct {
 	MeanLoss                float64
 }
 
-// SeedsRobustness repeats the 2%-target GPT-3 optimization with n GA
-// seeds.
-func (l *Lab) SeedsRobustness(n int) (*SeedsResult, error) {
-	//lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-	return l.seedsRobustness(context.Background(), n)
-}
+// robustnessSeeds is how many GA seeds SeedsRobustness repeats the
+// search with.
+const robustnessSeeds = 5
 
-func (l *Lab) seedsRobustness(ctx context.Context, n int) (*SeedsResult, error) {
-	if n < 2 {
-		n = 2
-	}
+// SeedsRobustness repeats the 2%-target GPT-3 optimization with five
+// GA seeds.
+func (l *Lab) SeedsRobustness(ctx context.Context) (*SeedsResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -121,8 +115,8 @@ func (l *Lab) seedsRobustness(ctx context.Context, n int) (*SeedsResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]SeedsRow, n)
-	err = pool.Each(ctx, l.Seed, n, l.workers(), func(i int, _ *rand.Rand) error {
+	rows := make([]SeedsRow, robustnessSeeds)
+	err = pool.Each(ctx, l.Seed, robustnessSeeds, l.workers(), func(i int, _ *rand.Rand) error {
 		cfg := core.DefaultConfig()
 		cfg.GA.Seed = int64(1000 + 17*i)
 		strat, _, _, err := core.GenerateContext(ctx, gpt.Input(l.Chip), cfg)

@@ -45,9 +45,7 @@ func (l *Lab) scaledLab(scale float64) *Lab {
 // UncoreDVFS sweeps uncore frequency scales on GPT-3, alone and
 // combined with the fine-grained core strategy, against the stock
 // baseline at maximum core and uncore frequency.
-func (l *Lab) UncoreDVFS() (*UncoreResult, error) { return l.uncoreDVFS(context.Background()) } //lint:allow ctxflow context-free convenience wrapper; the harness passes its ctx to the unexported variant
-
-func (l *Lab) uncoreDVFS(ctx context.Context) (*UncoreResult, error) {
+func (l *Lab) UncoreDVFS(ctx context.Context) (*UncoreResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

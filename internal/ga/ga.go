@@ -41,7 +41,7 @@
 // methods. The RNG draw sequence is identical on both paths and at
 // every worker count, so equal seeds reproduce runs.
 //
-// Run and RunContext are one-shot conveniences; callers re-searching
+// RunContext is the one-shot convenience; callers re-searching
 // the same problem shape (the adaptive re-optimizer) should hold an
 // Engine, whose Run reuses every slab across searches and allocates
 // nothing in steady state.
@@ -174,7 +174,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Result reports the outcome of a search. Results returned by Run and
+// Result reports the outcome of a search. Results returned by
 // RunContext are defensive copies owned by the caller; results
 // returned by Engine.Run alias engine-owned storage (see Engine.Run).
 type Result struct {
@@ -225,13 +225,6 @@ func (r *Result) Clone() *Result {
 // the accumulated drift orders of magnitude below the 1e-9
 // equivalence budget while costing under 2% extra walks.
 const sumRefreshEvery = 64
-
-// Run executes the genetic search to completion. It is RunContext
-// without a cancellation point.
-func Run(p Problem, cfg Config) (*Result, error) {
-	//lint:allow ctxflow context-free convenience wrapper; cancellable callers use RunContext
-	return RunContext(context.Background(), p, cfg)
-}
 
 // RunContext executes the genetic search under a context. Cancellation
 // is checked at generation boundaries — a generation is hundreds of

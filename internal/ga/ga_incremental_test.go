@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -78,11 +79,11 @@ func TestIncrementalMatchesPlainBitwise(t *testing.T) {
 	cfg.Generations = 200 // crosses several sumRefreshEvery and migration boundaries
 	for _, islands := range []int{1, 3} {
 		cfg.Islands = islands
-		inc, err := Run(p, cfg)
+		inc, err := RunContext(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Run(plain(p), cfg)
+		ref, err := RunContext(context.Background(), plain(p), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func TestIncrementalWorkerCountInvariance(t *testing.T) {
 	var ref *Result
 	for i, workers := range []int{1, 4, 16} {
 		cfg.Workers = workers
-		res, err := Run(p, cfg)
+		res, err := RunContext(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

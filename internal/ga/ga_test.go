@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,7 @@ func smallConfig() Config {
 
 func TestConvergesToTarget(t *testing.T) {
 	p := &matchProblem{target: target(20, 5), alleles: 5}
-	res, err := Run(p, smallConfig())
+	res, err := RunContext(context.Background(), p, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestConvergesToTarget(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	p := &matchProblem{target: target(12, 4), alleles: 4}
 	cfg := smallConfig()
-	a, err := Run(p, cfg)
+	a, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(p, cfg)
+	b, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestHistoryMonotoneWithElitism(t *testing.T) {
 	p := &matchProblem{target: target(15, 6), alleles: 6}
 	cfg := smallConfig()
 	cfg.Elitism = 2
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSeedsEnterPopulation(t *testing.T) {
 	p := &matchProblem{target: tgt, alleles: 3, seeds: [][]int{tgt}}
 	cfg := smallConfig()
 	cfg.Generations = 1
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestSeedsEnterPopulation(t *testing.T) {
 
 func TestSeedLengthValidation(t *testing.T) {
 	p := &matchProblem{target: target(10, 3), alleles: 3, seeds: [][]int{{1, 2}}}
-	if _, err := Run(p, smallConfig()); err == nil {
+	if _, err := RunContext(context.Background(), p, smallConfig()); err == nil {
 		t.Error("short seed: want error")
 	}
 }
@@ -128,16 +129,16 @@ func TestConfigValidation(t *testing.T) {
 		{PopSize: 10, Generations: 5, Elitism: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := Run(p, cfg); err == nil {
+		if _, err := RunContext(context.Background(), p, cfg); err == nil {
 			t.Errorf("config %d: want error", i)
 		}
 	}
 	empty := &matchProblem{target: nil, alleles: 3}
-	if _, err := Run(empty, smallConfig()); err == nil {
+	if _, err := RunContext(context.Background(), empty, smallConfig()); err == nil {
 		t.Error("zero genes: want error")
 	}
 	zeroAlleles := &matchProblem{target: target(5, 3), alleles: 0}
-	if _, err := Run(zeroAlleles, smallConfig()); err == nil {
+	if _, err := RunContext(context.Background(), zeroAlleles, smallConfig()); err == nil {
 		t.Error("zero alleles: want error")
 	}
 }
@@ -147,12 +148,12 @@ func TestParallelScoringMatchesSerial(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Islands = 2 // workers fan out over islands; one island has nothing to parallelize
 	cfg.Workers = 1
-	serial, err := Run(p, cfg)
+	serial, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	parallel, err := Run(p, cfg)
+	parallel, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestEvaluationsAccounted(t *testing.T) {
 	p := &countingProblem{matchProblem: matchProblem{target: target(8, 3), alleles: 3}}
 	cfg := smallConfig()
 	cfg.Generations = 10
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestEvaluationsAccounted(t *testing.T) {
 func TestSingleGeneCrossoverSafe(t *testing.T) {
 	// n == 1 must not panic in the tail-swap (k in [1, n-1] is empty).
 	p := &matchProblem{target: []int{2}, alleles: 4}
-	res, err := Run(p, smallConfig())
+	res, err := RunContext(context.Background(), p, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestQuickGeneValidity(t *testing.T) {
 	p := &validityProblem{genes: 12, alleles: 5}
 	cfg := smallConfig()
 	cfg.Generations = 50
-	if _, err := Run(p, cfg); err != nil {
+	if _, err := RunContext(context.Background(), p, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if p.violations > 0 {
@@ -274,7 +275,7 @@ func (p *infeasibleProblem) Score(ind []int) float64 {
 
 func TestNaNScoresTreatedAsWorst(t *testing.T) {
 	p := &infeasibleProblem{genes: 10, alleles: 4}
-	res, err := Run(p, smallConfig())
+	res, err := RunContext(context.Background(), p, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestAllNaNPopulationDoesNotPanic(t *testing.T) {
 	p := &infeasibleProblem{genes: 1, alleles: 1} // allele 0 only -> all NaN
 	cfg := smallConfig()
 	cfg.Generations = 5
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestResultIsDefensiveCopy(t *testing.T) {
 	p := &matchProblem{target: tgt, alleles: 3, seeds: [][]int{tgt}}
 	cfg := smallConfig()
 	cfg.Generations = 3
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestResultIsDefensiveCopy(t *testing.T) {
 	for i := range res.History {
 		res.History[i] = -99
 	}
-	res2, err := Run(p, cfg)
+	res2, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

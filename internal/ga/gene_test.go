@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -23,7 +24,7 @@ func TestAlleleCeiling(t *testing.T) {
 	cfg.CapturePopulation = true
 
 	p := &matchProblem{target: top, alleles: 256, seeds: [][]int{top}}
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatalf("256 alleles: %v", err)
 	}
@@ -38,11 +39,11 @@ func TestAlleleCeiling(t *testing.T) {
 	// as the serial reference, so no delta or batch walk mis-reads a
 	// high byte.
 	wide := newIntSumProblem(12, 256)
-	inc, err := Run(wide, cfg)
+	inc, err := RunContext(context.Background(), wide, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(plain(wide), cfg)
+	ref, err := RunContext(context.Background(), plain(wide), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestInitialAllelesRangeChecked(t *testing.T) {
 		{"wraps to a valid byte", []int{0, 1, 2, 3, 4, 256}, "ga: initial individual has allele 256 at gene 5, want [0, 9)"},
 	} {
 		seeded := &matchProblem{target: good, alleles: 9, seeds: [][]int{good, tc.vec}}
-		if _, err := Run(seeded, cfg); err == nil || err.Error() != tc.want {
+		if _, err := RunContext(context.Background(), seeded, cfg); err == nil || err.Error() != tc.want {
 			t.Errorf("seed, %s: err = %v, want %q", tc.name, err, tc.want)
 		}
 		warm := cfg
@@ -123,7 +124,7 @@ func TestSerialPathScoresWhatItReports(t *testing.T) {
 	cfg.Generations = 30
 	cfg.Islands = 3
 	cfg.CapturePopulation = true
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

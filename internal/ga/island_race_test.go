@@ -3,6 +3,7 @@
 package ga
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -25,12 +26,12 @@ func TestIslandStressUnderRace(t *testing.T) {
 		cfg.Generations = 80
 		cfg.Islands = 8
 		cfg.Workers = 8
-		wide, err := Run(p, cfg)
+		wide, err := RunContext(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Workers = 1
-		ref, err := Run(p, cfg)
+		ref, err := RunContext(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

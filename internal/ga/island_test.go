@@ -51,7 +51,7 @@ func TestIslandWorkerCountInvariance(t *testing.T) {
 			cfg.Generations = 100
 			cfg.Islands = islands
 			cfg.Workers = 1
-			ref, err := Run(p, cfg)
+			ref, err := RunContext(context.Background(), p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestIslandWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("%s islands=%d: Result.Islands = %d", name, islands, ref.Islands)
 			}
 			cfg.Workers = 8
-			got, err := Run(p, cfg)
+			got, err := RunContext(context.Background(), p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestIslandCountsChangeTrajectoriesNotValidity(t *testing.T) {
 		cfg.PopSize = 60
 		cfg.Generations = 100
 		cfg.Islands = islands
-		res, err := Run(p, cfg)
+		res, err := RunContext(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestWarmStartSeedsPopulation(t *testing.T) {
 	cfg.Generations = 5
 	cfg.Islands = 2
 	cfg.WarmStart = [][]int{append([]int(nil), tgt...)}
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestWarmStartSeedsPopulation(t *testing.T) {
 	}
 
 	cfg.WarmStart = [][]int{make([]int, 3)}
-	if _, err := Run(p, cfg); err == nil {
+	if _, err := RunContext(context.Background(), p, cfg); err == nil {
 		t.Fatal("wrong-length warm-start vector accepted")
 	}
 }
@@ -255,7 +255,7 @@ func TestCapturePopulation(t *testing.T) {
 	cfg.Generations = 40
 	cfg.Islands = 3
 	cfg.CapturePopulation = true
-	res, err := Run(p, cfg)
+	res, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestCapturePopulation(t *testing.T) {
 			row[i] = -1
 		}
 	}
-	again, err := Run(p, cfg)
+	again, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestCapturePopulation(t *testing.T) {
 	}
 
 	cfg.CapturePopulation = false
-	bare, err := Run(p, cfg)
+	bare, err := RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 // Package lint is dvfslint: a project-specific static-analysis suite,
 // built entirely on the stdlib go/ast + go/types toolchain, that
 // mechanically enforces the repository's determinism, concurrency and
-// dimensional-safety contracts (DESIGN.md §9). It ships nine
+// dimensional-safety contracts (DESIGN.md §9). It ships eight
 // analyzers:
 //
 //	detrand     — no process-global math/rand or wall-clock reads in
 //	              deterministic packages
 //	floateq     — no float ==/!= outside internal/stats tolerance helpers
-//	ctxflow     — no root contexts minted in internal/*; exported
-//	              generation/spec loops must accept a context.Context
 //	lockpair    — every mutex Lock/RLock pairs with an Unlock/RUnlock in
 //	              the same function
 //	goleak      — every `go` statement must be tracked by a WaitGroup, a
@@ -77,7 +75,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, FloatEq, CtxFlow, LockPair, GoLeak, UnitCheck, ErrSink, AllocFree, LockOrder}
+	return []*Analyzer{DetRand, FloatEq, LockPair, GoLeak, UnitCheck, ErrSink, AllocFree, LockOrder}
 }
 
 // registered reports whether name is a rule of the full suite.

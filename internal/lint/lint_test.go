@@ -134,11 +134,6 @@ func TestFloatEqSkipsStats(t *testing.T) {
 	}
 }
 
-func TestCtxFlowGolden(t *testing.T) {
-	p := loadTestPkg(t, "ctxflow", "npudvfs/internal/ctxflow")
-	checkGolden(t, p, []*Analyzer{CtxFlow})
-}
-
 func TestLockPairGolden(t *testing.T) {
 	p := loadTestPkg(t, "lockpair", "npudvfs/internal/lockpair")
 	checkGolden(t, p, []*Analyzer{LockPair})

@@ -91,27 +91,6 @@ func isFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// signatureHasContext reports whether any parameter of sig is a
-// context.Context.
-func signatureHasContext(sig *types.Signature) bool {
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
 // isInternalPkg reports whether the import path lives under the
 // module's internal tree.
 func isInternalPkg(importPath string) bool {

@@ -2,6 +2,7 @@ package powermodel
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -244,27 +245,56 @@ func TestSolveDeltaTConvergesQuickly(t *testing.T) {
 	}
 }
 
+// deltaTCase is one thermal feedback loop P_soc = p0 + slope·ΔT
+// under ΔT = k·P_soc.
+type deltaTCase struct {
+	k     float64
+	p0    float64
+	slope float64
+}
+
+// randomDeltaTCases draws n seeded loops with k log-uniform in
+// [1e-4, 0.5] °C/W, p0 uniform in [1, 5000] W and gain k·slope uniform
+// in [gainLo, gainHi).
+func randomDeltaTCases(seed int64, n int, gainLo, gainHi float64) []deltaTCase {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]deltaTCase, n)
+	for i := range out {
+		k := 1e-4 * math.Pow(5000, rng.Float64())
+		gain := gainLo + (gainHi-gainLo)*rng.Float64()
+		out[i] = deltaTCase{k: k, p0: 1 + 4999*rng.Float64(), slope: gain / k}
+	}
+	return out
+}
+
 func TestSolveDeltaTLinearMatchesIterative(t *testing.T) {
 	// The closed form dt = k·p0/(1-k·slope) is the limit of the geometric
-	// series the iterative solver walks. Compare against an
-	// iterated-to-machine-precision reference (not SolveDeltaT itself,
-	// whose 1e-6 tolerance stops a few ulps short).
-	cases := []struct {
-		k     float64
-		p0    float64
-		slope float64
-	}{
+	// series the iterative solver walks. Compare against a reference
+	// iterated until it stops changing (not SolveDeltaT itself, whose
+	// 1e-6 tolerance stops a few ulps short, and not a fixed round
+	// count: at gain 0.9, 200 rounds are still ~7e-10 from the limit).
+	cases := append([]deltaTCase{
 		{0.12, 200, 0.3},
 		{0.05, 350, 0},
 		{0.02, 80, 1.9},
 		{0.3, 15, 2.5},
 		{0.0007, 4200, 0.9},
-	}
+	}, randomDeltaTCases(4, 500, 0, 0.9)...)
 	for _, c := range cases {
 		got := float64(SolveDeltaTLinear(units.CelsiusPerWatt(c.k), units.Watt(c.p0), c.slope))
-		ref := 0.0
-		for i := 0; i < 200; i++ {
-			ref = c.k * (c.p0 + c.slope*ref)
+		// With p0, k, slope >= 0 the iterates rise monotonically from
+		// 0, so the first round that does not rise has reached the
+		// limit in floating point.
+		ref, rounds := 0.0, 0
+		for ; rounds < 100000; rounds++ {
+			next := c.k * (c.p0 + c.slope*ref)
+			if next <= ref {
+				break
+			}
+			ref = next
+		}
+		if rounds == 100000 {
+			t.Fatalf("k=%g p0=%g slope=%g: reference did not settle", c.k, c.p0, c.slope)
 		}
 		if ref != 0 && math.Abs(got-ref)/math.Abs(ref) > 1e-9 {
 			t.Errorf("k=%g p0=%g slope=%g: closed form %g, iterative reference %g", c.k, c.p0, c.slope, got, ref)
@@ -276,18 +306,25 @@ func TestSolveDeltaTLinearRunawayFallsBackToIterative(t *testing.T) {
 	// gain = k·slope >= 1 has no finite fixpoint; the closed form would
 	// divide by zero or flip sign. The function must fall back to the
 	// bounded iterative solver and return whatever it returns.
-	k := units.CelsiusPerWatt(0.5)
-	p0 := units.Watt(100)
-	slope := 2.5 // gain = 1.25
-	got := SolveDeltaTLinear(k, p0, slope)
-	want, _ := SolveDeltaT(k, func(dt units.Celsius) units.Watt {
-		return units.Watt(float64(p0) + slope*float64(dt))
-	})
-	if got != want {
-		t.Errorf("runaway case: closed-form path returned %g, iterative fallback %g", got, want)
-	}
-	if math.IsNaN(float64(got)) || math.IsInf(float64(got), 0) {
-		t.Errorf("runaway case produced non-finite %g", got)
+	cases := append([]deltaTCase{
+		{0.5, 100, 2.5}, // gain = 1.25
+	}, randomDeltaTCases(5, 500, 1, 4)...)
+	for _, c := range cases {
+		k, p0, slope := units.CelsiusPerWatt(c.k), units.Watt(c.p0), c.slope
+		if c.k*slope < 1 {
+			// gain/k·k rounded just below 1: nudge it back to runaway.
+			slope = math.Nextafter(slope, math.Inf(1))
+		}
+		got := SolveDeltaTLinear(k, p0, slope)
+		want, _ := SolveDeltaT(k, func(dt units.Celsius) units.Watt {
+			return units.Watt(float64(p0) + slope*float64(dt))
+		})
+		if got != want {
+			t.Errorf("k=%g p0=%g slope=%g: closed-form path returned %g, iterative fallback %g", c.k, c.p0, slope, got, want)
+		}
+		if math.IsNaN(float64(got)) || math.IsInf(float64(got), 0) {
+			t.Errorf("k=%g p0=%g slope=%g: runaway case produced non-finite %g", c.k, c.p0, slope, got)
+		}
 	}
 }
 

@@ -174,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		store = jobstore.NewMemory(Retention(cfg.Workers, cfg.QueueDepth), prefix)
 	}
-	//lint:allow ctxflow daemon lifecycle root: New owns the process-long context that Shutdown cancels
+	// Daemon lifecycle root: New owns the process-long context that Shutdown cancels
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,

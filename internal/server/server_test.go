@@ -701,7 +701,7 @@ func TestServerMatchesBatch(t *testing.T) {
 	cfg.GA.PopSize = 16
 	cfg.GA.Generations = 8
 	cfg.GA.Seed = 7
-	strat, _, _, err := core.Generate(ms.Input(lab.Chip), cfg)
+	strat, _, _, err := core.GenerateContext(context.Background(), ms.Input(lab.Chip), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,11 @@
 //
 // The quickest route through the API is:
 //
+//	ctx := context.Background() // cancel it to stop the search
 //	lab := npudvfs.NewLab()
 //	model, _ := npudvfs.WorkloadByName("gpt3")
 //	ms, _ := lab.BuildModels(model, true)
-//	strategy, _, _, _ := npudvfs.GenerateStrategy(ms.Input(lab.Chip), npudvfs.DefaultStrategyConfig())
+//	strategy, _ := npudvfs.GenerateStrategy(ctx, ms.Input(lab.Chip), npudvfs.DefaultStrategyConfig())
 //	result, _ := lab.MeasureStrategy(model, strategy, npudvfs.DefaultExecutorOptions())
 //
 // See examples/ for runnable programs and DESIGN.md for the mapping
@@ -182,9 +183,12 @@ func FitPerfModel(freqMHz []MHz, micros []Micros) (PerfModel, error) {
 }
 
 // GenerateStrategy runs classification, preprocessing and the genetic
-// search of Sect. 6 and returns the strategy.
-func GenerateStrategy(in StrategyInput, cfg StrategyConfig) (*Strategy, error) {
-	strat, _, _, err := core.Generate(in, cfg)
+// search of Sect. 6 and returns the strategy. The genetic search
+// observes cancellation at generation boundaries, so a timed-out
+// request stops burning CPU within milliseconds; the returned error
+// then wraps ctx.Err().
+func GenerateStrategy(ctx context.Context, in StrategyInput, cfg StrategyConfig) (*Strategy, error) {
+	strat, _, _, err := core.GenerateContext(ctx, in, cfg)
 	return strat, err
 }
 
@@ -256,9 +260,9 @@ type (
 func DefaultDualConfig() DualConfig { return dualdvfs.DefaultConfig() }
 
 // GenerateDualStrategy searches (core frequency, uncore scale) pairs
-// per stage.
-func GenerateDualStrategy(in DualInput, cfg DualConfig) (*Strategy, error) {
-	strat, _, _, err := dualdvfs.Generate(in, cfg)
+// per stage, observing ctx like GenerateStrategy.
+func GenerateDualStrategy(ctx context.Context, in DualInput, cfg DualConfig) (*Strategy, error) {
+	strat, _, _, err := dualdvfs.GenerateContext(ctx, in, cfg)
 	return strat, err
 }
 
@@ -270,14 +274,6 @@ func CalibrateUncoreDyn(rig *PowerRig, probeScale float64, samples int) (float64
 
 // PowerRig bundles the live system power calibration measures.
 type PowerRig = powermodel.Rig
-
-// GenerateStrategyContext is GenerateStrategy under a context: the
-// genetic search observes cancellation at generation boundaries, so a
-// timed-out request stops burning CPU within milliseconds.
-func GenerateStrategyContext(ctx context.Context, in StrategyInput, cfg StrategyConfig) (*Strategy, error) {
-	strat, _, _, err := core.GenerateContext(ctx, in, cfg)
-	return strat, err
-}
 
 // Serving layer (DESIGN.md §8): dvfsd exposes the Fig. 1 pipeline over
 // HTTP with a bounded worker pool and a strategy cache.
