@@ -841,8 +841,9 @@ func BenchmarkFitFunc2Micro(b *testing.B) {
 // Lab.PowerProfiles makes it ~330 times per ViT build: the noisy
 // profiler at BuildModels' seed, the lab's ground truth, and a die
 // already at thermal equilibrium for 1800 MHz. scripts/bench_smoke.sh
-// holds vit to 2 allocs/op — the Profile and its Records — so the
-// per-operator power terms stay on the stack.
+// holds vit to 2 allocs/op — the Profile and its Records: the
+// per-operator timing and power terms live in the table the Profiler
+// keeps across its calls, so a table allocated per call would read 3.
 func BenchmarkRunPower(b *testing.B) {
 	for _, name := range []string{"vit", "gpt3"} {
 		b.Run(name, func(b *testing.B) {
@@ -889,6 +890,20 @@ func BenchmarkBuildModels(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkOffline measures the offline power calibration a lab runs
+// once before its first model build: Lab.Offline on a fresh lab, so
+// every iteration runs powermodel.Calibrate's idle fits, warm-up,
+// cooldown and equilibrium warm-ups in full. It is most of a server's
+// setup when no bundle is fitted.
+func BenchmarkOffline(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.NewLab().Offline(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkProfileGPT3Iteration measures one noiseless timing-only Run

@@ -156,10 +156,10 @@ func (s *Spec) Key() string {
 }
 
 // Hash mixes the fields that tell a trace's operators apart in
-// practice, for the per-call tables that remember what they computed
-// for an operator (traceio's Fingerprint lines, the profiler's power
-// terms). It is not an identity: those tables settle equality on the
-// whole spec with ==.
+// practice, for the tables that remember what they computed for an
+// operator (traceio's Fingerprint lines within a call, a profiler's
+// timing and power terms across its calls). It is not an identity:
+// those tables settle equality on the whole spec with ==.
 func (s *Spec) Hash() uint64 {
 	const m = 0x9e3779b97f4a7c15
 	h := uint64(len(s.Name))<<8 ^ uint64(len(s.Shape))

@@ -92,6 +92,14 @@ func (p *Profile) weightedMean(get func(*Record) float64) float64 {
 
 // Profiler executes traces on a chip and records what real tooling
 // would observe.
+//
+// A Profiler remembers, across its calls, what each distinct operator
+// it has profiled works out to (see opTable), so a warm-up that
+// profiles one trace hundreds of times pays per call only for a
+// lookup per entry, its noise draws and the thermal steps. Like its
+// Sensor, that memory is per-run mutable state: use one Profiler per
+// goroutine, and note that a copied Profiler value shares both with
+// the original.
 type Profiler struct {
 	Chip *npu.Chip
 	// Sensor supplies measurement noise; nil means noise-free
@@ -100,6 +108,8 @@ type Profiler struct {
 	// TimeNoiseFrac is the 1-sigma relative duration noise when a
 	// Sensor is present.
 	TimeNoiseFrac float64
+
+	ops *opTable // allocated by the first call
 }
 
 // New returns a Profiler with 1% duration noise from the given seed.
@@ -120,35 +130,50 @@ func (p *Profiler) measure(trueDur float64) float64 {
 }
 
 // Run executes the trace once at a fixed core frequency and returns
-// the timing profile.
+// the timing profile. Each distinct operator's true duration and ratios
+// are worked out once per frequency and chip, then looked up.
 func (p *Profiler) Run(trace []op.Spec, fMHz float64) (*Profile, error) {
+	prof, _, err := p.run(trace, fMHz, nil)
+	return prof, err
+}
+
+// run is Run through p's operator table, fitted first to fMHz, the
+// chip and, for a power run, the ground g; for a power run it also
+// fills the table's at for this trace.
+func (p *Profiler) run(trace []op.Spec, fMHz float64, g *powersim.Ground) (*Profile, *opTable, error) {
 	if err := p.Chip.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if math.IsNaN(fMHz) || math.IsInf(fMHz, 0) || fMHz <= 0 {
-		return nil, fmt.Errorf("profiler: invalid frequency %g MHz, want finite and positive", fMHz)
+		return nil, nil, fmt.Errorf("profiler: invalid frequency %g MHz, want finite and positive", fMHz)
+	}
+	t := p.table(fMHz, g)
+	if g != nil {
+		if cap(t.at) < len(trace) {
+			t.at = make([]int32, len(trace))
+		}
+		t.at = t.at[:len(trace)]
 	}
 	prof := &Profile{FreqMHz: fMHz, Records: make([]Record, len(trace))}
 	now := 0.0
 	for i := range trace {
 		s := &trace[i]
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("profiler: trace entry %d: %w", i, err)
+		k, trueDur, ratios, err := t.timing(s)
+		if err != nil {
+			return nil, nil, fmt.Errorf("profiler: trace entry %d: %w", i, err)
 		}
-		t, ratios := p.Chip.TimeRatios(s, fMHz)
-		dur := p.measure(t)
-		prof.Records[i] = Record{
-			Index:       i,
-			Spec:        s,
-			StartMicros: now,
-			DurMicros:   dur,
-			FreqMHz:     fMHz,
-			Ratios:      ratios,
+		if g != nil {
+			t.at[i] = k
 		}
-		now += dur
+		// Field by field: the Records are zeroed, and a Record literal
+		// would be built aside and then copied in.
+		r := &prof.Records[i]
+		r.Index, r.Spec, r.StartMicros, r.FreqMHz, r.Ratios = i, s, now, fMHz, ratios
+		r.DurMicros = p.measure(trueDur)
+		now += r.DurMicros
 	}
 	prof.TotalMicros = now
-	return prof, nil
+	return prof, t, nil
 }
 
 // RunPower executes the trace once at a fixed frequency while sampling
@@ -156,21 +181,21 @@ func (p *Profiler) Run(trace []op.Spec, fMHz float64) (*Profile, error) {
 // The thermal state is shared across calls so repeated iterations warm
 // the chip up, as in the paper's "collect once training is stable"
 // methodology. An operator's power terms do not depend on ΔT, so each
-// distinct operator's are evaluated once per call (termsTable) and
+// distinct operator's are evaluated once — kept in p's operator table
+// for every later call at this frequency on this chip and ground — and
 // serve both domains; only the ΔT they are read at changes as the die
 // warms.
 func (p *Profiler) RunPower(trace []op.Spec, fMHz float64, g *powersim.Ground, th *thermal.State) (*Profile, error) {
-	if g == nil || th == nil {
+	if g == nil || g.Chip == nil || th == nil {
 		return nil, fmt.Errorf("profiler: RunPower needs ground truth and thermal state")
 	}
-	prof, err := p.Run(trace, fMHz)
+	prof, t, err := p.run(trace, fMHz, g)
 	if err != nil {
 		return nil, err
 	}
-	var seen termsTable
 	for i := range prof.Records {
 		r := &prof.Records[i]
-		core, soc := seen.terms(g, r.Spec, fMHz).Power(float64(th.DeltaT()))
+		core, soc := t.terms(i, g, r.Spec).Power(float64(th.DeltaT()))
 		th.Step(units.Micros(r.DurMicros), units.Watt(soc))
 		if p.Sensor != nil {
 			r.AICoreW = p.Sensor.Power(core)
@@ -185,51 +210,153 @@ func (p *Profiler) RunPower(trace []op.Spec, fMHz float64, g *powersim.Ground, t
 	return prof, nil
 }
 
-// termsTable remembers, for the length of one RunPower call, the power
-// terms of the operators that call has already evaluated. A trace
+// opTable remembers what a Profiler's calls have worked out for each
+// distinct operator at one frequency: that its spec validates, its
+// duration and utilization ratios (Chip.TimeRatios) and, once a
+// RunPower has needed them, its power terms (Ground.Terms). A trace
 // repeats a few operators many times — 97 of ViT's 721 are distinct —
-// and looking terms up costs a fraction of evaluating them. The table
-// is open-addressed and stops taking operators at termsTableCap, after
-// which each further new one is evaluated into spare. Equality is
-// op.Spec's ==: a spec with a NaN never matches and is evaluated
-// afresh, and +0 matches -0, which every term treats alike. It lives in
-// RunPower's frame, so nothing outlasts the call: a trace edited
-// between calls, or a Ground shared across goroutines, is always read
-// afresh.
-type termsTable struct {
-	slots [2 * termsTableCap]termsSlot
-	n     int
+// and a warm-up profiles the same trace hundreds of times, so looking
+// an operator up costs a fraction of working it out.
+//
+// Entries are keyed by the spec's value, not its address: op.Spec.Hash
+// and then ==, under which a spec with a NaN never matches (it is
+// worked out afresh each time and never takes an entry) and +0 matches
+// -0, which every result treats alike. A trace edited between calls is
+// therefore looked up as what it now says. What the entries were
+// worked out from — the frequency, the profiler's chip and the power
+// run's ground with its chip, each by identity and by every field, bit
+// for bit — is recorded, and the table starts empty when a call brings
+// anything else (a timing-only Run leaves the ground alone). The table
+// holds at most opTableCap operators; each further new one is worked
+// out on every occurrence.
+type opTable struct {
+	f       float64
+	chip    *npu.Chip
+	chipV   npu.Chip
+	ground  *powersim.Ground // nil until a power run
+	groundV powersim.Ground
+	gChipV  npu.Chip
+
+	index [2 * opTableCap]int32 // 1 + an entry's position in ops; 0 is empty
+	ops   []opEntry
+	// at holds, for each entry of the trace the last power run
+	// profiled, its position in ops, or -1 if it took no entry.
+	at []int32
+	// spare holds the terms of an operator that took no entry, for the
+	// moment they are read.
 	spare powersim.Terms
 }
 
-const termsTableCap = 256
+const opTableCap = 256
 
-// termsSlot is one remembered operator: the spec it was evaluated for
-// (an element of the trace being profiled), that spec's hash and its
-// terms. An empty slot has a nil spec.
-type termsSlot struct {
-	spec  *op.Spec
-	hash  uint64
-	terms powersim.Terms
+// opEntry is one remembered operator: a copy of its spec, the spec's
+// hash, its timing at the table's frequency, and its power terms once
+// hasTerms.
+type opEntry struct {
+	spec     op.Spec
+	hash     uint64
+	dur      float64
+	ratios   [op.NumPipes]float64
+	terms    powersim.Terms
+	hasTerms bool
 }
 
-// terms returns g's power terms for s at fMHz. At most half the slots
-// are ever taken, so the probe ends.
-func (t *termsTable) terms(g *powersim.Ground, s *op.Spec, fMHz float64) *powersim.Terms {
+// table returns p's operator table, emptied first if fMHz, p.Chip or a
+// non-nil g is not what its entries were worked out from.
+func (p *Profiler) table(fMHz float64, g *powersim.Ground) *opTable {
+	t := p.ops
+	if t == nil {
+		// Room for the distinct operators of most traces (97–107 for 8
+		// of the 10 registry workloads), so a one-off Run does not pay
+		// for the slice to grow.
+		t = &opTable{ops: make([]opEntry, 0, opTableCap/2)}
+		p.ops = t
+	}
+	if t.chip != p.Chip || math.Float64bits(t.f) != math.Float64bits(fMHz) || !sameChip(&t.chipV, p.Chip) ||
+		g != nil && t.ground != nil && (t.ground != g || !sameGround(&t.groundV, g) || !sameChip(&t.gChipV, g.Chip)) {
+		t.reset(fMHz, p.Chip)
+	}
+	if g != nil && t.ground == nil {
+		t.ground, t.groundV, t.gChipV = g, *g, *g.Chip
+	}
+	return t
+}
+
+func (t *opTable) reset(fMHz float64, chip *npu.Chip) {
+	t.f, t.chip, t.chipV = fMHz, chip, *chip
+	t.ground = nil
+	t.index = [2 * opTableCap]int32{}
+	t.ops = t.ops[:0]
+}
+
+// sameChip and sameGround report whether a and b agree in every field,
+// floats bit for bit: == alone would take a zero for one of the other
+// sign.
+func sameChip(a, b *npu.Chip) bool {
+	return *a == *b && chipBits(a) == chipBits(b)
+}
+
+func sameGround(a, b *powersim.Ground) bool {
+	return *a == *b && groundBits(a) == groundBits(b)
+}
+
+func chipBits(c *npu.Chip) [5]uint64 {
+	return [...]uint64{
+		math.Float64bits(c.CLoad), math.Float64bits(c.CStore),
+		math.Float64bits(c.BWL2), math.Float64bits(c.BWHBM), math.Float64bits(c.T0),
+	}
+}
+
+func groundBits(g *powersim.Ground) [14]uint64 {
+	return [...]uint64{
+		math.Float64bits(g.BetaCore), math.Float64bits(g.ThetaCore), math.Float64bits(g.GammaCore),
+		math.Float64bits(g.AlphaScale), math.Float64bits(g.DriftFrac),
+		math.Float64bits(g.UncoreIdle), math.Float64bits(g.UncoreBWCoef), math.Float64bits(g.UncoreIdleDyn),
+		math.Float64bits(g.UncoreScale), math.Float64bits(g.UncoreCoupling), math.Float64bits(g.UncoreGamma),
+		math.Float64bits(g.AICPUPower), math.Float64bits(g.CommPower), math.Float64bits(g.RefMHz),
+	}
+}
+
+// timing returns the duration and ratios of s from its entry, working
+// them out into a new one if the table has none, and the entry's
+// position in ops, or -1 if s took none. At most half the index is
+// ever taken, so the probe ends.
+func (t *opTable) timing(s *op.Spec) (int32, float64, [op.NumPipes]float64, error) {
 	hash := s.Hash()
-	i := hash % uint64(len(t.slots))
-	for ; t.slots[i].spec != nil; i = (i + 1) % uint64(len(t.slots)) {
-		if slot := &t.slots[i]; slot.hash == hash && *slot.spec == *s {
-			return &slot.terms
+	j := hash % uint64(len(t.index))
+	for ; t.index[j] != 0; j = (j + 1) % uint64(len(t.index)) {
+		if k := t.index[j] - 1; t.ops[k].hash == hash && t.ops[k].spec == *s {
+			return k, t.ops[k].dur, t.ops[k].ratios, nil
 		}
 	}
-	if t.n == termsTableCap {
-		t.spare = g.Terms(s, fMHz)
+	if err := s.Validate(); err != nil {
+		return 0, 0, [op.NumPipes]float64{}, err
+	}
+	dur, ratios := t.chip.TimeRatios(s, t.f)
+	// A spec with a NaN never equals itself: an entry for it would
+	// never be found.
+	if len(t.ops) == opTableCap || *s != *s {
+		return -1, dur, ratios, nil
+	}
+	k := int32(len(t.ops))
+	t.index[j] = k + 1
+	t.ops = append(t.ops, opEntry{spec: *s, hash: hash, dur: dur, ratios: ratios})
+	return k, dur, ratios, nil
+}
+
+// terms returns the power terms under g of s, the i-th entry of the
+// trace the last power run profiled.
+func (t *opTable) terms(i int, g *powersim.Ground, s *op.Spec) *powersim.Terms {
+	k := t.at[i]
+	if k < 0 {
+		t.spare = g.Terms(s, t.f)
 		return &t.spare
 	}
-	t.slots[i] = termsSlot{spec: s, hash: hash, terms: g.Terms(s, fMHz)}
-	t.n++
-	return &t.slots[i].terms
+	e := &t.ops[k]
+	if !e.hasTerms {
+		e.terms, e.hasTerms = g.Terms(s, t.f), true
+	}
+	return &e.terms
 }
 
 // WarmupIterations repeats RunPower until the die temperature settles

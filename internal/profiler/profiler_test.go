@@ -138,6 +138,9 @@ func TestRunPowerNeedsDependencies(t *testing.T) {
 	if _, err := p.RunPower(smallTrace(), 1500, nil, nil); err == nil {
 		t.Error("nil ground/thermal: want error")
 	}
+	if _, err := p.RunPower(nil, 1500, &powersim.Ground{}, thermal.NewState(thermal.Default())); err == nil {
+		t.Error("ground without a chip: want error")
+	}
 }
 
 func TestWarmupConverges(t *testing.T) {

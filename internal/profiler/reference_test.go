@@ -3,6 +3,8 @@ package profiler
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"npudvfs/internal/npu"
@@ -10,6 +12,7 @@ import (
 	"npudvfs/internal/powersim"
 	"npudvfs/internal/thermal"
 	"npudvfs/internal/units"
+	"npudvfs/internal/vf"
 	"npudvfs/internal/workload"
 )
 
@@ -319,7 +322,7 @@ func TestRunPowerReferenceOtherChip(t *testing.T) {
 	compareRunPower(t, "vit/other-chip", m.Trace, 1800, mk(), mk(), ground, 5)
 }
 
-// TestRunPowerReferenceTableEdges drives RunPower's per-call table
+// TestRunPowerReferenceTableEdges drives a Profiler's operator table
 // past its edges: more distinct operators than it holds (then repeats
 // of ones it did and did not keep), twins that differ only in the sign
 // of a zero, and a NaN spec — which validates, never matches itself,
@@ -330,12 +333,12 @@ func TestRunPowerReferenceTableEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trace []op.Spec
-	for i := 0; i < 2*termsTableCap; i++ {
+	for i := 0; i < 2*opTableCap; i++ {
 		s := m.Trace[i%len(m.Trace)]
 		s.Blocks += i
 		trace = append(trace, s)
 	}
-	trace = append(trace, trace[:2*termsTableCap]...)
+	trace = append(trace, trace[:2*opTableCap]...)
 	plus := op.Spec{
 		Name: "Twin", Shape: "z", Class: op.Compute, Scenario: op.PingPongDep,
 		Blocks: 4, StoreBytes: 1 << 16, CoreCycles: 9000, CorePipe: op.Vector,
@@ -354,22 +357,272 @@ func TestRunPowerReferenceTableEdges(t *testing.T) {
 
 func compareRunPower(t *testing.T, label string, trace []op.Spec, f float64, prod, ref *Profiler, g *powersim.Ground, calls int) {
 	t.Helper()
+	steps := make([]step, calls)
+	for i := range steps {
+		steps[i] = step{trace: trace, f: f, g: g}
+	}
+	compareSession(t, label, prod, ref, steps)
+}
+
+// step is one call of a profiling session: edit, if set, changes what
+// the call sees (a trace entry, a chip or ground field) before a
+// RunPower under g, or a timing-only Run when g is nil.
+type step struct {
+	edit  func()
+	trace []op.Spec
+	f     float64
+	g     *powersim.Ground
+}
+
+// compareSession makes the calls of steps in order through the
+// production profiler prod and, with refRun and refRunPower, through
+// ref (same chip and seed, so the same noise draws), each with a
+// thermal state of its own, and requires every profile and the die
+// temperature after each call to agree bit for bit.
+func compareSession(t *testing.T, label string, prod, ref *Profiler, steps []step) {
+	t.Helper()
 	thProd := thermal.NewState(thermal.Default())
 	thRef := thermal.NewState(thermal.Default())
-	for call := 0; call < calls; call++ {
-		got, err := prod.RunPower(trace, f, g, thProd)
-		if err != nil {
-			t.Fatalf("%s: RunPower: %v", label, err)
+	for call, st := range steps {
+		if st.edit != nil {
+			st.edit()
 		}
-		want, err := refRunPower(ref, trace, f, g, thRef)
-		if err != nil {
-			t.Fatalf("%s: reference RunPower: %v", label, err)
+		var got, want *Profile
+		var err, refErr error
+		if st.g == nil {
+			got, err = prod.Run(st.trace, st.f)
+			want, refErr = refRun(ref, st.trace, st.f)
+		} else {
+			got, err = prod.RunPower(st.trace, st.f, st.g, thProd)
+			want, refErr = refRunPower(ref, st.trace, st.f, st.g, thRef)
+		}
+		if err != nil || refErr != nil {
+			t.Fatalf("%s call %d: %v (reference: %v)", label, call, err, refErr)
 		}
 		if d := diffProfiles(got, want); d != "" {
 			t.Fatalf("%s call %d diverged from the reference: %s", label, call, d)
 		}
 		if !sameBits(float64(thProd.TempC()), float64(thRef.TempC())) {
 			t.Fatalf("%s call %d: die at %v °C, reference %v °C", label, call, thProd.TempC(), thRef.TempC())
+		}
+	}
+}
+
+// TestProfilerSessionMatchesReference keeps one Profiler for a whole
+// session whose calls change what its operator table was filled from:
+// the frequency (1000 → 1800 → 1000 MHz, with timing-only Runs between
+// the power runs), the ground (swapped for an uncore-scaled one and
+// back), a ground field, the profiler chip's and the ground chip's
+// fields, and trace entries, each edited in place between calls, and
+// the profiler's chip swapped for an equal copy. Every call must match
+// the reference, which works everything out afresh.
+func TestProfilerSessionMatchesReference(t *testing.T) {
+	m, err := workload.ByName("vit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noisy := range []bool{true, false} {
+		trace := append([]op.Spec(nil), m.Trace...)
+		chip := npu.Default()
+		g := powersim.Default(chip)
+		scaled := *g
+		scaled.Chip = chip.WithUncoreScale(0.8)
+		scaled.UncoreScale = 0.8
+		other := npu.Default()
+		otherG := powersim.Default(other)
+		prod, ref := NewNoiseless(chip), NewNoiseless(chip)
+		if noisy {
+			prod, ref = New(chip, 11), New(chip, 11)
+		}
+
+		var steps []step
+		add := func(edit func(), f float64, under *powersim.Ground) {
+			steps = append(steps, step{edit: edit, trace: trace, f: f, g: under})
+		}
+		for _, f := range []float64{1000, 1800, 1000} {
+			add(nil, f, g)
+			add(nil, f, nil)
+			add(nil, f, g)
+		}
+		add(nil, 1800, &scaled)
+		add(nil, 1800, g)
+		add(func() { g.GammaCore *= 1.5 }, 1800, g)
+		add(func() { g.AlphaScale *= 0.9 }, 1800, g)
+		add(func() { chip.T0 = 0.35 }, 1800, g)
+		add(func() { chip.BWHBM *= 0.9 }, 1800, nil)
+		add(nil, 1800, g)
+		add(func() { trace[5].Blocks++ }, 1800, g)
+		add(func() { trace[6], trace[400] = trace[400], trace[6] }, 1800, g)
+		add(func() { trace[7].L2Hit = 0.5 }, 1800, nil)
+		add(nil, 1800, g)
+		// A ground on a chip other than the profiler's, whose fields
+		// then change under it: only the ground's chip moves the uncore
+		// term.
+		add(nil, 1800, otherG)
+		add(func() { other.BWL2 *= 0.7 }, 1800, otherG)
+		add(func() { other.Curve = vf.Ascend() }, 1800, otherG)
+		add(nil, 1800, otherG)
+		// The profilers move to an equal copy of their chip, and the old
+		// one is then edited: new operators must be worked out on the
+		// copy, not on the chip the table was filled from.
+		twin := new(npu.Chip)
+		add(func() { *twin = *chip; prod.Chip, ref.Chip = twin, twin }, 1800, nil)
+		add(func() { chip.BWL2 *= 0.7; trace[9].Blocks++ }, 1800, nil)
+
+		compareSession(t, fmt.Sprintf("vit session, noisy %v", noisy), prod, ref, steps)
+	}
+}
+
+// TestOpTableKeepsOperators checks what the table keeps: one entry
+// per distinct operator, kept across calls at the same frequency,
+// chip and ground, and none for a spec with a NaN however often it
+// recurs, so an operator first seen after 2 × opTableCap calls of NaN
+// specs still takes an entry and is found by later calls. The profiles
+// themselves are held to the reference.
+func TestOpTableKeepsOperators(t *testing.T) {
+	m, err := workload.ByName("vit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[op.Spec]bool{}
+	for _, s := range m.Trace {
+		distinct[s] = true
+	}
+	chip := npu.Default()
+	g := powersim.Default(chip)
+	p := New(chip, 5)
+	th := thermal.NewState(thermal.Default())
+	for call := 0; call < 2; call++ {
+		if _, err := p.RunPower(m.Trace, 1800, g, th); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(p.ops.ops); n != len(distinct) {
+			t.Fatalf("call %d: table holds %d operators, want the trace's %d distinct", call, n, len(distinct))
+		}
+	}
+	for k, e := range p.ops.ops {
+		if !e.hasTerms {
+			t.Fatalf("entry %d (%s) has no power terms after a power run", k, e.spec.Key())
+		}
+	}
+
+	plus := op.Spec{
+		Name: "Kept", Shape: "z", Class: op.Compute, Scenario: op.PingPongDep,
+		Blocks: 4, StoreBytes: 1 << 16, CoreCycles: 9000, CorePipe: op.Vector,
+	}
+	nan := plus
+	nan.Name, nan.PrePostTime = "NaN", math.NaN()
+	late := plus
+	late.Name = "Late"
+	withNaN := []op.Spec{plus, nan, nan}
+	withLate := []op.Spec{plus, nan, late}
+	var steps []step
+	for i := 0; i <= 2*opTableCap; i++ {
+		steps = append(steps, step{trace: withNaN, f: 1400})
+	}
+	// The last call is a power run, which records where each entry was
+	// found; its NaN poisons the die, so nothing comes after it.
+	steps = append(steps, step{trace: withLate, f: 1400}, step{trace: withLate, f: 1400, g: g})
+	p = New(chip, 6)
+	compareSession(t, "NaN specs", p, New(chip, 6), steps)
+	if n := len(p.ops.ops); n != 2 {
+		t.Fatalf("table holds %d operators after the NaN calls, want 2 (Kept, Late)", n)
+	}
+	if at := p.ops.at; at[0] != 0 || at[1] != -1 || at[2] != 1 {
+		t.Fatalf("last call's places %v, want [0 -1 1]", at)
+	}
+}
+
+// TestProfilersShareInputsConcurrently runs one Profiler per goroutine
+// over one shared chip, ground and trace, as a server's jobs do, and
+// requires each goroutine's warm-up to match the same calls made
+// alone: a Profiler's table is its own, and filling it must only read
+// what it shares. Run it under -race.
+func TestProfilersShareInputsConcurrently(t *testing.T) {
+	m, err := workload.ByName("vit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := npu.Default()
+	g := powersim.Default(chip)
+	const workers, calls = 4, 3
+	warm := func(seed int64) ([]*Profile, error) {
+		p := New(chip, seed)
+		th := thermal.NewState(thermal.Default())
+		var out []*Profile
+		for call := 0; call < calls; call++ {
+			f := []float64{1000, 1800}[call%2]
+			prof, err := p.RunPower(m.Trace, f, g, th)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, prof)
+		}
+		return out, nil
+	}
+	got := make([][]*Profile, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], errs[w] = warm(int64(w))
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		want, err := warm(int64(w))
+		if errs[w] != nil || err != nil {
+			t.Fatalf("worker %d: %v (alone: %v)", w, errs[w], err)
+		}
+		for call := range want {
+			if d := diffProfiles(got[w][call], want[call]); d != "" {
+				t.Fatalf("worker %d call %d differs from the same call made alone: %s", w, call, d)
+			}
+		}
+	}
+}
+
+// TestTableSeesEveryField requires the table's reset check to tell
+// apart two chips, and two grounds, that differ in one field alone:
+// every field in turn, a float by nothing but the sign of a zero. A
+// field added to either type is covered without touching this test.
+func TestTableSeesEveryField(t *testing.T) {
+	checkFields(t, npu.Default(), func(a, b reflect.Value) bool {
+		return sameChip(a.Interface().(*npu.Chip), b.Interface().(*npu.Chip))
+	})
+	checkFields(t, powersim.Default(npu.Default()), func(a, b reflect.Value) bool {
+		return sameGround(a.Interface().(*powersim.Ground), b.Interface().(*powersim.Ground))
+	})
+}
+
+func checkFields(t *testing.T, v any, same func(a, b reflect.Value) bool) {
+	t.Helper()
+	typ := reflect.TypeOf(v).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		a, b := reflect.New(typ), reflect.New(typ)
+		a.Elem().Set(reflect.ValueOf(v).Elem())
+		b.Elem().Set(reflect.ValueOf(v).Elem())
+		if !same(a, b) {
+			t.Fatalf("%v: two copies are not the same", typ)
+		}
+		fa, fb := a.Elem().Field(i), b.Elem().Field(i)
+		switch fa.Kind() {
+		case reflect.Float64:
+			fa.SetFloat(0)
+			fb.SetFloat(math.Copysign(0, -1))
+		case reflect.Int:
+			fb.SetInt(fa.Int() + 1)
+		case reflect.String:
+			fb.SetString(fa.String() + "'")
+		case reflect.Pointer:
+			fb.Set(reflect.New(fa.Type().Elem()))
+		default:
+			t.Fatalf("%v.%s: no edit for kind %v", typ, typ.Field(i).Name, fa.Kind())
+		}
+		if same(a, b) {
+			t.Errorf("%v.%s: copies that differ in it count as the same", typ, typ.Field(i).Name)
 		}
 	}
 }

@@ -24,8 +24,9 @@
 #   - BenchmarkStages/gpt3 reports under 8 MB/op: stage merging keeps
 #     its stages in place (795 MB/op when every merge copied the slice).
 #   - BenchmarkRunPower/vit reports at most 2 allocs/op, the Profile and
-#     its Records: each operator's power terms live in RunPower's frame
-#     (were they to escape per operator it would read >= 721).
+#     its Records: each operator's timing and power terms live in the
+#     table the Profiler keeps across its calls (a table allocated per
+#     call would read 3; terms escaping per operator, >= 721).
 #   - BenchmarkFSAdd/gpt3 reports under 6 MB/op: the fs job store
 #     encodes a record into one buffer and copies the inline trace as it
 #     arrived (12.8 MB/op when json.MarshalIndent re-scanned and
