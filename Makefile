@@ -43,10 +43,9 @@ fmt-check:
 # dvfslint enforces the determinism, concurrency and serving/cluster
 # contracts (DESIGN.md §9): seeded randomness only, tolerance-based
 # float comparison, paired locks, tracked goroutines, dimensional
-# safety, and the interprocedural rules (errsink, allocfree,
-# lockorder). One cold whole-module pass, ~4 s, nearly all of it
-# type-checking the stdlib from source. Run a subset
-# with e.g.:
+# safety, and the interprocedural rules (errsink, lockorder). One cold
+# whole-module pass, ~4 s, nearly all of it type-checking the stdlib
+# from source. Run a subset with e.g.:
 #   go run ./cmd/dvfslint -rules detrand,floateq
 lint:
 	go run ./cmd/dvfslint

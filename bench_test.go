@@ -339,7 +339,8 @@ func benchEvaluator(b *testing.B) *core.Evaluator {
 
 // BenchmarkScore measures one steady-state policy evaluation on the
 // Table 3 (BERT) stage problem — the innermost loop of the GA search.
-// The perf contract (DESIGN.md §10) requires 0 allocs/op here.
+// It is evaltab's Table.Score, which TestScoringAllocatesNothing
+// (internal/evaltab) holds at 0 allocations (DESIGN.md §10).
 func BenchmarkScore(b *testing.B) {
 	ev := benchEvaluator(b)
 	rng := rand.New(rand.NewSource(3))
@@ -383,8 +384,8 @@ func BenchmarkGASearch(b *testing.B) {
 	cfg.Generations = 60
 	// Pinned to one island and one worker so ns/op measures the same
 	// single-threaded search on every machine (the island count would
-	// otherwise default from GOMAXPROCS) and stays allocation-free
-	// (worker goroutines allocate). BenchmarkGASearchScaling owns the
+	// otherwise default to two) and stays allocation-free (worker
+	// goroutines allocate). BenchmarkGASearchScaling owns the
 	// multi-island story.
 	cfg.Islands = 1
 	cfg.Workers = 1

@@ -12,7 +12,7 @@ import (
 func TestRulesListing(t *testing.T) {
 	want := []string{
 		"detrand", "floateq", "lockpair", "goleak", "unitcheck",
-		"errsink", "allocfree", "lockorder",
+		"errsink", "lockorder",
 	}
 	listing := rulesListing()
 	lines := strings.Split(strings.TrimRight(listing, "\n"), "\n")

@@ -163,8 +163,6 @@ func (t *Table) PredictSums(sums []float64) Prediction {
 }
 
 // Predict computes the prediction for an assignment from scratch.
-//
-//lint:hotpath
 func (t *Table) Predict(ind []int) Prediction {
 	var sums [Quad]float64
 	t.InitSums(ind, sums[:])
@@ -191,8 +189,6 @@ const batchTile = 64
 // independent accumulator per quantity, so every quadruple is
 // bit-identical to a per-candidate InitSums walk (ga.PartialScorer
 // contract).
-//
-//lint:hotpath
 func (t *Table) InitSumsBatch(genes []uint8, count int, sums []float64) {
 	for base := 0; base < count; base += batchTile {
 		m := count - base
@@ -210,8 +206,6 @@ func (t *Table) InitSumsBatch(genes []uint8, count int, sums []float64) {
 // Each score is bit-identical to Score of the same vector
 // (ga.BatchScorer contract): the tile accumulation reproduces
 // InitSums exactly and the mapping is the same ScoreSums.
-//
-//lint:hotpath
 func (t *Table) ScoreBatch(genes []int, count int, scores []float64) {
 	for base := 0; base < count; base += batchTile {
 		m := count - base
@@ -264,8 +258,6 @@ func (t *Table) ScoreSums(sums []float64) float64 {
 // Score returns the Eq. 17 fitness of an assignment. It is exactly
 // InitSums followed by ScoreSums, so whole-vector and sum-based
 // scoring of the same gene vector are bit-identical.
-//
-//lint:hotpath
 func (t *Table) Score(ind []int) float64 {
 	var sums [Quad]float64
 	t.InitSums(ind, sums[:])

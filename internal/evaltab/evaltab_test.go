@@ -214,3 +214,57 @@ func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// exactAllocs returns the total heap allocations of k warm calls of f.
+// testing.AllocsPerRun(n, f) with n > 1 reports the mean truncated to
+// an integer, so an allocation made on fewer than every call (an
+// amortized append growing its backing array) reads as zero there;
+// summing k single-call counts misses none.
+func exactAllocs(k int, f func()) float64 {
+	var total float64
+	for i := 0; i < k; i++ {
+		total += testing.AllocsPerRun(1, f)
+	}
+	return total
+}
+
+// TestScoringAllocatesNothing is the zero-allocation contract of the
+// GA's scoring kernels (DESIGN.md §10): Predict, Score and both batch
+// walks allocate nothing, the batch ones over a cohort of two full
+// tiles and a ragged tail. 100 calls span several doublings of any
+// amortized append or map growth, which allocates on a few calls only.
+func TestScoringAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const stages, alleles, count = 17, 6, 150
+	tab := New(stages, alleles)
+	fill(tab, rng)
+	tab.K = 0.09
+	tab.GammaSoC = 0.4
+	tab.GammaCore = 0.15
+	tab.TemperatureAware = true
+	tab.PerBaseline = 1.0 / 300
+	tab.PerLB = 0.95 / 300
+
+	genes := randInd(count*stages, alleles, rng)
+	narrow := make([]uint8, len(genes))
+	for i, g := range genes {
+		narrow[i] = uint8(g)
+	}
+	ind := genes[:stages]
+	scores := make([]float64, count)
+	sums := make([]float64, count*Quad)
+	var sink float64
+	for name, f := range map[string]func(){
+		"Predict":       func() { sink += tab.Predict(ind).SoCWatts },
+		"Score":         func() { sink += tab.Score(ind) },
+		"InitSumsBatch": func() { tab.InitSumsBatch(narrow, count, sums) },
+		"ScoreBatch":    func() { tab.ScoreBatch(genes, count, scores) },
+	} {
+		if n := exactAllocs(100, f); n != 0 {
+			t.Errorf("%s: %v allocations over 100 calls, want 0", name, n)
+		}
+	}
+	if sink == 0 {
+		t.Fatal("scoring returned zeros")
+	}
+}

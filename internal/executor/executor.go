@@ -154,10 +154,8 @@ func (e *Executor) viewAt(scale float64) scaledView {
 		v = cached
 	} else {
 		if e.scaled == nil {
-			//lint:allow allocfree cache-miss path: the view cache is built once per distinct uncore scale, then every walk hits it
 			e.scaled = make(map[float64]scaledView)
 		}
-		//lint:allow allocfree cache-miss path: one insert per distinct uncore scale, amortized to zero across runs
 		e.scaled[scale] = v
 	}
 	e.mu.Unlock()
@@ -312,14 +310,15 @@ func (e *Executor) Run(trace []op.Spec, strat *core.Strategy, th *thermal.State,
 	return res, nil
 }
 
-// runCursor is the per-run mutable state of Run's cursor walk. It used
-// to live in closures inside Run; hoisting it onto one stack value
-// keeps the GA's hardware-in-the-loop scoring loop closure-free (each
-// capture was a heap allocation per Run) and gives the //lint:hotpath
-// gate a root to hold. The cursors applyLo/dispatchHi/syncCur are
-// monotone over the plan, which is ordered by targetOp with
-// non-decreasing triggerOp (strategy points are strictly ascending and
-// the anticipated dispatch times inherit the timeline's order).
+// runCursor is the per-run mutable state of Run's cursor walk. Keeping
+// it on one stack value rather than in closures inside Run keeps the
+// GA's hardware-in-the-loop scoring loop closure-free, so walk
+// allocates nothing per operator (TestRunAllocsIndependentOfTraceSize
+// holds Run's allocation count fixed across trace and plan sizes).
+// The cursors applyLo/dispatchHi/syncCur are monotone over the plan,
+// which is ordered by targetOp with non-decreasing triggerOp (strategy
+// points are strictly ascending and the anticipated dispatch times
+// inherit the timeline's order).
 // [applyLo, dispatchHi) is the in-flight window — dispatched but not
 // yet all applied — and every scan below touches only it, so the walk
 // is O(ops+plan) instead of rescanning the whole plan per operator.
@@ -382,8 +381,6 @@ func (c *runCursor) integrate(s *op.Spec, dur float64) {
 // effect application and mid-op frequency splitting, exactly in the
 // seed implementation's float op order (the reference oracle pins the
 // output bit-for-bit).
-//
-//lint:hotpath
 func (c *runCursor) walk(trace []op.Spec) {
 	for i := range trace {
 		s := &trace[i]

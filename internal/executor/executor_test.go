@@ -401,3 +401,58 @@ func TestConcurrentRunSharedExecutor(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// exactAllocs returns the total heap allocations of k warm calls of f.
+// testing.AllocsPerRun(n, f) with n > 1 reports the mean truncated to
+// an integer, so an allocation made on fewer than every call (an
+// amortized append growing its backing array) reads as zero there;
+// summing k single-call counts misses none.
+func exactAllocs(k int, f func()) float64 {
+	var total float64
+	for i := 0; i < k; i++ {
+		total += testing.AllocsPerRun(1, f)
+	}
+	return total
+}
+
+// TestRunAllocsIndependentOfTraceSize is the zero-allocation contract
+// of the cursor walk (DESIGN.md §10): Run allocates its switch plan,
+// timeline, Result and jitter source once per call, and walk nothing
+// per operator or per switch, so a 10-op, 2-point strategy and a
+// 3,000-op, 600-point one with two uncore scales allocate the same.
+// The warm-up call inside AllocsPerRun fills the scaled-view cache.
+func TestRunAllocsIndependentOfTraceSize(t *testing.T) {
+	e := testExec()
+	opt := DefaultOptions()
+	opt.DelayJitterMicros = 300
+	opt.JitterSeed = 7
+	grid := e.Chip.Curve.Grid()
+
+	small := &core.Strategy{BaselineMHz: 1800, Points: []core.FreqPoint{
+		{OpIndex: 0, FreqMHz: 1800},
+		{OpIndex: 5, FreqMHz: 1000},
+	}}
+	large := &core.Strategy{BaselineMHz: 1800}
+	for i := 0; i < 600; i++ {
+		large.Points = append(large.Points, core.FreqPoint{
+			OpIndex:     5 * i,
+			FreqMHz:     grid[i%len(grid)],
+			UncoreScale: []float64{0.8, 0.9}[i%2],
+		})
+	}
+
+	count := func(trace []op.Spec, strat *core.Strategy) float64 {
+		state := th()
+		var err error
+		n := exactAllocs(3, func() { _, err = e.Run(trace, strat, state, opt) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	smallN := count(flatTrace(10), small)
+	largeN := count(flatTrace(3000), large)
+	if smallN != largeN {
+		t.Fatalf("Run allocations grow with the trace: %v over 3 calls at 10 ops / 2 points, %v at 3000 ops / 600 points", smallN, largeN)
+	}
+}

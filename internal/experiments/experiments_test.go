@@ -415,3 +415,34 @@ func TestChartsRenderable(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperModelErrorEnvelopes runs the paper's model evaluation at
+// full scale and holds it to the envelopes reproduced here: the Table 2
+// power model within the paper's 4.62 % mean error, its γ = 0 ablation
+// strictly worse, and Fig. 15's Func. 2 within 5 % on at least 90 % of
+// points.
+func TestPaperModelErrorEnvelopes(t *testing.T) {
+	skipHeavyUnderRace(t)
+	if testing.Short() {
+		t.Skip("full Table 2 and Fig. 15 evaluation in -short mode")
+	}
+	l := sharedLab()
+	t2, err := l.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t2.MeanErr > 0.0462 {
+		t.Errorf("Table 2 mean error %.2f%%, want <= 4.62%%", t2.MeanErr*100)
+	}
+	if t2.AblationMeanErr <= t2.MeanErr {
+		t.Errorf("Table 2 gamma=0 error %.2f%% not worse than the temperature-aware %.2f%%",
+			t2.AblationMeanErr*100, t2.MeanErr*100)
+	}
+	f15, err := l.Fig15()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if within := f15.CDF(Func2, []float64{0.05})[0].Fraction; within < 0.90 {
+		t.Errorf("Fig. 15: %.1f%% of Func. 2 points within 5%%, want >= 90%%", within*100)
+	}
+}

@@ -25,36 +25,19 @@ const (
 // package comment).
 const maxAlleles = 256
 
-// maxDefaultIslands caps the GOMAXPROCS-derived default island count:
-// past ~8 islands the paper-scale population (200) splits thin enough
-// that per-island selection pressure starts to degrade convergence.
-const maxDefaultIslands = 8
-
 // minDefaultIslandPop is the smallest per-island population the
 // default will create; below ~32 individuals an island's rank
 // selection has too few distinct ranks to search usefully.
 const minDefaultIslandPop = 32
 
 // DefaultIslands returns the island count used when Config.Islands is
-// zero: one island per core up to maxDefaultIslands, but never so
-// many that islands fall under minDefaultIslandPop individuals. The
-// default deliberately derives from GOMAXPROCS, never from
-// Config.Workers — worker count must not change trajectories (the
-// determinism contract), while GOMAXPROCS only changes them across
-// machines, where fixing Config.Islands explicitly restores full
-// portability.
+// zero: two islands, or one when the population cannot give each
+// island minDefaultIslandPop individuals. The count is a function of
+// the population alone — never of GOMAXPROCS or Config.Workers — so a
+// search is byte-identical on every host and at every worker count
+// (the determinism contract).
 func DefaultIslands(popSize int) int {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxDefaultIslands {
-		n = maxDefaultIslands
-	}
-	if c := popSize / minDefaultIslandPop; c < n {
-		n = c
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(2, popSize/minDefaultIslandPop))
 }
 
 // Engine is a reusable search instance: one validated (Problem,
@@ -341,8 +324,6 @@ func (e *Engine) runSegment(ctx context.Context, from, to int) error {
 // the exchange simultaneous and order-free; re-ranking afterwards
 // restores every island's permutation. Runs on the coordinator
 // between segments — the only cross-island data motion in a search.
-//
-//lint:hotpath
 func (e *Engine) migrate() {
 	n, m, sumN := e.n, e.migrants, e.sumN
 	nIsl := len(e.islands)

@@ -145,10 +145,9 @@ type Config struct {
 	// wall-clock.
 	Workers int
 	// Islands is the number of islands the population is partitioned
-	// into. 0 derives a default from GOMAXPROCS and PopSize (see
-	// DefaultIslands) — deliberately never from Workers, so changing
-	// the worker count alone can never change the trajectory. Fixing
-	// Islands explicitly makes results machine-independent as well.
+	// into. 0 derives a default from PopSize alone (see
+	// DefaultIslands), so neither the worker count nor the host's core
+	// count can change the trajectory.
 	Islands int
 	// WarmStart seeds the first generation with previous-search
 	// individuals (e.g. Result.Population from a prior run),

@@ -203,8 +203,6 @@ func (isl *island) runGens(ctx context.Context, e *Engine, from, to int) {
 // the shorter segment treated as replaced: the incremental path
 // starts from the longer parent's sums and applies at most genes/2
 // deltas per child, never a full re-walk.
-//
-//lint:hotpath
 func (isl *island) breed(e *Engine) {
 	n := e.n
 	for i := 0; i < isl.elite; i++ {
@@ -319,8 +317,6 @@ func (isl *island) mutate(e *Engine, c *scored) {
 // keep ascending slot order) and no slot is physically moved — the
 // slab rows, and with them the batch-scoring contiguity, are
 // permanent.
-//
-//lint:hotpath
 func (isl *island) rank() {
 	n := isl.size
 	pop, sc, hist := isl.pop, isl.sc, isl.radixHist
@@ -390,8 +386,6 @@ func (isl *island) pickParent() *scored {
 // sweeping the cohort's contiguous slab rows — bounding the delta
 // path's floating-point drift. Runs on the island's goroutine; a delta
 // score is tens of nanoseconds, far below fan-out cost.
-//
-//lint:hotpath
 func (isl *island) scoreIncremental(e *Engine, cohort []scored, refresh bool) {
 	if refresh {
 		base, cnt := int(cohort[0].row), len(cohort)

@@ -3,6 +3,7 @@ package ga
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -332,5 +333,30 @@ func TestIslandConfigValidation(t *testing.T) {
 		if _, err := New(p, cfg); err != nil {
 			t.Errorf("defaulted islands rejected PopSize=%d: %v", pop, err)
 		}
+	}
+}
+
+// TestDefaultIslandsIgnoreGOMAXPROCS: with Islands left at 0, the
+// island count — and so the whole trajectory — depends on the
+// population alone, so one search is byte-identical on hosts with
+// different core counts.
+func TestDefaultIslandsIgnoreGOMAXPROCS(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PopSize = 64
+	cfg.Generations = 60
+	p := newIntSumProblem(24, 8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref *Result
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		res, err := RunContext(context.Background(), p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		sameResult(t, fmt.Sprintf("GOMAXPROCS=%d", procs), ref, res)
 	}
 }

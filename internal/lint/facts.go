@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the interprocedural fact store behind errsink (and,
-// through hotfacts.go, allocfree and lockorder). Facts are
+// through lockfacts.go, lockorder). Facts are
 // per-function summaries keyed by *types.Func identity — valid because
 // the Loader caches every package against one shared FileSet, so a
 // function object seen by a dependent package is the same object its
@@ -26,23 +26,14 @@ type FuncFact struct {
 	// real I/O failure.
 	DerivesIOError bool
 
-	// --- performance-contract facts (hotfacts.go) ---
+	// --- lock facts (lockfacts.go) ---
 
-	// AllocSites are the function's direct allocation sites (hot-path
-	// allocation classes, forbidden calls included). Consumed by
-	// allocfree, which reports them when the function is reachable from
-	// a //lint:hotpath root in the package under analysis.
-	AllocSites []AllocSite
 	// Callees are the module-internal functions this one calls
 	// statically (including dynamic calls through unexported func-typed
 	// struct fields, resolved in the field's declaring package). The
-	// interprocedural walk and the fixpoint propagation both run over
-	// this edge list.
-	Callees []CalleeRef
-	// Allocates: the function (or anything it reaches through Callees)
-	// has at least one AllocSite. Cross-package allocfree findings are
-	// reported at the call edge via this bit.
-	Allocates bool
+	// fixpoint propagation of AllAcquires and Blocks runs over this
+	// edge list.
+	Callees []*types.Func
 	// Acquires are the lock IDs ("pkg.Type.field") the function
 	// acquires directly; AllAcquires closes the set over Callees.
 	Acquires    []string
@@ -183,7 +174,7 @@ func computePackageFacts(p *Package, store *Facts) {
 			store.put(df.fn, fact)
 		}
 	}
-	computeHotFacts(p, fns, store)
+	computeLockFacts(p, fns, store)
 }
 
 // derivesIOError reports whether fn (with body decl) has an error

@@ -73,7 +73,7 @@ func TestErrSinkCrossPackage(t *testing.T) {
 // TestNewRulesSelectable: each new analyzer resolves by name and lists
 // a doc string (the -rules/-list contract).
 func TestNewRulesSelectable(t *testing.T) {
-	for _, rule := range []string{"errsink", "allocfree", "lockorder"} {
+	for _, rule := range []string{"errsink", "lockorder"} {
 		as, err := SelectAnalyzers(rule)
 		if err != nil || len(as) != 1 || as[0].Name != rule {
 			t.Fatalf("SelectAnalyzers(%q) = %v, %v", rule, as, err)
@@ -88,7 +88,7 @@ func TestNewRulesSelectable(t *testing.T) {
 // the new rules — a no-op exemption is a finding when its rule runs,
 // and silent when it doesn't.
 func TestNewRulesUnusedAllow(t *testing.T) {
-	for _, rule := range []string{"errsink", "allocfree", "lockorder"} {
+	for _, rule := range []string{"errsink", "lockorder"} {
 		src := "package server\n\n//lint:allow " + rule + " stale exemption kept for the engine test\nfunc ok() int {\n\treturn 1\n}\n"
 		p := mountSource(t, "npudvfs/internal/server", "stale.go", src)
 		diags := Run(p, Analyzers())

@@ -1,7 +1,7 @@
 // Package lint is dvfslint: a project-specific static-analysis suite,
 // built entirely on the stdlib go/ast + go/types toolchain, that
 // mechanically enforces the repository's determinism, concurrency and
-// dimensional-safety contracts (DESIGN.md §9). It ships eight
+// dimensional-safety contracts (DESIGN.md §9). It ships seven
 // analyzers:
 //
 //	detrand     — no process-global math/rand or wall-clock reads in
@@ -17,15 +17,13 @@
 //	errsink     — no discarded errors with os/io/net provenance in the
 //	              serving/cluster packages (interprocedural: a helper
 //	              wrapping os.Rename taints its callers)
-//	allocfree   — functions marked //lint:hotpath must not allocate,
-//	              transitively through every module-internal callee
 //	lockorder   — no lock-order cycles across the module's lock graph;
 //	              no blocking ops (channel, Wait, network, store I/O)
 //	              while holding a serving-path mutex
 //
-// The last three are interprocedural: they consume per-function
+// The last two are interprocedural: they consume per-function
 // summaries from a fact store filled bottom-up along the import DAG at
-// load time (facts.go, hotfacts.go).
+// load time (facts.go, lockfacts.go).
 //
 // Invariants that one function can hold by construction are not
 // linted: jobstore's only disk write is writeAtomic, client's only
@@ -75,7 +73,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, FloatEq, LockPair, GoLeak, UnitCheck, ErrSink, AllocFree, LockOrder}
+	return []*Analyzer{DetRand, FloatEq, LockPair, GoLeak, UnitCheck, ErrSink, LockOrder}
 }
 
 // registered reports whether name is a rule of the full suite.

@@ -8,31 +8,14 @@ import (
 	"strings"
 )
 
-// This file computes the performance-contract facts behind allocfree
-// and lockorder: per-function allocation summaries (which allocation
-// classes a function performs, and which module-internal callees it
-// reaches) and lock summaries (which locks it acquires, what it does
-// while holding them, and whether it can block). Like the PR 8 facts
-// they are computed eagerly at load time inside computePackageFacts, so
-// the Loader's imports-first load order doubles as the bottom-up
+// This file computes the lock facts behind lockorder: per-function
+// callee edges (which module-internal functions a function calls) and
+// lock summaries (which locks it acquires, what it does while holding
+// them, and whether it can block). Like the errsink facts they are
+// computed eagerly at load time inside computePackageFacts, so the
+// Loader's imports-first load order doubles as the bottom-up
 // propagation order and an intra-package fixpoint handles mutual
 // recursion.
-
-// AllocSite is one direct allocation (or forbidden call) in a function
-// body, classified by allocfree's hot-path allocation classes.
-type AllocSite struct {
-	Pos  token.Pos
-	What string
-}
-
-// CalleeRef is one module-internal callee edge: a static call, or a
-// dynamic call through an unexported func-typed struct field, resolved
-// against the functions assigned to that field in its declaring
-// package. Pos is the first call site.
-type CalleeRef struct {
-	Fn  *types.Func
-	Pos token.Pos
-}
 
 // HeldCallee records a module-internal call made while a lock is held,
 // position-free (positions only matter in the package under analysis;
@@ -229,265 +212,39 @@ func resolveCallees(p *Package, call *ast.CallExpr, store *Facts) []*types.Func 
 	return store.fieldFuncs(fieldFuncKey(named, f))
 }
 
-// --- allocation scan --------------------------------------------------
+// --- callee scan ------------------------------------------------------
 
-// forbiddenCallee classifies calls that are banned outright on the hot
-// path, independent of whether this particular call allocates.
-func forbiddenCallee(fn *types.Func) string {
-	switch path := funcPkgPath(fn); {
-	case path == "fmt" || path == "log":
-		return "call to " + path + "." + fn.Name() + " is forbidden on the hot path"
-	case isPkgFunc(fn, "time", "Now"):
-		return "call to time.Now is forbidden on the hot path"
-	}
-	return ""
-}
-
-// allocScan walks one function body and returns its direct allocation
-// sites (the hot-path allocation classes) plus its module-internal
-// callee edges. FuncLit bodies contribute only a closure-capture site —
-// if the literal is ever invoked on the hot path that happens through
-// an opaque function value, which allocfree reports at the capture.
-func allocScan(p *Package, decl *ast.FuncDecl, store *Facts) (sites []AllocSite, callees []CalleeRef) {
-	seenCallee := map[*types.Func]bool{}
-	addCallee := func(fn *types.Func, pos token.Pos) {
-		if fn == nil || seenCallee[fn] {
-			return
-		}
-		seenCallee[fn] = true
-		callees = append(callees, CalleeRef{Fn: fn, Pos: pos})
-	}
-	addSite := func(pos token.Pos, what string) {
-		sites = append(sites, AllocSite{Pos: pos, What: what})
-	}
-	// addrTaken marks composite literals already reported through an
-	// enclosing &T{...}, so the literal itself is not double-counted.
-	addrTaken := map[ast.Expr]bool{}
-	var stack []ast.Node
-	inLoop := func() bool {
-		for _, n := range stack {
-			switch n.(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
+// calleeScan returns a function body's module-internal callee edges,
+// each callee once, in first-call order. FuncLit bodies and go
+// statements run asynchronously relative to the body, arguments of a
+// direct panic(...) only while dying, and conversions and builtins
+// call nothing, so none of them contributes an edge.
+func calleeScan(p *Package, decl *ast.FuncDecl, store *Facts) []*types.Func {
+	var callees []*types.Func
+	seen := map[*types.Func]bool{}
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt:
+			return false
+		case *ast.CallExpr:
+			if tv, ok := p.Info.Types[ast.Unparen(x.Fun)]; ok && tv.IsType() {
 				return true
 			}
-		}
-		return false
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			if name := capturedLocal(p, x); name != "" {
-				addSite(x.Pos(), "function literal captures "+name+" (closure allocates)")
-			} else {
-				addSite(x.Pos(), "function literal allocates")
-			}
-			stack = stack[:len(stack)-1]
-			return false
-		case *ast.GoStmt:
-			addSite(x.Pos(), "go statement spawns a goroutine")
-			stack = stack[:len(stack)-1]
-			return false
-		case *ast.DeferStmt:
-			if inLoop() {
-				addSite(x.Pos(), "defer inside a loop allocates per iteration")
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if cl, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					addrTaken[cl] = true
-					addSite(x.Pos(), "composite literal escapes to the heap")
-				}
-			}
-		case *ast.CompositeLit:
-			if addrTaken[x] {
-				break
-			}
-			if tv, ok := p.Info.Types[x]; ok && tv.Type != nil {
-				switch tv.Type.Underlying().(type) {
-				case *types.Slice:
-					addSite(x.Pos(), "slice literal allocates")
-				case *types.Map:
-					addSite(x.Pos(), "map literal allocates")
-				}
-			}
-		case *ast.BinaryExpr:
-			if x.Op == token.ADD && isStringType(p.Info.Types[x].Type) {
-				addSite(x.OpPos, "string concatenation allocates")
-			}
-		case *ast.AssignStmt:
-			if x.Tok == token.ADD_ASSIGN && len(x.Lhs) == 1 && isStringType(p.Info.Types[x.Lhs[0]].Type) {
-				addSite(x.TokPos, "string concatenation allocates")
-			}
-			for _, lhs := range x.Lhs {
-				if pos, ok := mapIndexWrite(p, lhs); ok {
-					addSite(pos, "map write may allocate")
-				}
-			}
-		case *ast.IncDecStmt:
-			if pos, ok := mapIndexWrite(p, x.X); ok {
-				addSite(pos, "map write may allocate")
-			}
-		case *ast.CallExpr:
-			// Arguments of a direct panic(...) are terminal-path only:
-			// the allocation happens once, while dying. Skipping them
-			// keeps guard clauses like panic(fmt.Sprintf(...)) from
-			// poisoning every hot caller of an otherwise clean function.
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-					stack = stack[:len(stack)-1]
-					return false
+				if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
+					return b.Name() != "panic"
 				}
 			}
-			scanCallAlloc(p, x, store, addSite, addCallee)
+			for _, fn := range resolveCallees(p, x, store) {
+				if !seen[fn] {
+					seen[fn] = true
+					callees = append(callees, fn)
+				}
+			}
 		}
 		return true
 	})
-	return sites, callees
-}
-
-// scanCallAlloc classifies one call expression for the allocation scan:
-// conversions, allocating builtins, forbidden callees, interface boxing
-// at argument positions, and module-internal callee edges.
-func scanCallAlloc(p *Package, call *ast.CallExpr, store *Facts, addSite func(token.Pos, string), addCallee func(*types.Func, token.Pos)) {
-	if tv, ok := p.Info.Types[ast.Unparen(call.Fun)]; ok && tv.IsType() {
-		if len(call.Args) == 1 && isStringBytesConv(tv.Type, p.Info.Types[call.Args[0]].Type) {
-			addSite(call.Pos(), "string conversion allocates")
-		}
-		return
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make":
-				addSite(call.Pos(), "make allocates")
-			case "new":
-				addSite(call.Pos(), "new allocates")
-			case "append":
-				addSite(call.Pos(), "append may grow its backing array")
-			}
-			return
-		}
-	}
-	fn := calleeFunc(p, call)
-	if what := forbiddenCallee(fn); what != "" {
-		addSite(call.Pos(), what)
-	}
-	for _, callee := range resolveCallees(p, call, store) {
-		addCallee(callee, call.Pos())
-	}
-	// Boxing: a concrete non-pointer value passed where an interface is
-	// expected forces a heap allocation at the call site.
-	sig, ok := p.Info.Types[call.Fun].Type.Underlying().(*types.Signature)
-	if !ok || call.Ellipsis.IsValid() {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			slice, ok := params.At(params.Len() - 1).Type().(*types.Slice)
-			if !ok {
-				continue
-			}
-			pt = slice.Elem()
-		case i < params.Len():
-			pt = params.At(i).Type()
-		default:
-			continue
-		}
-		if !types.IsInterface(pt) {
-			continue
-		}
-		atv, ok := p.Info.Types[arg]
-		if !ok || atv.Type == nil || atv.IsNil() {
-			continue
-		}
-		at := atv.Type
-		if types.IsInterface(at) {
-			continue
-		}
-		if _, isPtr := at.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if _, isSig := at.Underlying().(*types.Signature); isSig {
-			continue
-		}
-		addSite(arg.Pos(), "value of type "+types.TypeString(at, types.RelativeTo(p.Pkg))+" boxed into interface parameter")
-	}
-}
-
-// mapIndexWrite reports whether lhs is an index expression into a map.
-func mapIndexWrite(p *Package, lhs ast.Expr) (token.Pos, bool) {
-	ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
-	if !ok {
-		return token.NoPos, false
-	}
-	tv, ok := p.Info.Types[ix.X]
-	if !ok || tv.Type == nil {
-		return token.NoPos, false
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return token.NoPos, false
-	}
-	return ix.Pos(), true
-}
-
-func isStringType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-// isStringBytesConv reports a string <-> []byte/[]rune conversion,
-// which copies the data into a fresh allocation.
-func isStringBytesConv(dst, src types.Type) bool {
-	if dst == nil || src == nil {
-		return false
-	}
-	return (isStringType(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isStringType(src))
-}
-
-func isByteOrRuneSlice(t types.Type) bool {
-	slice, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := slice.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// capturedLocal returns the name of the first function-local variable
-// (or parameter/receiver) of the enclosing function that lit captures,
-// or "" when the literal only touches its own locals and package state.
-func capturedLocal(p *Package, lit *ast.FuncLit) string {
-	name := ""
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if name != "" {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := p.Info.Uses[id].(*types.Var)
-		if !ok || v.IsField() || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
-			return true
-		}
-		if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
-			name = v.Name()
-			return false
-		}
-		return true
-	})
-	return name
+	return callees
 }
 
 // --- lock sweep -------------------------------------------------------
@@ -936,19 +693,19 @@ func unionStrings(dst, src []string) ([]string, bool) {
 	return dst, grew
 }
 
-// computeHotFacts fills the allocfree/lockorder facts for one package:
+// computeLockFacts fills the lockorder facts for one package:
 // field-func assignments first (dynamic field calls resolve against
-// them), then per-function one-shot scans, then a shared fixpoint for
-// the propagation facts (Allocates, AllAcquires, Blocks), then the
-// interface-method union so calls through module-internal interfaces
-// (jobstore.Store) see the union of their in-package implementations.
-func computeHotFacts(p *Package, fns []declFn, store *Facts) {
+// them), then per-function one-shot scans, then a fixpoint for the
+// propagation facts (AllAcquires, Blocks), then the interface-method
+// union so calls through module-internal interfaces (jobstore.Store)
+// see the union of their in-package implementations.
+func computeLockFacts(p *Package, fns []declFn, store *Facts) {
 	for _, df := range fns {
 		recordFieldFuncs(p, df.decl, store)
 	}
 	for _, df := range fns {
 		fact := store.Lookup(df.fn)
-		fact.AllocSites, fact.Callees = allocScan(p, df.decl, store)
+		fact.Callees = calleeScan(p, df.decl, store)
 		sum := sweepLockFacts(p, df.decl, store)
 		fact.Acquires = sum.acquires
 		fact.AllAcquires = append([]string(nil), sum.acquires...)
@@ -963,16 +720,8 @@ func computeHotFacts(p *Package, fns []declFn, store *Facts) {
 		for _, df := range fns {
 			fact := store.Lookup(df.fn)
 			updated := false
-			if !fact.Allocates && len(fact.AllocSites) > 0 {
-				fact.Allocates = true
-				updated = true
-			}
 			for _, c := range fact.Callees {
-				cf := store.Lookup(c.Fn)
-				if !fact.Allocates && cf.Allocates {
-					fact.Allocates = true
-					updated = true
-				}
+				cf := store.Lookup(c)
 				if acq, grew := unionStrings(fact.AllAcquires, cf.AllAcquires); grew {
 					fact.AllAcquires = acq
 					updated = true
@@ -992,7 +741,7 @@ func computeHotFacts(p *Package, fns []declFn, store *Facts) {
 }
 
 // unionInterfaceFacts publishes, for every interface declared in p, the
-// union of the lock/alloc facts of its in-package implementations onto
+// union of the lock facts of its in-package implementations onto
 // the interface's own method objects. A call through jobstore.Store.Add
 // then sees what Memory.Add (and FS via embedding) actually does.
 // Restricting to implementations declared in the same package keeps the
@@ -1032,10 +781,6 @@ func unionInterfaceFacts(p *Package, store *Facts) {
 			for _, hc := range fact.HeldCallees {
 				seenHeld[hc] = true
 			}
-			seenCallee := map[*types.Func]bool{}
-			for _, c := range fact.Callees {
-				seenCallee[c.Fn] = true
-			}
 			for _, impl := range impls {
 				if !types.Implements(impl, iface) {
 					continue
@@ -1047,10 +792,6 @@ func unionInterfaceFacts(p *Package, store *Facts) {
 				}
 				seenImpl[implFn] = true
 				implFact := store.Lookup(implFn)
-				if implFact.Allocates && !fact.Allocates {
-					fact.Allocates = true
-					updated = true
-				}
 				if acq, grew := unionStrings(fact.AllAcquires, implFact.AllAcquires); grew {
 					fact.AllAcquires = acq
 					updated = true
@@ -1063,13 +804,6 @@ func unionInterfaceFacts(p *Package, store *Facts) {
 					if !seenHeld[hc] {
 						seenHeld[hc] = true
 						fact.HeldCallees = append(fact.HeldCallees, hc)
-						updated = true
-					}
-				}
-				for _, c := range implFact.Callees {
-					if !seenCallee[c.Fn] {
-						seenCallee[c.Fn] = true
-						fact.Callees = append(fact.Callees, c)
 						updated = true
 					}
 				}

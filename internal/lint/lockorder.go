@@ -296,3 +296,15 @@ func funcValueAcquires(p *Package, arg ast.Expr, store *Facts) []string {
 	}
 	return nil
 }
+
+// calleeDisplay renders a callee as pkg.Func or pkg.Type.Method.
+func calleeDisplay(fn *types.Func) string {
+	name := fn.Name()
+	if named := recvNamed(fn); named != nil {
+		name = named.Obj().Name() + "." + name
+	}
+	if fn.Pkg() != nil {
+		return pkgBase(fn.Pkg().Path()) + "." + name
+	}
+	return name
+}
