@@ -2,11 +2,11 @@
 # suite, full test suite, then the race detector over every package
 # (the repo ships concurrency — shared Executors, GA worker pools, the
 # parallel experiment harness and the dvfsd serving layer — so a
-# race-clean run is part of "tests pass"), and finally the dvfsd
-# end-to-end smokes.
-.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short bench-smoke fuzz-smoke serve-smoke cluster-smoke
+# race-clean run is part of "tests pass"), the examples, and finally the
+# dvfsd end-to-end smokes.
+.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short examples bench-smoke fuzz-smoke serve-smoke cluster-smoke
 
-verify: build bench-build vet fmt-check lint test race serve-smoke cluster-smoke
+verify: build bench-build vet fmt-check lint test race examples serve-smoke cluster-smoke
 
 build:
 	go build ./...
@@ -58,6 +58,17 @@ race:
 
 short:
 	go test -short ./...
+
+# Runs every program under examples/ to completion (each takes 1-2 s).
+# examples/custom-accelerator is the one end-to-end run on a V-F table
+# other than the reference chip's, so it is where a frequency taken
+# from the wrong grid shows. Fails on the first example that exits
+# non-zero. TMPDIR points at a scratch directory removed afterwards,
+# because moe-production leaves its artifacts in a temporary directory
+# for the reader to open.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for e in examples/*/; do echo "go run ./$$e"; TMPDIR=$$tmp go run ./$$e > /dev/null || exit 1; done
 
 # Every benchmark in the repo, once each — the CI smoke that they
 # still compile and run — plus the cheap perf-contract assertions

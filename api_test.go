@@ -2,7 +2,10 @@ package npudvfs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -135,5 +138,80 @@ func TestWorkloadByNameReturnsOwnedCopy(t *testing.T) {
 		if got.Name != fresh.Name || got.Trace[0] != want || !reflect.DeepEqual(got.Trace, fresh.Trace) {
 			t.Errorf("%s sees the caller's edits", label)
 		}
+	}
+}
+
+// A generated strategy, a registry workload and a fitted model bundle
+// survive the facade's save/load round trip unchanged, and the facade
+// fingerprints a registry trace to the digest pinned for it.
+func TestFacadeFileRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	l := NewLab()
+	m, err := WorkloadByName("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wpath := filepath.Join(dir, "trace.json")
+	if err := SaveWorkload(wpath, m); err != nil {
+		t.Fatal(err)
+	}
+	wback, err := LoadWorkload(wpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wback, m) {
+		t.Error("workload changed across SaveWorkload/LoadWorkload")
+	}
+
+	ms, err := l.BuildModels(m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := ms.Bundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(dir, "models.json")
+	if err := SaveModels(mpath, bundle); err != nil {
+		t.Fatal(err)
+	}
+	mback, err := LoadModels(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mback, bundle) {
+		t.Error("model bundle changed across SaveModels/LoadModels")
+	}
+
+	cfg := DefaultStrategyConfig()
+	cfg.GA.PopSize = 8
+	cfg.GA.Generations = 10
+	strat, err := GenerateStrategy(context.Background(), ms.Input(l.Chip), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spath := filepath.Join(dir, "strategy.json")
+	if err := SaveStrategy(spath, strat); err != nil {
+		t.Fatal(err)
+	}
+	sback, err := LoadStrategy(spath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sback, strat) {
+		t.Errorf("strategy changed across SaveStrategy/LoadStrategy:\n got %+v\nwant %+v", sback, strat)
+	}
+
+	raw, err := os.ReadFile(filepath.Join("internal", "traceio", "testdata", "registry_fingerprints.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned map[string]string
+	if err := json.Unmarshal(raw, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	if got := FingerprintTrace(m.Trace); got != pinned["resnet50"] {
+		t.Errorf("FingerprintTrace(resnet50) = %s, pinned %s", got, pinned["resnet50"])
 	}
 }

@@ -270,7 +270,6 @@ func BenchmarkGAPriorSeeding(b *testing.B) {
 	strat, stages, _, err := core.GenerateContext(context.Background(), ms.Input(l.Chip), core.Config{
 		FAIMicros:      cfg.FAIMicros,
 		PerfLossTarget: cfg.PerfLossTarget,
-		PriorLFCMHz:    cfg.PriorLFCMHz,
 		Guard:          cfg.Guard,
 		GA:             ga.Config{PopSize: 4, Generations: 1, MutationRate: 0.1, CrossoverRate: 0.5, Seed: 1},
 	})
@@ -321,7 +320,6 @@ func benchEvaluator(b *testing.B) *core.Evaluator {
 		_, stages, _, err := core.GenerateContext(context.Background(), ms.Input(l.Chip), core.Config{
 			FAIMicros:      cfg.FAIMicros,
 			PerfLossTarget: cfg.PerfLossTarget,
-			PriorLFCMHz:    cfg.PriorLFCMHz,
 			Guard:          cfg.Guard,
 			GA:             ga.Config{PopSize: 4, Generations: 1, MutationRate: 0.1, CrossoverRate: 0.5, Seed: 1},
 		})
@@ -939,7 +937,6 @@ func BenchmarkScoreGPT3Policy(b *testing.B) {
 	_, stages, _, err := core.GenerateContext(context.Background(), ms.Input(l.Chip), core.Config{
 		FAIMicros:      cfg.FAIMicros,
 		PerfLossTarget: cfg.PerfLossTarget,
-		PriorLFCMHz:    cfg.PriorLFCMHz,
 		Guard:          cfg.Guard,
 		GA:             ga.Config{PopSize: 4, Generations: 1, MutationRate: 0.1, CrossoverRate: 0.5, Seed: 1},
 	})

@@ -73,7 +73,8 @@ func main() {
 			fmt.Printf("loaded fitted models for %s from %s (calibration and profiling skipped)\n",
 				m.Name, *loadModels)
 		} else {
-			fmt.Printf("calibrating chip and modeling %s (profiles at 1000/1800 MHz)...\n", m.Name)
+			fit := lab.Chip.Curve.Plan().PowerFit
+			fmt.Printf("calibrating chip and modeling %s (profiles at %g/%g MHz)...\n", m.Name, fit[0], fit[1])
 			ms, err = lab.BuildModels(m, true)
 			if err != nil {
 				fatal(err)

@@ -76,13 +76,14 @@ func main() {
 	}
 
 	// 3. Same pipeline as on the reference chip: model, search,
-	//    measure.
+	//    measure. Every frequency it calibrates, fits, validates or
+	//    seeds the search at comes from this chip's grid
+	//    (curve.Plan()), not from the reference chip's.
 	ms, err := lab.BuildModels(m, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg := npudvfs.DefaultStrategyConfig()
-	cfg.PriorLFCMHz = 1600 //lint:allow unitcheck seed frequency for the GA prior, a point on this chip's custom grid
 	cfg.GA.PopSize = 80
 	cfg.GA.Generations = 200
 	strat, err := npudvfs.GenerateStrategy(context.Background(), ms.Input(lab.Chip), cfg)
@@ -97,7 +98,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	plan := curve.Plan()
 	fmt.Printf("custom accelerator %q: grid %v MHz\n", chip.Name, []npudvfs.MHz{curve.Min(), curve.Max()})
+	fmt.Printf("plan: fit %v, mid %v, validate %v, equilibrium %v, prior LFC %v MHz\n",
+		plan.PowerFit, plan.Mid, plan.Eval, plan.Equilibrium, plan.PriorLFC)
 	fmt.Printf("iteration: %.2f ms -> %.2f ms (%+.2f%%)\n",
 		base.TimeMicros/1000, dvfs.TimeMicros/1000, 100*(dvfs.TimeMicros/base.TimeMicros-1))
 	fmt.Printf("AICore:    %.2f W -> %.2f W (%+.2f%%)\n",

@@ -28,8 +28,8 @@ func main() {
 
 	// 2. "Profile" it at the two endpoints of the DVFS range and fit
 	//    the production performance model T(f) = A·f + C/f (Sect. 4.3).
-	fit := []npudvfs.MHz{1000, 1800} //lint:allow unitcheck the DVFS window edges (vf.Ascend Min/Max), spelled out for the walkthrough
-	times := []npudvfs.Micros{npudvfs.Micros(chip.Time(&gelu, 1000)), npudvfs.Micros(chip.Time(&gelu, 1800))}
+	fit := []npudvfs.MHz{chip.Curve.Min(), chip.Curve.Max()}
+	times := []npudvfs.Micros{npudvfs.Micros(chip.Time(&gelu, float64(fit[0]))), npudvfs.Micros(chip.Time(&gelu, float64(fit[1])))}
 	model, err := npudvfs.FitPerfModel(fit, times)
 	if err != nil {
 		log.Fatal(err)

@@ -30,6 +30,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"npudvfs/internal/classify"
 	"npudvfs/internal/evaltab"
@@ -144,9 +145,6 @@ type Config struct {
 	PerfLossTarget float64
 	// GA configures the genetic search.
 	GA ga.Config
-	// PriorLFCMHz is the frequency assigned to LFC stages in the
-	// prior seed individual (Sect. 6.3.1; the paper uses 1600).
-	PriorLFCMHz units.MHz
 	// Guard shrinks the loss target used internally to absorb model
 	// and actuation error, so measured loss lands under the target.
 	// The paper's measured losses run at 80-90% of each target
@@ -157,13 +155,13 @@ type Config struct {
 
 // DefaultConfig returns the paper's production settings: 5 ms FAI, 2%
 // performance loss target, population 200, 600 generations, mutation
-// 0.15, prior LFC at 1600 MHz.
+// 0.15. The prior individual's LFC frequency is the chip's
+// vf.Plan.PriorLFC (1600 MHz on Ascend).
 func DefaultConfig() Config {
 	return Config{
 		FAIMicros:      5000,
 		PerfLossTarget: 0.02,
 		GA:             ga.DefaultConfig(),
-		PriorLFCMHz:    1600, //lint:allow unitcheck paper prior-individual LFC frequency (Sect. 6.3.1), a vf.Ascend grid point
 		Guard:          0.5,
 	}
 }
@@ -390,13 +388,8 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 		p.Table.GammaCore = in.Power.AICore.Gamma
 		p.Table.GammaSoC = in.Power.SoC.Gamma
 	}
-	// Locate the prior LFC frequency on the grid.
-	p.priorIdx = p.baselineIdx
-	for i, f := range grid {
-		if stats.Approx(f, cfg.PriorLFCMHz) {
-			p.priorIdx = i
-		}
-	}
+	prior := in.Chip.Curve.Plan().PriorLFC
+	p.priorIdx = slices.IndexFunc(grid, func(f units.MHz) bool { return stats.Approx(f, prior) })
 	// Fill the table operator by operator: the key, the fitted time
 	// model and the power coefficients are looked up once per operator,
 	// the voltage and idle power once per grid point. Every cell still

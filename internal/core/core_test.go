@@ -315,7 +315,6 @@ func mustStages(t *testing.T, f *fixture, cfg Config) []preprocess.Stage {
 	_, stages, _, err := GenerateContext(context.Background(), f.input, Config{
 		FAIMicros:      cfg.FAIMicros,
 		PerfLossTarget: cfg.PerfLossTarget,
-		PriorLFCMHz:    cfg.PriorLFCMHz,
 		GA:             ga.Config{PopSize: 4, Generations: 1, Seed: 1, MutationRate: 0.1, CrossoverRate: 0.5},
 	})
 	if err != nil {

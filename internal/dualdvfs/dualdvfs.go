@@ -17,6 +17,7 @@ package dualdvfs
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"npudvfs/internal/classify"
 	"npudvfs/internal/core"
@@ -42,10 +43,6 @@ type Config struct {
 	PerfLossTarget float64
 	Guard          float64
 	GA             ga.Config
-	// PriorLFCMHz seeds LFC stages of the prior individual at this
-	// core frequency (uncore at nominal: scaling the uncore down on a
-	// memory-bound stage costs time directly).
-	PriorLFCMHz units.MHz
 	// PriorHFCScale seeds HFC stages at this uncore scale (core at
 	// maximum): compute-bound stages hide memory latency under the
 	// core computation, so their uncore can be downclocked nearly for
@@ -62,7 +59,6 @@ func DefaultConfig() Config {
 		PerfLossTarget: 0.02,
 		Guard:          0.7,
 		GA:             ga.DefaultConfig(),
-		PriorLFCMHz:    1600, //lint:allow unitcheck paper prior-individual LFC frequency (Sect. 6.3.1), a vf.Ascend grid point
 		PriorHFCScale:  0.95,
 	}
 }
@@ -84,7 +80,7 @@ type Input struct {
 // — the extra offline measurement a platform with uncore DVFS would
 // provide.
 func CalibrateUncore(rig *powermodel.Rig, probeScale float64, samples int) (float64, error) {
-	if rig == nil || rig.Ground == nil || rig.Sensor == nil {
+	if rig == nil || rig.Chip == nil || rig.Ground == nil || rig.Sensor == nil {
 		return 0, fmt.Errorf("dualdvfs: incomplete rig")
 	}
 	if probeScale <= 0 || probeScale >= 1 {
@@ -93,8 +89,9 @@ func CalibrateUncore(rig *powermodel.Rig, probeScale float64, samples int) (floa
 	if samples <= 0 {
 		samples = 64
 	}
-	//lint:allow unitcheck fixed mid-window probe frequency for the uncore idle measurement; any in-window point works, 1500 kept for reproducibility
-	const probeF = units.MHz(1500)
+	// Any in-window point works; the plan's third equilibrium point is
+	// 1500 MHz on Ascend.
+	probeF := rig.Chip.Curve.Plan().Equilibrium[2]
 	read := func(g *powersim.Ground) float64 {
 		sum := 0.0
 		for i := 0; i < samples; i++ {
@@ -235,16 +232,14 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 		}
 	}
 	// Locate baseline and prior alleles. The prior individual pairs
-	// LFC stages with a lower core frequency (nominal uncore) and HFC
-	// stages with a downclocked uncore (maximum core frequency).
+	// LFC stages with the plan's prior core frequency (nominal uncore:
+	// scaling the uncore down on a memory-bound stage costs time
+	// directly) and HFC stages with a downclocked uncore (maximum core
+	// frequency).
 	one := indexOf(scales, 1)
 	p.baselineIdx = p.alleleOf(len(grid)-1, one)
-	priorF := len(grid) - 1
-	for i, f := range grid {
-		if stats.Approx(f, cfg.PriorLFCMHz) {
-			priorF = i
-		}
-	}
+	prior := in.Chip.Curve.Plan().PriorLFC
+	priorF := slices.IndexFunc(grid, func(f units.MHz) bool { return stats.Approx(f, prior) })
 	p.priorLFCIdx = p.alleleOf(priorF, one)
 	hfcScale := indexOf(scales, cfg.PriorHFCScale)
 	if hfcScale < 0 {

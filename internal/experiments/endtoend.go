@@ -283,32 +283,38 @@ func (r *Fig18Result) String() string {
 }
 
 // InferenceResult reproduces the Sect. 8.4 host-bound inference
-// experiment: lowering every operator to 1300 MHz.
+// experiment: lowering every operator to the V-F knee (1300 MHz on
+// Ascend).
 type InferenceResult struct {
+	LowMHz        float64
 	PerfLoss      float64
 	SoCReduction  float64
 	CoreReduction float64
 	IdleFraction  float64
 }
 
-// Inference measures a Llama2 decode step at 1800 vs 1300 MHz.
+// Inference measures a Llama2 decode step at the maximum frequency vs
+// the knee, below which the voltage no longer falls (1800 vs 1300 MHz
+// on Ascend).
 func (l *Lab) Inference() (*InferenceResult, error) {
 	m := workload.Llama2Inference()
-	base, err := l.MeasureFixed(m, l.Chip.Curve.Max())
+	c := l.Chip.Curve
+	base, err := l.MeasureFixed(m, c.Max())
 	if err != nil {
 		return nil, err
 	}
-	low, err := l.MeasureFixed(m, 1300) //lint:allow unitcheck paper low-frequency comparison point for the decode step (the vf.Ascend knee)
+	low, err := l.MeasureFixed(m, c.Knee())
 	if err != nil {
 		return nil, err
 	}
 	idle := 0.0
 	for i := range m.Trace {
 		if !m.Trace[i].FrequencyScaled() {
-			idle += l.Chip.Time(&m.Trace[i], 1800)
+			idle += l.Chip.Time(&m.Trace[i], float64(c.Max()))
 		}
 	}
 	return &InferenceResult{
+		LowMHz:        float64(c.Knee()),
 		PerfLoss:      low.TimeMicros/base.TimeMicros - 1,
 		SoCReduction:  1 - low.MeanSoCW/base.MeanSoCW,
 		CoreReduction: 1 - low.MeanCoreW/base.MeanCoreW,
@@ -318,8 +324,8 @@ func (l *Lab) Inference() (*InferenceResult, error) {
 
 func (r *InferenceResult) String() string {
 	return fmt.Sprintf(
-		"Sect. 8.4 inference at 1300 MHz - loss %.2f%%, SoC -%.2f%%, AICore -%.2f%% (host/fixed fraction %.0f%%)\n",
-		r.PerfLoss*100, r.SoCReduction*100, r.CoreReduction*100, r.IdleFraction*100)
+		"Sect. 8.4 inference at %.0f MHz - loss %.2f%%, SoC -%.2f%%, AICore -%.2f%% (host/fixed fraction %.0f%%)\n",
+		r.LowMHz, r.PerfLoss*100, r.SoCReduction*100, r.CoreReduction*100, r.IdleFraction*100)
 }
 
 // ThroughputResult quantifies the model-based scoring advantage of

@@ -21,22 +21,23 @@ import (
 	"npudvfs/internal/thermal"
 	"npudvfs/internal/traceio"
 	"npudvfs/internal/units"
+	"npudvfs/internal/vf"
 	"npudvfs/internal/workload"
 )
 
-// FitFreqs are the two frequencies the power model is built from
-// (Sect. 7.3: data at 1000 and 1800 MHz builds the model).
-var FitFreqs = []units.MHz{1000, 1800} //lint:allow unitcheck paper measurement-plan frequencies (Sect. 7.3), the vf.Ascend window edges
+// FitFreqs are the frequencies the power model is built from on the
+// reference chip (Sect. 7.3: data at 1000 and 1800 MHz builds the
+// model). Lab reads its own chip's vf.Plan; this Ascend copy stays for
+// the benchmark's mirror of BuildModels until that mirror is retired.
+var FitFreqs = vf.Ascend().Plan().PowerFit
 
 // PerfFitFreqs are the frequencies per-operator performance models are
-// fitted from. Like the paper, Func. 2's two parameters are solved
-// exactly from the grid endpoints, which makes predictions exact at
-// the frequencies LFC stages most often land on; the guard band in
-// core.Config absorbs the model's mid-grid optimism.
-var PerfFitFreqs = []units.MHz{1000, 1800} //lint:allow unitcheck paper measurement-plan frequencies (Sect. 7.3), the vf.Ascend window edges
-
-// EvalFreqs are the interior frequencies predictions are validated at.
-var EvalFreqs = []units.MHz{1100, 1200, 1300, 1400, 1500, 1600, 1700} //lint:allow unitcheck paper validation frequencies: the interior vf.Ascend grid points
+// fitted from on the reference chip. Like the paper, Func. 2's two
+// parameters are solved exactly from the grid endpoints, which makes
+// predictions exact at the frequencies LFC stages most often land on;
+// the guard band in core.Config absorbs the model's mid-grid optimism.
+// Kept for the benchmark's mirror, as FitFreqs.
+var PerfFitFreqs = vf.Ascend().Plan().PerfFit
 
 // Lab is the shared experimental setup: the simulated chip, its
 // ground-truth power, thermal constants, and the one-time offline
@@ -165,7 +166,8 @@ func (l *Lab) BuildModels(m *workload.Model, temperatureAware bool) (*Models, er
 	if err != nil {
 		return nil, err
 	}
-	profiles, err := l.PowerProfiles(m, FitFreqs)
+	plan := l.Chip.Curve.Plan()
+	profiles, err := l.PowerProfiles(m, plan.PowerFit)
 	if err != nil {
 		return nil, err
 	}
@@ -175,11 +177,11 @@ func (l *Lab) BuildModels(m *workload.Model, temperatureAware bool) (*Models, er
 	}
 	// Performance fitting adds one timing-only profile at the middle
 	// frequency to the two power-profiled endpoints.
-	mid, err := l.TimingProfiles(m, []units.MHz{1400}) //lint:allow unitcheck paper mid-grid fit-supplement frequency (Sect. 7.2), a vf.Ascend grid point
+	mid, err := l.TimingProfiles(m, []units.MHz{plan.Mid})
 	if err != nil {
 		return nil, err
 	}
-	perf := perfmodel.FitSeries(seriesList(append(profiles, mid...)), PerfFitFreqs)
+	perf := perfmodel.FitSeries(seriesList(append(profiles, mid...)), plan.PerfFit)
 	baseline, err := l.profiler(300).Run(m.Trace, float64(l.Chip.Curve.Max()))
 	if err != nil {
 		return nil, err

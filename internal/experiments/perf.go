@@ -29,7 +29,8 @@ type Fig3Result struct {
 	Rows          []Fig3Row
 }
 
-// Fig3 sweeps the frequency grid for a half-L2-resident load.
+// Fig3 sweeps the DVFS window in half-grid steps for a
+// half-L2-resident load.
 func (l *Lab) Fig3() *Fig3Result {
 	const l2Hit = 0.55
 	const volume = 4 << 20 // bytes
@@ -38,7 +39,8 @@ func (l *Lab) Fig3() *Fig3Result {
 		Name: "fig3", Class: op.Compute, Scenario: op.PingPongFreeIndep,
 		Blocks: 1, LoadBytes: volume, CoreCycles: 1, CorePipe: op.Vector, L2Hit: l2Hit,
 	}
-	for f := 1000.0; f <= 1800; f += 50 {
+	c := l.Chip.Curve
+	for f := float64(c.Min()); f <= float64(c.Max()); f += float64(c.Step()) / 2 {
 		res.Rows = append(res.Rows, Fig3Row{
 			MHz:           f,
 			ThroughputGBs: l.Chip.Throughput(l.Chip.CLoad, l2Hit, f) / 1000,
@@ -163,9 +165,18 @@ type Fig15Result struct {
 	MeanError [3]float64
 }
 
-// threeFitFreqs is the three-point fit plan used by Func. 1 and
-// Func. 3 (Sect. 7.2: fits at 1000, 1400, 1800 MHz).
-var threeFitFreqs = []units.MHz{1000, 1400, 1800} //lint:allow unitcheck paper three-point fit frequencies (Sect. 7.2), vf.Ascend grid points
+// threePointFit is the three-point fit plan used by Func. 1 and
+// Func. 3 (Sect. 7.2: fits at 1000, 1400, 1800 MHz on Ascend): the
+// performance-fit edges and the mid run.
+func threePointFit(p vf.Plan) []units.MHz {
+	return []units.MHz{p.PerfFit[0], p.Mid, p.PerfFit[1]}
+}
+
+// validationFreqs are the frequencies the performance-model figures
+// profile at: the fit edges, then the interior validation points.
+func validationFreqs(p vf.Plan) []units.MHz {
+	return append(append([]units.MHz{}, p.PerfFit...), p.Eval...)
+}
 
 // MinModelMicros is the duration threshold below which operators are
 // excluded from performance-model evaluation (Sect. 7.2: sub-20 µs
@@ -175,24 +186,26 @@ const MinModelMicros = 20.0
 // Fig15 fits all three functions per operator instance across the
 // seven evaluation models and accumulates prediction errors at the
 // held-out frequencies. Func. 1 and Func. 3 fit three points (1000,
-// 1400, 1800 MHz); Func. 2 fits two (1000, 1800 MHz).
+// 1400, 1800 MHz on Ascend); Func. 2 fits two (1000, 1800 MHz).
 func (l *Lab) Fig15() (*Fig15Result, error) {
 	res := &Fig15Result{}
-	threeFreqs := threeFitFreqs
-	allFreqs := append(append([]units.MHz{}, FitFreqs...), EvalFreqs...)
+	plan := l.Chip.Curve.Plan()
+	threeFreqs := threePointFit(plan)
+	allFreqs := validationFreqs(plan)
+	maxF := float64(l.Chip.Curve.Max())
 	for _, m := range workload.PerfEvalModels() {
 		profiles, err := l.TimingProfiles(m, allFreqs)
 		if err != nil {
 			return nil, err
 		}
 		for _, s := range profiler.BuildInstanceSeries(profiles) {
-			// Exclude short operators by their 1800 MHz duration.
-			dur1800 := durAt(s, 1800)
-			if dur1800 < MinModelMicros {
+			// Exclude short operators by their maximum-frequency
+			// duration.
+			if durAt(s, maxF) < MinModelMicros {
 				continue
 			}
 			res.Operators++
-			evalFs, evalTs, _ := perfmodel.SelectPoints(s, EvalFreqs)
+			evalFs, evalTs, _ := perfmodel.SelectPoints(s, plan.Eval)
 
 			if fs, ts, ok := perfmodel.SelectPoints(s, threeFreqs); ok {
 				if m1, err := perfmodel.FitFunc1(fs, ts); err == nil {
@@ -202,7 +215,7 @@ func (l *Lab) Fig15() (*Fig15Result, error) {
 					res.Errors[Func3] = append(res.Errors[Func3], perfmodel.Errors(m3, evalFs, evalTs)...)
 				}
 			}
-			if fs, ts, ok := perfmodel.SelectPoints(s, FitFreqs); ok {
+			if fs, ts, ok := perfmodel.SelectPoints(s, plan.PerfFit); ok {
 				if m2, err := perfmodel.FitFunc2(fs, ts); err == nil {
 					errs := perfmodel.Errors(m2, evalFs, evalTs)
 					res.Errors[Func2] = append(res.Errors[Func2], errs...)
@@ -270,19 +283,19 @@ type Fig16Result struct {
 func (l *Lab) Fig16() (*Fig16Result, error) {
 	specs := workload.RepresentativeOps()
 	m := &workload.Model{Name: "fig16", Trace: specs}
-	allFreqs := append(append([]units.MHz{}, FitFreqs...), EvalFreqs...)
-	profiles, err := l.TimingProfiles(m, allFreqs)
+	plan := l.Chip.Curve.Plan()
+	profiles, err := l.TimingProfiles(m, validationFreqs(plan))
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig16Result{}
-	threeFreqs := threeFitFreqs
+	threeFreqs := threePointFit(plan)
 	for _, s := range profiler.BuildInstanceSeries(profiles) {
 		row := Fig16Row{Name: s.Spec.Name}
-		evalFs, evalTs, _ := perfmodel.SelectPoints(s, EvalFreqs)
+		evalFs, evalTs, _ := perfmodel.SelectPoints(s, plan.Eval)
 		row.MHz, row.RealUs = units.Floats(evalFs), units.Floats(evalTs)
 		fs3, ts3, _ := perfmodel.SelectPoints(s, threeFreqs)
-		fs2, ts2, _ := perfmodel.SelectPoints(s, FitFreqs)
+		fs2, ts2, _ := perfmodel.SelectPoints(s, plan.PerfFit)
 		if m1, err := perfmodel.FitFunc1(fs3, ts3); err == nil {
 			row.PredUs[Func1] = predictAll(m1, evalFs)
 			row.MeanErr[Func1] = stats.Mean(perfmodel.Errors(m1, evalFs, evalTs))
@@ -337,7 +350,9 @@ type FitCostResult struct {
 // series.
 func (l *Lab) FitCost() (*FitCostResult, error) {
 	m := workload.ShuffleNetV2Plus()
-	profiles, err := l.TimingProfiles(m, threeFitFreqs)
+	plan := l.Chip.Curve.Plan()
+	threeFreqs := threePointFit(plan)
+	profiles, err := l.TimingProfiles(m, threeFreqs)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +362,7 @@ func (l *Lab) FitCost() (*FitCostResult, error) {
 	//lint:allow detrand wall-clock timing only: FitCost measures fit latency; excluded from the byte-identity suite
 	start := time.Now()
 	for _, s := range series {
-		if fs, ts, ok := perfmodel.SelectPoints(s, FitFreqs); ok {
+		if fs, ts, ok := perfmodel.SelectPoints(s, plan.PerfFit); ok {
 			if _, err := perfmodel.FitFunc2(fs, ts); err != nil {
 				return nil, err
 			}
@@ -359,7 +374,7 @@ func (l *Lab) FitCost() (*FitCostResult, error) {
 	//lint:allow detrand wall-clock timing only: FitCost measures fit latency; excluded from the byte-identity suite
 	start = time.Now()
 	for _, s := range series {
-		if fs, ts, ok := perfmodel.SelectPoints(s, threeFitFreqs); ok {
+		if fs, ts, ok := perfmodel.SelectPoints(s, threeFreqs); ok {
 			if _, err := perfmodel.FitFunc1Iterative(fs, ts); err != nil {
 				return nil, err
 			}

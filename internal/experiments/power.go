@@ -43,12 +43,13 @@ func (l *Lab) Fig10() (*Fig10Result, error) {
 		{"Conv2D", workload.MicroOp(workload.RepresentativeOps()[3], 200)},
 	}
 	p := l.profiler(400)
+	grid := l.Chip.Curve.Grid()
 	var allP, allT []float64
 	for _, sub := range subjects {
 		line := Fig10Line{Operator: sub.name}
-		for _, f := range []float64{1000, 1200, 1400, 1600, 1800} {
+		for gi := 0; gi < len(grid); gi += 2 {
 			th := thermal.NewState(l.Thermal)
-			prof, err := p.WarmupIterations(sub.m.Trace, f, l.Ground, th, 6000, 0.3)
+			prof, err := p.WarmupIterations(sub.m.Trace, float64(grid[gi]), l.Ground, th, 6000, 0.3)
 			if err != nil {
 				return nil, err
 			}
@@ -160,7 +161,7 @@ func (l *Lab) Table2() (*Table2Result, error) {
 		blindPower.TemperatureAware = false
 		blind := *aware
 		blind.Power = &blindPower
-		for _, f := range EvalFreqs {
+		for _, f := range l.Chip.Curve.Plan().Eval {
 			meas, err := l.MeasureFixed(m, f)
 			if err != nil {
 				return nil, err

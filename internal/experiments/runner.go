@@ -61,7 +61,9 @@ func Registry() []Spec {
 		{"coarse", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.CoarseGrained(ctx) }},
 		{"modelfree", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.ModelFree(ctx) }},
 		{"uncore", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.UncoreDVFS(ctx) }},
-		{"sensitivity", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Sensitivity(1800, 1600), nil }},
+		{"sensitivity", func(_ context.Context, l *Lab) (fmt.Stringer, error) {
+			return l.Sensitivity(float64(l.Chip.Curve.Max()), float64(l.Chip.Curve.Plan().PriorLFC)), nil
+		}},
 		{"adaptive", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Adaptive(ctx) }},
 		{"dual", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.DualDomain(ctx) }},
 		{"faisweep", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.FAISweep(ctx) }},

@@ -88,10 +88,11 @@ func (r *Rig) sampleIdle(f units.MHz, deltaT units.Celsius, n int) (core, soc fl
 	return core / float64(n), soc / float64(n)
 }
 
-// CalibrateOptions tunes the offline phase.
+// CalibrateOptions tunes the offline phase. The frequencies it
+// measures at come from the chip's vf.Plan: idle power at the window
+// edges (PowerFit), the cooldown from the upper edge, and the
+// equilibrium runs at Equilibrium.
 type CalibrateOptions struct {
-	// LoMHz and HiMHz are the two idle measurement frequencies.
-	LoMHz, HiMHz units.MHz
 	// IdleSamples is the number of sensor readings averaged per idle
 	// measurement.
 	IdleSamples int
@@ -99,22 +100,16 @@ type CalibrateOptions struct {
 	// power/temperature decay capture after the test load.
 	CooldownSamples    int
 	CooldownStepMicros units.Micros
-	// EquilibriumFreqs are the frequencies the test load is run at to
-	// collect (P_soc, T) equilibrium pairs for fitting k.
-	EquilibriumFreqs []units.MHz
 }
 
 // DefaultCalibrateOptions returns the values used by the paper
-// reproduction: idle at the edges of the reference DVFS window, a
-// 40-point cooldown capture, and equilibrium runs at four frequencies.
+// reproduction: 64 idle samples per measurement and a 40-point
+// cooldown capture.
 func DefaultCalibrateOptions() CalibrateOptions {
 	return CalibrateOptions{
-		LoMHz:              1000, //lint:allow unitcheck paper calibration frequency (window floor)
-		HiMHz:              1800, //lint:allow unitcheck paper calibration frequency (window ceiling)
 		IdleSamples:        64,
 		CooldownSamples:    40,
 		CooldownStepMicros: 2e5,
-		EquilibriumFreqs:   []units.MHz{1000, 1300, 1500, 1800}, //lint:allow unitcheck paper equilibrium-run frequencies (Fig. 10)
 	}
 }
 
@@ -128,15 +123,17 @@ func Calibrate(rig *Rig, testLoad []op.Spec, opt CalibrateOptions) (*Offline, er
 		return nil, fmt.Errorf("powermodel: empty test load")
 	}
 	curve := rig.Chip.Curve
+	plan := curve.Plan()
+	lo, hi := plan.PowerFit[0], plan.PowerFit[1]
 	off := &Offline{Chip: rig.Chip, AmbientC: rig.Thermal.AmbientC}
 
 	// Step 1 - idle power at two frequencies, cold chip (ΔT = 0):
 	// solve Beta/Theta for each domain from the 2x2 system
 	//   P(f) = Beta·f·V² + Theta·V.
-	f1, f2 := float64(opt.LoMHz), float64(opt.HiMHz)
-	v1, v2 := float64(curve.Voltage(opt.LoMHz)), float64(curve.Voltage(opt.HiMHz))
-	c1, s1 := rig.sampleIdle(opt.LoMHz, 0, opt.IdleSamples)
-	c2, s2 := rig.sampleIdle(opt.HiMHz, 0, opt.IdleSamples)
+	f1, f2 := float64(lo), float64(hi)
+	v1, v2 := float64(curve.Voltage(lo)), float64(curve.Voltage(hi))
+	c1, s1 := rig.sampleIdle(lo, 0, opt.IdleSamples)
+	c2, s2 := rig.sampleIdle(hi, 0, opt.IdleSamples)
 	solve := func(p1, p2 float64) (Domain, error) {
 		a := [][]float64{{f1 * v1 * v1, v1}, {f2 * v2 * v2, v2}}
 		x, err := stats.SolveLinear(a, []float64{p1, p2})
@@ -158,7 +155,7 @@ func Calibrate(rig *Rig, testLoad []op.Spec, opt CalibrateOptions) (*Offline, er
 	// temperature readings as the die cools (dP/dT = γV).
 	prof := profiler.Profiler{Chip: rig.Chip, Sensor: rig.Sensor, TimeNoiseFrac: 0.01}
 	th := thermal.NewState(rig.Thermal)
-	coolF := opt.HiMHz
+	coolF := hi
 	if _, err := prof.WarmupIterations(testLoad, float64(coolF), rig.Ground, th, 4000, 0.5); err != nil {
 		return nil, fmt.Errorf("powermodel: warm-up: %w", err)
 	}
@@ -187,7 +184,7 @@ func Calibrate(rig *Rig, testLoad []op.Spec, opt CalibrateOptions) (*Offline, er
 	// Step 3 - k from equilibrium (P_soc, T) pairs across loads at
 	// different frequencies (Fig. 10 / Eq. 15).
 	var eqP, eqT []float64
-	for _, f := range opt.EquilibriumFreqs {
+	for _, f := range plan.Equilibrium {
 		thEq := thermal.NewState(rig.Thermal)
 		p, err := prof.WarmupIterations(testLoad, float64(f), rig.Ground, thEq, 4000, 0.5)
 		if err != nil {

@@ -7,6 +7,14 @@
 // voltage constant, and above the knee the voltage rises linearly with
 // frequency. The same positive correlation is observed on NVIDIA GPUs.
 //
+// Every frequency the pipeline measures at comes from Curve.Plan: the
+// window edges the power and performance models are fitted from, the
+// mid run, the interior validation points, the equilibrium runs of the
+// offline calibration and the GA prior's LFC frequency. Each is placed
+// relative to the grid (edges, fractions of the span, interior), so the
+// same rules give the paper's frequencies on Ascend and a chip's own
+// points on any other V-F table.
+//
 // Quantities carry the defined types of internal/units (units.MHz,
 // units.Volt). This package is the one place frequency constants are
 // allowed to appear as bare literals — everything else must derive its
@@ -36,12 +44,17 @@ type Curve struct {
 
 // New builds a voltage-frequency curve. The curve holds vFlat below
 // kneeMHz and rises linearly from vFlat at kneeMHz to vMax at maxMHz.
+// The range must be a whole number of steps, at least two, so that both
+// edges are grid points and the grid has an interior to validate at.
 func New(minMHz, maxMHz, stepMHz, kneeMHz units.MHz, vFlat, vMax units.Volt) (*Curve, error) {
+	steps := float64((maxMHz - minMHz) / stepMHz)
 	switch {
 	case minMHz <= 0 || maxMHz <= minMHz:
 		return nil, fmt.Errorf("vf: invalid frequency range [%g, %g] MHz", minMHz, maxMHz)
 	case stepMHz <= 0:
 		return nil, fmt.Errorf("vf: invalid step %g MHz", stepMHz)
+	case steps < 2 || math.Abs(steps-math.Round(steps)) > 1e-9:
+		return nil, fmt.Errorf("vf: range [%g, %g] MHz is not a whole number (>= 2) of %g MHz steps", minMHz, maxMHz, stepMHz)
 	case kneeMHz < minMHz || kneeMHz > maxMHz:
 		return nil, fmt.Errorf("vf: knee %g MHz outside range [%g, %g]", kneeMHz, minMHz, maxMHz)
 	case vFlat <= 0 || vMax < vFlat:
@@ -138,4 +151,51 @@ func (c *Curve) Points() []Point {
 		pts[i] = Point{MHz: f, Volts: c.Voltage(f)}
 	}
 	return pts
+}
+
+// Plan is the measurement plan of a chip: every frequency the modeling
+// pipeline profiles, calibrates or validates at, all grid points.
+type Plan struct {
+	// PowerFit are the window edges: the offline calibration's two
+	// idle measurements and the power profiles the online power model
+	// is built from (Sect. 7.3).
+	PowerFit []units.MHz
+	// PerfFit are the points Func. 2's two parameters are solved from
+	// exactly (Sect. 4.3): the window edges too.
+	PerfFit []units.MHz
+	// Mid is the grid point nearest the middle of the window: the
+	// timing-only run that supplements the edges, and with them the
+	// three-point fit of Func. 1 and Func. 3 (Sect. 7.2).
+	Mid units.MHz
+	// Eval are the interior grid points predictions are validated at
+	// (Table 2, Fig. 15).
+	Eval []units.MHz
+	// Equilibrium are four points spread over the window, the loads
+	// whose equilibrium (P_soc, T) pairs fit k (Fig. 10, Eq. 15).
+	Equilibrium []units.MHz
+	// PriorLFC is the frequency the GA's prior individual gives LFC
+	// stages (Sect. 6.3.1): three quarters of the way up the window.
+	PriorLFC units.MHz
+}
+
+// Plan derives the measurement plan from the grid. On Ascend it is the
+// paper's: fits at 1000 and 1800 MHz, the mid run at 1400, validation
+// at 1100-1700, equilibrium runs at 1000, 1300, 1500 and 1800, and the
+// prior's LFC stages at 1600.
+func (c *Curve) Plan() Plan {
+	grid := c.Grid()
+	lo, hi := grid[0], grid[len(grid)-1]
+	span := hi - lo
+	eq := make([]units.MHz, 4)
+	for i := range eq {
+		eq[i] = c.Nearest(lo + units.MHz(i)*span/3)
+	}
+	return Plan{
+		PowerFit:    []units.MHz{lo, hi},
+		PerfFit:     []units.MHz{lo, hi},
+		Mid:         c.Nearest(lo + span/2),
+		Eval:        grid[1 : len(grid)-1],
+		Equilibrium: eq,
+		PriorLFC:    c.Nearest(lo + 3*span/4),
+	}
 }

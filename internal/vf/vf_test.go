@@ -2,6 +2,9 @@ package vf
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +116,8 @@ func TestNewValidation(t *testing.T) {
 		{"knee above range", 1000, 1800, 100, 1900, 0.75, 0.83},
 		{"vmax below vflat", 1000, 1800, 100, 1300, 0.85, 0.75},
 		{"nonpositive voltage", 1000, 1800, 100, 1300, 0, 0.83},
+		{"partial step", 1000, 1850, 100, 1300, 0.75, 0.83},
+		{"no interior point", 1000, 1100, 100, 1000, 0.75, 0.83},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.min, tc.max, tc.step, tc.knee, tc.vFlat, tc.vMax); err == nil {
@@ -135,5 +140,107 @@ func TestQuickNearestOnGrid(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAscendPlan pins the plan on the reference curve to the paper's
+// measurement frequencies.
+func TestAscendPlan(t *testing.T) {
+	got := Ascend().Plan()
+	want := Plan{
+		PowerFit:    []units.MHz{1000, 1800},
+		PerfFit:     []units.MHz{1000, 1800},
+		Mid:         1400,
+		Eval:        []units.MHz{1100, 1200, 1300, 1400, 1500, 1600, 1700},
+		Equilibrium: []units.MHz{1000, 1300, 1500, 1800},
+		PriorLFC:    1600,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Ascend().Plan() = %+v, want %+v", got, want)
+	}
+}
+
+// TestCustomChipPlan pins the plan on the 800-2000 MHz table of
+// examples/custom-accelerator: every point follows that chip's grid.
+func TestCustomChipPlan(t *testing.T) {
+	c, err := New(800, 2000, 100, 1400, 0.70, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := c.Plan()
+	want := Plan{
+		PowerFit:    []units.MHz{800, 2000},
+		PerfFit:     []units.MHz{800, 2000},
+		Mid:         1400,
+		Eval:        []units.MHz{900, 1000, 1100, 1200, 1300, 1400, 1500, 1600, 1700, 1800, 1900},
+		Equilibrium: []units.MHz{800, 1200, 1600, 2000},
+		PriorLFC:    1700,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Plan() = %+v, want %+v", got, want)
+	}
+}
+
+// randomCurve is a valid curve with an integral grid: min, step and the
+// number of steps are drawn, and the knee is a random point inside.
+type randomCurve struct{ *Curve }
+
+func (randomCurve) Generate(r *rand.Rand, _ int) reflect.Value {
+	lo := units.MHz(1 + r.Intn(3000))
+	step := units.MHz(1 + r.Intn(200))
+	hi := lo + units.MHz(2+r.Intn(40))*step
+	knee := lo + units.MHz(r.Float64())*(hi-lo)
+	c, err := New(lo, hi, step, knee, 0.7, 0.9)
+	if err != nil {
+		panic(err)
+	}
+	return reflect.ValueOf(randomCurve{c})
+}
+
+// checkPlan reports the first way c's plan breaks the plan's contract.
+func checkPlan(c *Curve) string {
+	p := c.Plan()
+	grid := c.Grid()
+	points := append(append(append(append([]units.MHz{p.Mid, p.PriorLFC}, p.PowerFit...), p.PerfFit...), p.Eval...), p.Equilibrium...)
+	for _, f := range points {
+		if !c.Contains(f) || f < c.Min() || f > c.Max() {
+			return "off-grid or out-of-window point"
+		}
+	}
+	if !slices.Equal(p.Eval, grid[1:len(grid)-1]) {
+		return "Eval is not the interior grid"
+	}
+	if !slices.IsSorted(p.Equilibrium) {
+		return "Equilibrium not ascending"
+	}
+	return ""
+}
+
+// Property: on any valid curve the plan lies on the grid inside the
+// window, validates at exactly the interior points and runs the
+// equilibrium loads in ascending order.
+func TestQuickPlanOnGrid(t *testing.T) {
+	prop := func(c randomCurve) bool {
+		if msg := checkPlan(c.Curve); msg != "" {
+			t.Logf("%+v: %s", c.Plan(), msg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSmallestGridPlan(t *testing.T) {
+	c, err := New(1000, 1200, 100, 1100, 0.75, 0.83)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := checkPlan(c); msg != "" {
+		t.Errorf("3-point grid: %s: %+v", msg, c.Plan())
+	}
+	if p := c.Plan(); len(p.Eval) != 1 || p.Eval[0] != 1100 {
+		t.Errorf("3-point grid validates at %v, want [1100]", p.Eval)
 	}
 }
