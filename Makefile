@@ -1,9 +1,9 @@
 # Tier-1 verification: build, vet, formatting, the dvfslint analyzer
 # suite, full test suite, then the race detector over every package
 # (the repo ships concurrency — shared Executors, GA worker pools, the
-# parallel experiment harness and the dvfsd serving layer — so a
-# race-clean run is part of "tests pass"), the examples, and finally the
-# dvfsd end-to-end smokes.
+# pipeline Lab the dvfsd workers share, the parallel experiment harness
+# and the dvfsd serving layer — so a race-clean run is part of "tests
+# pass"), the examples, and finally the dvfsd end-to-end smokes.
 .PHONY: verify build bench-build bench-traced test vet fmt-check lint race short examples bench-smoke fuzz-smoke serve-smoke cluster-smoke
 
 verify: build bench-build vet fmt-check lint test race examples serve-smoke cluster-smoke

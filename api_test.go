@@ -1,14 +1,18 @@
 package npudvfs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"npudvfs/internal/traceio"
 	"npudvfs/internal/workload"
 )
 
@@ -213,5 +217,99 @@ func TestFacadeFileRoundTrips(t *testing.T) {
 	}
 	if got := FingerprintTrace(m.Trace); got != pinned["resnet50"] {
 		t.Errorf("FingerprintTrace(resnet50) = %s, pinned %s", got, pinned["resnet50"])
+	}
+}
+
+// The served path and the library path agree: the strategy dvfsd
+// serves for resnet50 is the one GenerateStrategy computes in-process
+// on the same Lab's models, under the spec the daemon searched with.
+func TestFacadeServedStrategyMatchesLibrary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("model build and two searches in -short mode")
+	}
+	ctx := context.Background()
+	lab := NewLab()
+	srv, err := NewServer(ServerConfig{Workers: 1, Lab: lab})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	c := NewClient(ts.URL)
+	st, err := c.Submit(ctx, &StrategyRequest{Workload: "resnet50", Search: SearchSpec{Pop: 16, Gens: 8, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != traceio.JobDone {
+		t.Fatalf("job %s: %s", done.State, done.Error)
+	}
+	served, err := traceio.ReadStrategy(bytes.NewReader(done.Result.Strategy))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := WorkloadByName("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := lab.BuildModels(m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := done.Result.Search
+	cfg := DefaultStrategyConfig()
+	cfg.PerfLossTarget = spec.TargetLoss
+	cfg.FAIMicros = spec.FAIMillis.Micros()
+	cfg.GA.PopSize, cfg.GA.Generations, cfg.GA.Seed = spec.Pop, spec.Gens, spec.Seed
+	want, err := GenerateStrategy(ctx, ms.Input(lab.Chip), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(served, want) {
+		t.Errorf("served strategy differs from the library's:\nserved  %+v\nlibrary %+v", served, want)
+	}
+}
+
+// The deployment helpers around a strategy: a die starts at ambient,
+// the adaptive guard raises a strategy one grid step when an iteration
+// overshoots the loss target (leaving the caller's copy alone), and the
+// uncore calibration finds clock-proportional idle power on a rig built
+// from facade parts only.
+func TestFacadeDeploymentHelpers(t *testing.T) {
+	chip := DefaultChip()
+	th := DefaultThermal()
+	if got := NewThermalState(th).TempC(); got != th.AmbientC {
+		t.Errorf("new thermal state at %g C, want ambient %g C", got, th.AmbientC)
+	}
+
+	strat := FixedStrategy(1500)
+	ctl, err := NewAdaptiveController(chip.Curve, strat, 1000, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Observe(1100) // 10 % loss against a 2 % target
+	if got := ctl.Strategy().FreqAt(0); ctl.Adjustments() != 1 || got != 1600 {
+		t.Errorf("after an overshoot: %d adjustments, %g MHz; want 1 and 1600 MHz", ctl.Adjustments(), got)
+	}
+	if strat.FreqAt(0) != 1500 {
+		t.Error("the controller edited the caller's strategy")
+	}
+
+	rig := &PowerRig{Chip: chip, Ground: DefaultGroundTruth(chip), Sensor: NewProfiler(chip, 99).Sensor, Thermal: th}
+	dyn, err := CalibrateUncoreDyn(rig, 0.8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dyn <= 0 {
+		t.Errorf("uncore dynamic power %g W, want positive", dyn)
 	}
 }

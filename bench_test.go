@@ -38,11 +38,11 @@ import (
 
 var (
 	benchLabOnce sync.Once
-	benchLab     *experiments.Lab
+	benchLab     *experiments.Harness
 )
 
-func lab() *experiments.Lab {
-	benchLabOnce.Do(func() { benchLab = experiments.NewLab() })
+func lab() *experiments.Harness {
+	benchLabOnce.Do(func() { benchLab = &experiments.Harness{Lab: experiments.NewLab()} })
 	return benchLab
 }
 
@@ -737,7 +737,7 @@ func BenchmarkServeHit(b *testing.B) {
 				b.Fatal(err)
 			}
 			srv, err := server.New(server.Config{
-				Lab: lab(), Bundles: map[string]*traceio.ModelBundle{name: bundle},
+				Lab: lab().Lab, Bundles: map[string]*traceio.ModelBundle{name: bundle},
 			})
 			if err != nil {
 				b.Fatal(err)

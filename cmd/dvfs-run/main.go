@@ -21,8 +21,8 @@ import (
 	"npudvfs/internal/core"
 	"npudvfs/internal/dualdvfs"
 	"npudvfs/internal/executor"
-	"npudvfs/internal/experiments"
 	"npudvfs/internal/ga"
+	"npudvfs/internal/pipeline"
 	"npudvfs/internal/powermodel"
 	"npudvfs/internal/powersim"
 	"npudvfs/internal/preprocess"
@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	lab := experiments.NewLab()
+	lab := pipeline.NewLab()
 	var strat *core.Strategy
 	if *loadStrategy != "" {
 		strat, err = traceio.LoadStrategy(*loadStrategy)
@@ -60,25 +60,22 @@ func main() {
 		}
 		fmt.Printf("loaded strategy %s: %d SetFreq per iteration\n", *loadStrategy, strat.Switches())
 	} else {
-		var ms *experiments.Models
+		var bundles map[string]*traceio.ModelBundle
 		if *loadModels != "" {
 			b, err := traceio.LoadModels(*loadModels)
 			if err != nil {
 				fatal(err)
 			}
-			ms, err = lab.ModelsFromBundle(m, b)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("loaded fitted models for %s from %s (calibration and profiling skipped)\n",
+			bundles = map[string]*traceio.ModelBundle{strings.ToLower(m.Name): b}
+			fmt.Printf("loading fitted models for %s from %s (calibration and profiling skipped)\n",
 				m.Name, *loadModels)
 		} else {
 			fit := lab.Chip.Curve.Plan().PowerFit
 			fmt.Printf("calibrating chip and modeling %s (profiles at %g/%g MHz)...\n", m.Name, fit[0], fit[1])
-			ms, err = lab.BuildModels(m, true)
-			if err != nil {
-				fatal(err)
-			}
+		}
+		ms, err := lab.ModelsFor(m, true, "", bundles)
+		if err != nil {
+			fatal(err)
 		}
 		if *saveModels != "" {
 			b, err := ms.Bundle()

@@ -37,7 +37,7 @@ import (
 
 	"npudvfs/internal/cluster/jobstore"
 	"npudvfs/internal/cluster/ring"
-	"npudvfs/internal/experiments"
+	"npudvfs/internal/pipeline"
 	"npudvfs/internal/server"
 	"npudvfs/internal/traceio"
 )
@@ -118,7 +118,7 @@ func main() {
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
 		DefaultTimeout: *timeout,
-		Lab:            experiments.NewLab(),
+		Lab:            pipeline.NewLab(),
 		Bundles:        bundles,
 		Ring:           r,
 		NodeID:         *nodeID,

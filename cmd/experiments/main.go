@@ -61,10 +61,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	lab := experiments.NewLab()
-	lab.Parallel = *parallel
+	h := &experiments.Harness{Lab: experiments.NewLab(), Parallel: *parallel}
 	start := time.Now()
-	outcomes, err := lab.RunSuite(ctx, names, *timeout)
+	outcomes, err := h.RunSuite(ctx, names, *timeout)
 	if err != nil {
 		// An interrupted run still reports whatever finished; anything
 		// else (unknown names, ...) is fatal before any work ran.

@@ -14,8 +14,8 @@ import (
 
 	"npudvfs/internal/core"
 	"npudvfs/internal/dualdvfs"
-	"npudvfs/internal/experiments"
 	"npudvfs/internal/ga"
+	"npudvfs/internal/pipeline"
 	"npudvfs/internal/powermodel"
 	"npudvfs/internal/powersim"
 	"npudvfs/internal/traceio"
@@ -49,7 +49,7 @@ func strategyHash(t *testing.T, s *core.Strategy) string {
 // whose per-child copy dominates a search) were generated at the
 // parent of the commit that narrowed genes to one byte (PR 16).
 func TestStrategyGoldenAcrossCommits(t *testing.T) {
-	lab := experiments.NewLab()
+	lab := pipeline.NewLab()
 	rig := &powermodel.Rig{Chip: lab.Chip, Ground: lab.Ground, Sensor: powersim.NewSensor(lab.Seed + 900), Thermal: lab.Thermal}
 	uncoreDynW, err := dualdvfs.CalibrateUncore(rig, 0.8, 64)
 	if err != nil {

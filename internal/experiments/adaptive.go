@@ -35,7 +35,7 @@ type AdaptiveResult struct {
 }
 
 // Adaptive runs the closed loop on BERT.
-func (l *Lab) Adaptive(ctx context.Context) (*AdaptiveResult, error) {
+func (l *Harness) Adaptive(ctx context.Context) (*AdaptiveResult, error) {
 	m := workload.BERT()
 	ms, err := l.BuildModels(m, true)
 	if err != nil {

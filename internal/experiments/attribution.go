@@ -45,7 +45,7 @@ const attributionTarget = 0.10
 // breaks it down by assigned frequency. Sect. 7.4 validates the 10%
 // policy this way: LFC frequencies land around 1200 MHz while HFC
 // stays at the maximum.
-func (l *Lab) Attribution(ctx context.Context) (*AttributionResult, error) {
+func (l *Harness) Attribution(ctx context.Context) (*AttributionResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

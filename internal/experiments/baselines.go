@@ -41,7 +41,7 @@ type CoarseResult struct {
 
 // CoarseGrained sweeps every fixed frequency on GPT-3 and contrasts
 // the best compliant one with the fine-grained strategy.
-func (l *Lab) CoarseGrained(ctx context.Context) (*CoarseResult, error) {
+func (l *Harness) CoarseGrained(ctx context.Context) (*CoarseResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -201,7 +201,7 @@ const modelFreeBudgetSec = 300
 // hardware-time budget: with ~12-second training iterations, the
 // budget admits only a few dozen hardware evaluations (the paper
 // counts 30 in five minutes), far too few for a thousand-gene search.
-func (l *Lab) ModelFree(ctx context.Context) (*ModelFreeResult, error) {
+func (l *Harness) ModelFree(ctx context.Context) (*ModelFreeResult, error) {
 	ms, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -223,7 +223,7 @@ func (l *Lab) ModelFree(ctx context.Context) (*ModelFreeResult, error) {
 		evals = 4
 	}
 	hw := &hardwareProblem{
-		lab:       l,
+		lab:       l.Lab,
 		workload:  m,
 		ex:        executor.New(l.Chip, l.Ground),
 		stages:    stages,

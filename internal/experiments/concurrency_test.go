@@ -78,7 +78,7 @@ func (p *sharedExecProblem) Score(ind []int) float64 {
 // state on the Score path) races. It also pins determinism: a
 // Workers=1 run must find the identical result.
 func TestGASharedExecutorStress(t *testing.T) {
-	lab := sharedLab()
+	lab := sharedLab().Lab
 	reps := workload.RepresentativeOps()
 	var trace []op.Spec
 	for len(trace) < 24 {
@@ -125,8 +125,8 @@ func TestGASharedExecutorStress(t *testing.T) {
 var deterministicSuite = []string{"fig3", "fig4", "fig9", "sensitivity"}
 
 func TestRunSuiteParallelMatchesSerial(t *testing.T) {
-	serialLab, parallelLab := NewLab(), NewLab()
-	serialLab.Parallel, parallelLab.Parallel = 1, 4
+	serialLab := &Harness{Lab: NewLab(), Parallel: 1}
+	parallelLab := &Harness{Lab: NewLab(), Parallel: 4}
 	serial, err := serialLab.RunSuite(context.Background(), deterministicSuite, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestRunOneTimeout(t *testing.T) {
 	// An experiment that observes ctx (like every GA-backed one does at
 	// generation boundaries) is reported as cancelled: the error wraps
 	// context.DeadlineExceeded and says so.
-	aware := Spec{Name: "aware", Run: func(ctx context.Context, _ *Lab) (fmt.Stringer, error) {
+	aware := Spec{Name: "aware", Run: func(ctx context.Context, _ *Harness) (fmt.Stringer, error) {
 		<-ctx.Done()
 		return nil, fmt.Errorf("search cancelled mid-flight: %w", ctx.Err())
 	}}
@@ -222,7 +222,7 @@ func TestRunOneTimeout(t *testing.T) {
 	// An experiment that ignores ctx past the grace window is abandoned:
 	// plain error, NOT errors.Is(context.DeadlineExceeded).
 	release := make(chan struct{})
-	deaf := Spec{Name: "deaf", Run: func(context.Context, *Lab) (fmt.Stringer, error) {
+	deaf := Spec{Name: "deaf", Run: func(context.Context, *Harness) (fmt.Stringer, error) {
 		<-release
 		return fakeResult("too late"), nil
 	}}
@@ -240,7 +240,7 @@ func TestRunOneTimeout(t *testing.T) {
 
 	// A result that beats the deadline inside the grace window is
 	// reported, not discarded.
-	lagged := Spec{Name: "lagged", Run: func(ctx context.Context, _ *Lab) (fmt.Stringer, error) {
+	lagged := Spec{Name: "lagged", Run: func(ctx context.Context, _ *Harness) (fmt.Stringer, error) {
 		<-ctx.Done()
 		time.Sleep(20 * time.Millisecond) // unwind takes a moment, but well inside cancelGrace
 		return fakeResult("just made it"), nil
@@ -250,7 +250,7 @@ func TestRunOneTimeout(t *testing.T) {
 		t.Fatalf("grace-window result should be reported: got report %q, err %v", o.Report, o.Err)
 	}
 
-	fast := Spec{Name: "fast", Run: func(context.Context, *Lab) (fmt.Stringer, error) {
+	fast := Spec{Name: "fast", Run: func(context.Context, *Harness) (fmt.Stringer, error) {
 		return fakeResult("done"), nil
 	}}
 	o = runOne(context.Background(), l, fast, time.Minute)

@@ -28,7 +28,7 @@ type DualResult struct {
 
 // DualDomain runs both searches on GPT-3 at a 4% loss target (2%
 // leaves little room for the extra knob) and measures the strategies.
-func (l *Lab) DualDomain(ctx context.Context) (*DualResult, error) {
+func (l *Harness) DualDomain(ctx context.Context) (*DualResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

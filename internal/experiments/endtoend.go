@@ -17,7 +17,7 @@ import (
 
 // gpt3Models caches the expensive GPT-3 modeling pipeline across the
 // end-to-end experiments.
-func (l *Lab) gpt3Models() (*Models, error) {
+func (l *Harness) gpt3Models() (*Models, error) {
 	l.gptOnce.Do(func() {
 		l.gptModels, l.gptErr = l.BuildModels(workload.GPT3(), true)
 	})
@@ -48,7 +48,7 @@ type Table3Result struct {
 
 // table3Case optimizes one workload at one loss target and measures
 // baseline and DVFS execution on the simulated hardware.
-func (l *Lab) table3Case(ctx context.Context, ms *Models, target float64, gaSeed int64) (Table3Row, error) {
+func (l *Harness) table3Case(ctx context.Context, ms *Models, target float64, gaSeed int64) (Table3Row, error) {
 	cfg := core.DefaultConfig()
 	cfg.PerfLossTarget = target
 	cfg.GA.Seed = gaSeed
@@ -85,7 +85,7 @@ func (l *Lab) table3Case(ctx context.Context, ms *Models, target float64, gaSeed
 // plus BERT, ResNet-50 and ResNet-152 at the production 2% target.
 // Cases fan out over l.Parallel workers; every case's GA seed is fixed
 // per case, so rows are identical at any worker count.
-func (l *Lab) Table3(ctx context.Context) (*Table3Result, error) {
+func (l *Harness) Table3(ctx context.Context) (*Table3Result, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ type Fig17Result struct {
 
 // Fig17 runs the full 200x600 search at each loss target on GPT-3 and
 // records the best score per generation.
-func (l *Lab) Fig17(ctx context.Context) (*Fig17Result, error) {
+func (l *Harness) Fig17(ctx context.Context) (*Fig17Result, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -214,7 +214,7 @@ type Fig18Result struct {
 // Fig18 compares the production configuration against a simulated
 // V100-latency deployment (SetFreq delayed by 14 ms) and coarser
 // frequency adjustment intervals (100 ms, 1 s).
-func (l *Lab) Fig18(ctx context.Context) (*Fig18Result, error) {
+func (l *Harness) Fig18(ctx context.Context) (*Fig18Result, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -296,7 +296,7 @@ type InferenceResult struct {
 // Inference measures a Llama2 decode step at the maximum frequency vs
 // the knee, below which the voltage no longer falls (1800 vs 1300 MHz
 // on Ascend).
-func (l *Lab) Inference() (*InferenceResult, error) {
+func (l *Harness) Inference() (*InferenceResult, error) {
 	m := workload.Llama2Inference()
 	c := l.Chip.Curve
 	base, err := l.MeasureFixed(m, c.Max())
@@ -344,7 +344,7 @@ type ThroughputResult struct {
 // ScoringThroughput times policy evaluation on the GPT-3 problem. The
 // evaluator comes from a quick search under the production settings;
 // the evaluator tables do not depend on the GA configuration.
-func (l *Lab) ScoringThroughput(ctx context.Context, policies int) (*ThroughputResult, error) {
+func (l *Harness) ScoringThroughput(ctx context.Context, policies int) (*ThroughputResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

@@ -19,11 +19,11 @@ import (
 
 var (
 	labOnce sync.Once
-	labInst *Lab
+	labInst *Harness
 )
 
-func sharedLab() *Lab {
-	labOnce.Do(func() { labInst = NewLab() })
+func sharedLab() *Harness {
+	labOnce.Do(func() { labInst = &Harness{Lab: NewLab()} })
 	return labInst
 }
 

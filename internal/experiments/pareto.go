@@ -35,7 +35,7 @@ type ParetoResult struct {
 }
 
 // Pareto sweeps loss targets on GPT-3.
-func (l *Lab) Pareto(ctx context.Context) (*ParetoResult, error) {
+func (l *Harness) Pareto(ctx context.Context) (*ParetoResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

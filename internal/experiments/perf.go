@@ -31,7 +31,7 @@ type Fig3Result struct {
 
 // Fig3 sweeps the DVFS window in half-grid steps for a
 // half-L2-resident load.
-func (l *Lab) Fig3() *Fig3Result {
+func (l *Harness) Fig3() *Fig3Result {
 	const l2Hit = 0.55
 	const volume = 4 << 20 // bytes
 	res := &Fig3Result{SaturationMHz: l.Chip.SaturationMHz(l.Chip.CLoad, l2Hit)}
@@ -72,7 +72,7 @@ type Fig4Result struct {
 
 // Fig4 evaluates the analytic white-box model of an engineered
 // PingPong-free, independent-Ld/St operator.
-func (l *Lab) Fig4() *Fig4Result {
+func (l *Harness) Fig4() *Fig4Result {
 	spec := &op.Spec{
 		Name: "fig4", Class: op.Compute, Scenario: op.PingPongFreeIndep,
 		Blocks: 4, LoadBytes: 4 << 20, StoreBytes: 3 << 20,
@@ -116,7 +116,7 @@ type Fig9Result struct {
 }
 
 // Fig9 reads the firmware V-F curve.
-func (l *Lab) Fig9() *Fig9Result {
+func (l *Harness) Fig9() *Fig9Result {
 	return &Fig9Result{Points: l.Chip.Curve.Points()}
 }
 
@@ -187,7 +187,7 @@ const MinModelMicros = 20.0
 // seven evaluation models and accumulates prediction errors at the
 // held-out frequencies. Func. 1 and Func. 3 fit three points (1000,
 // 1400, 1800 MHz on Ascend); Func. 2 fits two (1000, 1800 MHz).
-func (l *Lab) Fig15() (*Fig15Result, error) {
+func (l *Harness) Fig15() (*Fig15Result, error) {
 	res := &Fig15Result{}
 	plan := l.Chip.Curve.Plan()
 	threeFreqs := threePointFit(plan)
@@ -280,7 +280,7 @@ type Fig16Result struct {
 
 // Fig16 fits all three functions to each representative operator and
 // reports predictions and error rates at the held-out frequencies.
-func (l *Lab) Fig16() (*Fig16Result, error) {
+func (l *Harness) Fig16() (*Fig16Result, error) {
 	specs := workload.RepresentativeOps()
 	m := &workload.Model{Name: "fig16", Trace: specs}
 	plan := l.Chip.Curve.Plan()
@@ -348,7 +348,7 @@ type FitCostResult struct {
 
 // FitCost times both fitting paths over the ShuffleNetV2Plus instance
 // series.
-func (l *Lab) FitCost() (*FitCostResult, error) {
+func (l *Harness) FitCost() (*FitCostResult, error) {
 	m := workload.ShuffleNetV2Plus()
 	plan := l.Chip.Curve.Plan()
 	threeFreqs := threePointFit(plan)

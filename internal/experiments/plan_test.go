@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"npudvfs/internal/npu"
+	"npudvfs/internal/pipeline"
 	"npudvfs/internal/powersim"
 	"npudvfs/internal/thermal"
 	"npudvfs/internal/units"
@@ -14,7 +15,7 @@ import (
 // customLab is the GPU-like accelerator of examples/custom-accelerator:
 // an 800-2000 MHz grid that the reference chip's frequencies do not
 // describe.
-func customLab(t *testing.T) *Lab {
+func customLab(t *testing.T) *Harness {
 	t.Helper()
 	curve, err := vf.New(800, 2000, 100, 1400, 0.70, 0.95)
 	if err != nil {
@@ -27,7 +28,7 @@ func customLab(t *testing.T) *Lab {
 	if err := chip.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return NewLabFor(chip, powersim.Default(chip), thermal.Default(), 7)
+	return &Harness{Lab: pipeline.NewLabFor(chip, powersim.Default(chip), thermal.Default(), 7)}
 }
 
 // On a chip other than the reference one, the figures profile, fit and

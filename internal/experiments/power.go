@@ -6,6 +6,7 @@ import (
 
 	"npudvfs/internal/core"
 	"npudvfs/internal/preprocess"
+	"npudvfs/internal/profiler"
 	"npudvfs/internal/stats"
 	"npudvfs/internal/thermal"
 	"npudvfs/internal/units"
@@ -32,7 +33,7 @@ type Fig10Result struct {
 
 // Fig10 warms single-operator workloads to equilibrium at several
 // frequencies and regresses temperature against SoC power.
-func (l *Lab) Fig10() (*Fig10Result, error) {
+func (l *Harness) Fig10() (*Fig10Result, error) {
 	res := &Fig10Result{TrueK: float64(l.Thermal.KCPerWatt)}
 	subjects := []struct {
 		name string
@@ -42,7 +43,7 @@ func (l *Lab) Fig10() (*Fig10Result, error) {
 		{"Tanh", workload.MicroOp(workload.TanhOp(), 400)},
 		{"Conv2D", workload.MicroOp(workload.RepresentativeOps()[3], 200)},
 	}
-	p := l.profiler(400)
+	p := profiler.New(l.Chip, l.Seed+400)
 	grid := l.Chip.Curve.Grid()
 	var allP, allT []float64
 	for _, sub := range subjects {
@@ -119,7 +120,7 @@ func table2Workloads() []*workload.Model {
 
 // predictMeanPower predicts the workload's thermally-settled mean SoC
 // power at a uniform frequency using the full model stack.
-func (l *Lab) predictMeanPower(ms *Models, fMHz units.MHz) (float64, error) {
+func (l *Harness) predictMeanPower(ms *Models, fMHz units.MHz) (float64, error) {
 	stage := []preprocess.Stage{{
 		OpStart: 0, OpEnd: len(ms.Baseline.Records),
 		DurMicros: ms.Baseline.TotalMicros,
@@ -147,7 +148,7 @@ func (l *Lab) predictMeanPower(ms *Models, fMHz units.MHz) (float64, error) {
 // Table2 builds power models for each validation workload at the fit
 // frequencies and compares predicted against measured mean SoC power
 // at every held-out frequency.
-func (l *Lab) Table2() (*Table2Result, error) {
+func (l *Harness) Table2() (*Table2Result, error) {
 	res := &Table2Result{}
 	var errsAware, errsBlind []float64
 	for _, m := range table2Workloads() {

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the parallel experiment harness: a registry naming
-// every experiment the Lab can regenerate, and a worker-pool runner
+// every experiment the Harness can regenerate, and a worker-pool runner
 // (internal/pool) that fans them out across goroutines with
 // deterministic result ordering.
 //
@@ -24,53 +24,54 @@ import (
 // out across workloads or seeds via pool.Each: randomness is seeded
 // per work item, not per worker, so item i sees identical draws no
 // matter which worker runs it. The only shared mutable state is the
-// Lab's sync.Once-guarded calibrations and the Executor's locked view
-// cache, both safe (and deterministic) under concurrency.
+// sync.Once-guarded calibration (the Lab's) and GPT-3 models (the
+// Harness's) and the Executor's locked view cache, all safe (and
+// deterministic) under concurrency.
 
 // Spec is one named, runnable experiment.
 type Spec struct {
 	// Name is the identifier used by cmd/experiments -run.
 	Name string
-	// Run regenerates the experiment on the lab. ctx carries the
+	// Run regenerates the experiment on the harness. ctx carries the
 	// harness's per-experiment deadline: every experiment that runs a
 	// genetic search observes it (the search cancels at generation
 	// boundaries) and returns an error wrapping ctx.Err(); cheap
 	// model-validation experiments ignore it.
 	// TestSearchesHonourCancellation requires the former of every
 	// entry not on its search-free list.
-	Run func(ctx context.Context, l *Lab) (fmt.Stringer, error)
+	Run func(ctx context.Context, l *Harness) (fmt.Stringer, error)
 }
 
 // Registry returns every experiment in canonical order — the order
 // serial runs execute in and parallel runs report in.
 func Registry() []Spec {
 	return []Spec{
-		{"fig3", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig3(), nil }},
-		{"fig4", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig4(), nil }},
-		{"fig9", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig9(), nil }},
-		{"fig10", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig10() }},
-		{"fig15", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig15() }},
-		{"fig16", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig16() }},
-		{"fig17", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig17(ctx) }},
-		{"fig18", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Fig18(ctx) }},
-		{"table2", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Table2() }},
-		{"table3", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Table3(ctx) }},
-		{"fitcost", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.FitCost() }},
-		{"inference", func(_ context.Context, l *Lab) (fmt.Stringer, error) { return l.Inference() }},
-		{"throughput", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.ScoringThroughput(ctx, 20000) }},
-		{"coarse", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.CoarseGrained(ctx) }},
-		{"modelfree", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.ModelFree(ctx) }},
-		{"uncore", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.UncoreDVFS(ctx) }},
-		{"sensitivity", func(_ context.Context, l *Lab) (fmt.Stringer, error) {
+		{"fig3", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Fig3(), nil }},
+		{"fig4", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Fig4(), nil }},
+		{"fig9", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Fig9(), nil }},
+		{"fig10", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Fig10() }},
+		{"fig15", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Fig15() }},
+		{"fig16", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Fig16() }},
+		{"fig17", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.Fig17(ctx) }},
+		{"fig18", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.Fig18(ctx) }},
+		{"table2", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Table2() }},
+		{"table3", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.Table3(ctx) }},
+		{"fitcost", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.FitCost() }},
+		{"inference", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Inference() }},
+		{"throughput", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.ScoringThroughput(ctx, 20000) }},
+		{"coarse", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.CoarseGrained(ctx) }},
+		{"modelfree", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.ModelFree(ctx) }},
+		{"uncore", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.UncoreDVFS(ctx) }},
+		{"sensitivity", func(_ context.Context, l *Harness) (fmt.Stringer, error) {
 			return l.Sensitivity(float64(l.Chip.Curve.Max()), float64(l.Chip.Curve.Plan().PriorLFC)), nil
 		}},
-		{"adaptive", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Adaptive(ctx) }},
-		{"dual", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.DualDomain(ctx) }},
-		{"faisweep", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.FAISweep(ctx) }},
-		{"seeds", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.SeedsRobustness(ctx) }},
-		{"pareto", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Pareto(ctx) }},
-		{"attribution", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.Attribution(ctx) }},
-		{"search", func(ctx context.Context, l *Lab) (fmt.Stringer, error) { return l.SearchAblation(ctx) }},
+		{"adaptive", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.Adaptive(ctx) }},
+		{"dual", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.DualDomain(ctx) }},
+		{"faisweep", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.FAISweep(ctx) }},
+		{"seeds", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.SeedsRobustness(ctx) }},
+		{"pareto", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.Pareto(ctx) }},
+		{"attribution", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.Attribution(ctx) }},
+		{"search", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.SearchAblation(ctx) }},
 	}
 }
 
@@ -155,7 +156,7 @@ type Outcome struct {
 // running search at its next generation boundary. cmd/experiments
 // wires an interrupt-cancelled context here so ^C drains the suite
 // instead of killing it mid-write.
-func (l *Lab) RunSuite(ctx context.Context, names []string, timeout time.Duration) ([]Outcome, error) {
+func (l *Harness) RunSuite(ctx context.Context, names []string, timeout time.Duration) ([]Outcome, error) {
 	specs, err := Select(names)
 	if err != nil {
 		return nil, err
@@ -182,7 +183,7 @@ const cancelGrace = time.Second
 // completion — and its eventual result is discarded). The two cases
 // report distinct errors: only the clean one satisfies
 // errors.Is(err, context.DeadlineExceeded).
-func runOne(ctx context.Context, l *Lab, s Spec, timeout time.Duration) Outcome {
+func runOne(ctx context.Context, l *Harness, s Spec, timeout time.Duration) Outcome {
 	//lint:allow detrand wall-clock timing only: feeds Outcome.Elapsed, which reports exclude
 	start := time.Now()
 	if timeout <= 0 {

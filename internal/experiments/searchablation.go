@@ -105,7 +105,7 @@ func randomSearch(ev *core.Evaluator, budget int, seed int64) ([]int, int) {
 
 // SearchAblation runs all three searches on the GPT-3 problem at the
 // 4% target and measures each winning strategy on the simulator.
-func (l *Lab) SearchAblation(ctx context.Context) (*SearchAblationResult, error) {
+func (l *Harness) SearchAblation(ctx context.Context) (*SearchAblationResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ type SensitivityResult struct {
 // Sensitivity measures the per-operator trade-off of one DVFS step for
 // a compute-bound MatMul, a memory-bound Gelu and the representative
 // operators.
-func (l *Lab) Sensitivity(fromMHz, toMHz float64) *SensitivityResult {
+func (l *Harness) Sensitivity(fromMHz, toMHz float64) *SensitivityResult {
 	res := &SensitivityResult{FromMHz: fromMHz, ToMHz: toMHz}
 	subjects := []op.Spec{
 		{

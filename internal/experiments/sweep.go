@@ -33,7 +33,7 @@ type FAISweepResult struct {
 
 // FAISweep generates and measures GPT-3 strategies across adjustment
 // intervals from 5 ms to 1 s.
-func (l *Lab) FAISweep(ctx context.Context) (*FAISweepResult, error) {
+func (l *Harness) FAISweep(ctx context.Context) (*FAISweepResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err
@@ -106,7 +106,7 @@ const robustnessSeeds = 5
 
 // SeedsRobustness repeats the 2%-target GPT-3 optimization with five
 // GA seeds.
-func (l *Lab) SeedsRobustness(ctx context.Context) (*SeedsResult, error) {
+func (l *Harness) SeedsRobustness(ctx context.Context) (*SeedsResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"npudvfs/internal/core"
 	"npudvfs/internal/executor"
+	"npudvfs/internal/pipeline"
 )
 
 // UncoreRow is one uncore-scale measurement on GPT-3.
@@ -34,18 +35,18 @@ type UncoreResult struct {
 }
 
 // scaledLab builds a laboratory whose uncore runs at the given scale.
-func (l *Lab) scaledLab(scale float64) *Lab {
+func (l *Harness) scaledLab(scale float64) *pipeline.Lab {
 	chip := l.Chip.WithUncoreScale(scale)
 	ground := *l.Ground
 	ground.Chip = chip
 	ground.UncoreScale = scale
-	return NewLabFor(chip, &ground, l.Thermal, l.Seed)
+	return pipeline.NewLabFor(chip, &ground, l.Thermal, l.Seed)
 }
 
 // UncoreDVFS sweeps uncore frequency scales on GPT-3, alone and
 // combined with the fine-grained core strategy, against the stock
 // baseline at maximum core and uncore frequency.
-func (l *Lab) UncoreDVFS(ctx context.Context) (*UncoreResult, error) {
+func (l *Harness) UncoreDVFS(ctx context.Context) (*UncoreResult, error) {
 	gpt, err := l.gpt3Models()
 	if err != nil {
 		return nil, err

@@ -27,6 +27,7 @@ var deterministicPkgs = map[string]bool{
 	"classify":    true,
 	"thermal":     true,
 	"vf":          true,
+	"pipeline":    true,
 	"experiments": true,
 	"ring":        true,
 	"jobstore":    true,

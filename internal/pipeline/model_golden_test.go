@@ -1,4 +1,4 @@
-package experiments
+package pipeline
 
 import (
 	"crypto/sha256"

@@ -42,8 +42,8 @@ import (
 	"npudvfs/internal/cluster/jobstore"
 	"npudvfs/internal/cluster/ring"
 	"npudvfs/internal/core"
-	"npudvfs/internal/experiments"
 	"npudvfs/internal/ga"
+	"npudvfs/internal/pipeline"
 	"npudvfs/internal/traceio"
 )
 
@@ -70,11 +70,12 @@ type Config struct {
 	// the request does not set timeout_ms (default 10 minutes).
 	DefaultTimeout time.Duration
 	// Lab is the simulated accelerator the service optimizes for; nil
-	// means experiments.NewLab().
-	Lab *experiments.Lab
+	// means pipeline.NewLab().
+	Lab *pipeline.Lab
 	// Bundles maps lower-cased workload names to pre-fitted models
-	// (dvfsd -load-models): jobs for these workloads skip calibration
-	// and fit-frequency profiling.
+	// (dvfsd -load-models): jobs on the trace a bundle was fitted on
+	// skip calibration and fit-frequency profiling
+	// (pipeline.Lab.ModelsFor).
 	Bundles map[string]*traceio.ModelBundle
 
 	// Ring is the cluster topology; nil runs single-node. When set,
@@ -105,7 +106,7 @@ func (c *Config) fillDefaults() {
 		c.DefaultTimeout = 10 * time.Minute
 	}
 	if c.Lab == nil {
-		c.Lab = experiments.NewLab()
+		c.Lab = pipeline.NewLab()
 	}
 }
 
@@ -121,7 +122,7 @@ func Retention(workers, queueDepth int) int {
 // stop with Shutdown.
 type Server struct {
 	cfg    Config
-	lab    *experiments.Lab
+	lab    *pipeline.Lab
 	cache  *strategyCache
 	store  jobstore.Store
 	met    *metrics
@@ -383,15 +384,7 @@ func (s *Server) generate(ctx context.Context, j *job) (*traceio.StrategyRespons
 		return nil, fmt.Errorf("server: cancelled before model building: %w", err)
 	}
 	modelStart := time.Now()
-	var (
-		ms  *experiments.Models
-		err error
-	)
-	if b, ok := s.cfg.Bundles[strings.ToLower(m.Name)]; ok {
-		ms, err = s.lab.ModelsFromBundle(m, b)
-	} else {
-		ms, err = s.lab.BuildModels(m, true)
-	}
+	ms, err := s.lab.ModelsFor(m, j.req.Workload != "", j.fingerprint, s.cfg.Bundles)
 	s.met.stageModel.observe(time.Since(modelStart).Seconds())
 	if err != nil {
 		return nil, err

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"npudvfs/internal/core"
-	"npudvfs/internal/experiments"
+	"npudvfs/internal/pipeline"
 	"npudvfs/internal/traceio"
 	"npudvfs/internal/workload"
 )
@@ -25,15 +25,15 @@ import (
 // bundle-warmed servers skip per-job model building entirely.
 var (
 	fixOnce   sync.Once
-	fixLab    *experiments.Lab
+	fixLab    *pipeline.Lab
 	fixBundle *traceio.ModelBundle
 	fixErr    error
 )
 
-func fixture(t *testing.T) (*experiments.Lab, *traceio.ModelBundle) {
+func fixture(t *testing.T) (*pipeline.Lab, *traceio.ModelBundle) {
 	t.Helper()
 	fixOnce.Do(func() {
-		fixLab = experiments.NewLab()
+		fixLab = pipeline.NewLab()
 		m, err := workload.ByName("resnet50")
 		if err != nil {
 			fixErr = err
@@ -278,6 +278,44 @@ func TestInlineFallbackBodySharesCacheEntry(t *testing.T) {
 	}
 	if !bytes.Equal(hit.Result.Strategy, done.Result.Strategy) {
 		t.Error("fallback body got a different strategy")
+	}
+}
+
+// TestInlineTraceBorrowingBundleName: an inline trace that carries
+// ViT's operators under resnet50's name is not the trace the resnet50
+// bundle was fitted on, so the bundle must not serve it. Its strategy
+// is cached under its own fingerprint, and must be the one a daemon
+// without bundles returns for it.
+func TestInlineTraceBorrowingBundleName(t *testing.T) {
+	m := workload.ViTBase()
+	m.Name = "resnet50"
+	var trace bytes.Buffer
+	if err := traceio.WriteWorkload(&trace, m); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"trace":` + trace.String() + `,"search":{"pop":16,"gens":8,"seed":3}}`
+	result := func(cfg Config) []byte {
+		t.Helper()
+		_, ts := newTestServer(t, cfg)
+		code, st := submit(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("code %d, want 202", code)
+		}
+		done := waitJob(t, ts, st.ID)
+		if done.State != traceio.JobDone {
+			t.Fatalf("job %q (%s)", done.State, done.Error)
+		}
+		raw, err := json.Marshal(done.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	withBundle := result(Config{Workers: 1})
+	without := result(Config{Workers: 1, Bundles: map[string]*traceio.ModelBundle{}})
+	if !bytes.Equal(withBundle, without) {
+		t.Errorf("the resnet50 bundle served a trace it was not fitted on: %d result bytes, %d without bundles",
+			len(withBundle), len(without))
 	}
 }
 

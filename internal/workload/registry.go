@@ -45,7 +45,7 @@ func Names() []string {
 // ByName returns the registry workload of that name
 // (case-insensitive). The model is built once per process and shared by
 // every caller, on any goroutine: it is read-only, Name and Trace
-// elements alike. A caller that wants to edit a trace calls the model's
+// elements alike. A caller that wants to edit a trace calls Build or a
 // constructor (GPT3, BERT, ...), which builds a fresh model it owns.
 func ByName(name string) (*Model, error) {
 	get, ok := shared[strings.ToLower(name)]
@@ -54,4 +54,14 @@ func ByName(name string) (*Model, error) {
 			name, strings.Join(Names(), ", "))
 	}
 	return get(), nil
+}
+
+// Build returns a fresh copy of the registry workload of that name
+// (case-insensitive), owned by the caller; the registry keeps none.
+func Build(name string) (*Model, error) {
+	build, ok := builders[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown model %q (available: %s)", name, strings.Join(Names(), ", "))
+	}
+	return build(), nil
 }

@@ -16,8 +16,8 @@
 //     (Sect. 5);
 //   - DVFS strategy generation (Sect. 6) and a SetFreq executor
 //     (Sect. 7.1);
-//   - an experiments Lab regenerating every table and figure of the
-//     paper's evaluation.
+//   - a Lab running the Fig. 1 pipeline: calibration, profiling, model
+//     fits and measurement.
 //
 // The quickest route through the API is:
 //
@@ -34,17 +34,16 @@ package npudvfs
 
 import (
 	"context"
-	"slices"
 
 	"npudvfs/internal/adaptive"
 	"npudvfs/internal/core"
 	"npudvfs/internal/dualdvfs"
 	"npudvfs/internal/executor"
-	"npudvfs/internal/experiments"
 	"npudvfs/internal/ga"
 	"npudvfs/internal/npu"
 	"npudvfs/internal/op"
 	"npudvfs/internal/perfmodel"
+	"npudvfs/internal/pipeline"
 	"npudvfs/internal/powermodel"
 	"npudvfs/internal/powersim"
 	"npudvfs/internal/profiler"
@@ -136,9 +135,9 @@ type (
 	Executor = executor.Executor
 )
 
-// Lab bundles the full experimental setup used to regenerate the
-// paper's evaluation.
-type Lab = experiments.Lab
+// Lab runs the Fig. 1 pipeline (model building, measurement) on a
+// simulated chip, its ground truth and its offline calibration.
+type Lab = pipeline.Lab
 
 // DefaultChip returns the reference simulated accelerator.
 func DefaultChip() *Chip { return npu.Default() }
@@ -149,12 +148,12 @@ func AscendVFCurve() *VFCurve { return vf.Ascend() }
 
 // NewLab returns the reference laboratory configuration with seeded
 // determinism.
-func NewLab() *Lab { return experiments.NewLab() }
+func NewLab() *Lab { return pipeline.NewLab() }
 
 // NewLabFor builds a laboratory around a custom accelerator
 // configuration — the porting path of Sect. 8.3.
 func NewLabFor(chip *Chip, ground *GroundTruthPower, th ThermalParams, seed int64) *Lab {
-	return experiments.NewLabFor(chip, ground, th, seed)
+	return pipeline.NewLabFor(chip, ground, th, seed)
 }
 
 // WorkloadByName returns a workload from the registry (gpt3, bert,
@@ -162,13 +161,7 @@ func NewLabFor(chip *Chip, ground *GroundTruthPower, th ThermalParams, seed int6
 // llama2-inference, mixtral-moe). The result is the caller's own copy:
 // editing its trace before optimizing it is a legitimate use of the
 // library, and the registry's model is shared by every internal caller.
-func WorkloadByName(name string) (*Workload, error) {
-	m, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{Name: m.Name, Trace: slices.Clone(m.Trace)}, nil
-}
+func WorkloadByName(name string) (*Workload, error) { return workload.Build(name) }
 
 // WorkloadNames lists the registered workloads.
 func WorkloadNames() []string { return workload.Names() }
