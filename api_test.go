@@ -54,8 +54,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// Both facade generators stop at the search's first generation boundary
-// under a cancelled context and report it.
+// The facade generator stops at the search's first generation boundary
+// under a cancelled context and reports it.
 func TestFacadeGenerateHonoursCancellation(t *testing.T) {
 	l := NewLab()
 	m, err := WorkloadByName("vit")
@@ -70,10 +70,6 @@ func TestFacadeGenerateHonoursCancellation(t *testing.T) {
 	cancel()
 	if _, err := GenerateStrategy(ctx, ms.Input(l.Chip), DefaultStrategyConfig()); !errors.Is(err, context.Canceled) {
 		t.Errorf("GenerateStrategy: want error wrapping context.Canceled, got %v", err)
-	}
-	dual := DualInput{Chip: l.Chip, Profile: ms.Baseline, Power: ms.Power}
-	if _, err := GenerateDualStrategy(ctx, dual, DefaultDualConfig()); !errors.Is(err, context.Canceled) {
-		t.Errorf("GenerateDualStrategy: want error wrapping context.Canceled, got %v", err)
 	}
 }
 
@@ -279,37 +275,10 @@ func TestFacadeServedStrategyMatchesLibrary(t *testing.T) {
 	}
 }
 
-// The deployment helpers around a strategy: a die starts at ambient,
-// the adaptive guard raises a strategy one grid step when an iteration
-// overshoots the loss target (leaving the caller's copy alone), and the
-// uncore calibration finds clock-proportional idle power on a rig built
-// from facade parts only.
+// The deployment helpers around a strategy: a die starts at ambient.
 func TestFacadeDeploymentHelpers(t *testing.T) {
-	chip := DefaultChip()
 	th := DefaultThermal()
 	if got := NewThermalState(th).TempC(); got != th.AmbientC {
 		t.Errorf("new thermal state at %g C, want ambient %g C", got, th.AmbientC)
-	}
-
-	strat := FixedStrategy(1500)
-	ctl, err := NewAdaptiveController(chip.Curve, strat, 1000, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl.Observe(1100) // 10 % loss against a 2 % target
-	if got := ctl.Strategy().FreqAt(0); ctl.Adjustments() != 1 || got != 1600 {
-		t.Errorf("after an overshoot: %d adjustments, %g MHz; want 1 and 1600 MHz", ctl.Adjustments(), got)
-	}
-	if strat.FreqAt(0) != 1500 {
-		t.Error("the controller edited the caller's strategy")
-	}
-
-	rig := &PowerRig{Chip: chip, Ground: DefaultGroundTruth(chip), Sensor: NewProfiler(chip, 99).Sensor, Thermal: th}
-	dyn, err := CalibrateUncoreDyn(rig, 0.8, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dyn <= 0 {
-		t.Errorf("uncore dynamic power %g W, want positive", dyn)
 	}
 }

@@ -371,7 +371,7 @@ func BenchmarkGAGeneration(b *testing.B) {
 // BenchmarkGASearch measures a reduced end-to-end GA search (200x60)
 // on the Table 3 (BERT) problem: the unit the ISSUE 5 ≥3x throughput
 // target is stated over. The Engine is built once and reused across
-// iterations — the shape of a repeat searcher (adaptive), where a
+// iterations — the shape of a repeat searcher, where a
 // search allocates nothing (ISSUE 10 perf contract, DESIGN.md §13).
 // The server builds a fresh Engine per job; BenchmarkGARunContext
 // measures that shape.
@@ -1002,22 +1002,6 @@ func BenchmarkUncoreDVFSWhatIf(b *testing.B) {
 	b.ReportMetric(soc*100, "combined-soc-reduction-%")
 }
 
-// BenchmarkDualDomainDVFS is the Sect. 8.2 future-work ablation: joint
-// core+uncore strategy search versus the identical machinery with the
-// uncore knob removed.
-func BenchmarkDualDomainDVFS(b *testing.B) {
-	l := lab()
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		r, err := l.DualDomain(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = r.DualSoC - r.CoreOnlySoC
-	}
-	b.ReportMetric(gain*100, "dual-extra-soc-%")
-}
-
 // BenchmarkFAISweep measures the savings-vs-granularity curve.
 func BenchmarkFAISweep(b *testing.B) {
 	l := lab()
@@ -1045,21 +1029,6 @@ func BenchmarkSeedsRobustness(b *testing.B) {
 		std = r.StdCoreRed
 	}
 	b.ReportMetric(std*100, "core-red-std-%")
-}
-
-// BenchmarkAdaptiveGuard measures the closed-loop controller
-// converging an unguarded strategy under its target.
-func BenchmarkAdaptiveGuard(b *testing.B) {
-	l := lab()
-	var adj int
-	for i := 0; i < b.N; i++ {
-		r, err := l.Adaptive(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		adj = r.Adjustments
-	}
-	b.ReportMetric(float64(adj), "adjustments")
 }
 
 // BenchmarkSensitivity regenerates the Sect. 6 operator trade-off

@@ -13,13 +13,10 @@ var harnessPkgs = []string{
 	"npudvfs/internal/experiments",
 	"npudvfs/internal/plot",
 	"npudvfs/internal/pool",
-	"npudvfs/internal/adaptive",
-	"npudvfs/internal/dualdvfs",
 }
 
 // TestDaemonLinksNoHarness holds dvfsd's dependency graph: the
-// experiment harness, its plotting and fan-out, and the parked
-// adaptive and dual-domain searches stay out of the daemon.
+// experiment harness, its plotting and fan-out stay out of the daemon.
 func TestDaemonLinksNoHarness(t *testing.T) {
 	// go test puts its own toolchain first on the test's PATH.
 	out, err := exec.Command("go", "list", "-deps", "npudvfs/cmd/dvfsd").CombinedOutput()

@@ -8,8 +8,8 @@
 //
 // Available experiments: fig3, fig4, fig9, fig10, fig15, fig16, fig17,
 // fig18, table2, table3, fitcost, inference, throughput, coarse,
-// modelfree, uncore, sensitivity, adaptive, dual, faisweep, seeds,
-// pareto, attribution, search.
+// modelfree, uncore, sensitivity, faisweep, seeds, pareto,
+// attribution, search.
 //
 // Reports go to stdout in canonical registry order; per-experiment
 // wall times go to stderr, so the stdout stream (and -out files) are

@@ -1,7 +1,7 @@
 // Production workflow on a mixture-of-experts workload: generate a
 // strategy once, persist it as JSON, export a chrome://tracing
-// timeline, then deploy with the closed-loop guard that keeps the
-// realized loss under the target across iterations.
+// timeline, then deploy the reloaded strategy open loop, as the
+// paper's SetFreq executor does, and watch the loss across iterations.
 //
 //	go run ./examples/moe-production
 package main
@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("strategy (%d SetFreq) -> %s\nchrome trace -> %s\n",
 		strat.Switches(), strategyPath, tracePath)
 
-	// 3. Deploy: reload the strategy and run it under the guard.
+	// 3. Deploy: reload the strategy and run it open loop.
 	deployed, err := npudvfs.LoadStrategy(strategyPath)
 	if err != nil {
 		log.Fatal(err)
@@ -64,23 +64,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctl, err := npudvfs.NewAdaptiveController(lab.Chip.Curve, deployed, npudvfs.Micros(base.TimeMicros), cfg.PerfLossTarget)
-	if err != nil {
-		log.Fatal(err)
-	}
 	ex := npudvfs.NewExecutor(lab.Chip, lab.Ground)
 	state := npudvfs.NewThermalState(npudvfs.DefaultThermal())
 	state.SetTemp(npudvfs.Celsius(base.EndTempC)) // start warmed up
 	fmt.Printf("\nbaseline: %.1f ms, %.2f W AICore\n", base.TimeMicros/1000, base.MeanCoreW)
 	for iter := 0; iter < 8; iter++ {
-		res, err := ex.Run(m.Trace, ctl.Strategy(), state, npudvfs.DefaultExecutorOptions())
+		res, err := ex.Run(m.Trace, deployed, state, npudvfs.DefaultExecutorOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
-		adj := ctl.Observe(npudvfs.Micros(res.TimeMicros))
-		fmt.Printf("iter %d: %.1f ms (%+.2f%%), AICore %.2f W (%+.2f%%)  [%v]\n",
+		fmt.Printf("iter %d: %.1f ms (%+.2f%%), AICore %.2f W (%+.2f%%)\n",
 			iter, res.TimeMicros/1000,
 			100*(res.TimeMicros/base.TimeMicros-1),
-			res.MeanCoreW, 100*(res.MeanCoreW/base.MeanCoreW-1), adj)
+			res.MeanCoreW, 100*(res.MeanCoreW/base.MeanCoreW-1))
 	}
 }

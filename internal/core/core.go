@@ -54,11 +54,6 @@ type FreqPoint struct {
 	TimeMicros units.Micros
 	// FreqMHz is the core frequency to set.
 	FreqMHz units.MHz
-	// UncoreScale is the uncore frequency relative to nominal; 0
-	// means "leave at nominal" (the paper's platform cannot tune the
-	// uncore, Sect. 8.2 — non-zero values are used by the two-domain
-	// extension in internal/dualdvfs).
-	UncoreScale float64
 }
 
 // Strategy is a generated DVFS policy for one workload iteration.
@@ -96,43 +91,6 @@ func (s *Strategy) Switches() int {
 		}
 	}
 	return n
-}
-
-// UncoreSwitches returns how many uncore frequency changes the
-// strategy triggers per iteration, counting from the nominal scale.
-func (s *Strategy) UncoreSwitches() int {
-	n := 0
-	prev := 1.0
-	for _, p := range s.Points {
-		scale := p.UncoreScale
-		//lint:allow floateq exact sentinel: 0 means "uncore scale unset"
-		if scale == 0 {
-			scale = 1
-		}
-		if !stats.Approx(scale, prev) {
-			n++
-		}
-		prev = scale
-	}
-	return n
-}
-
-// UncoreScaleAt returns the uncore scale prescribed for a trace index
-// (1 when untouched).
-func (s *Strategy) UncoreScaleAt(opIndex int) float64 {
-	scale := 1.0
-	for _, p := range s.Points {
-		if p.OpIndex > opIndex {
-			break
-		}
-		//lint:allow floateq exact sentinel: 0 means "uncore scale unset"
-		if p.UncoreScale != 0 {
-			scale = p.UncoreScale
-		} else {
-			scale = 1
-		}
-	}
-	return scale
 }
 
 // Config tunes strategy generation.

@@ -13,11 +13,8 @@ import (
 	"testing"
 
 	"npudvfs/internal/core"
-	"npudvfs/internal/dualdvfs"
 	"npudvfs/internal/ga"
 	"npudvfs/internal/pipeline"
-	"npudvfs/internal/powermodel"
-	"npudvfs/internal/powersim"
 	"npudvfs/internal/traceio"
 	"npudvfs/internal/workload"
 )
@@ -50,11 +47,6 @@ func strategyHash(t *testing.T, s *core.Strategy) string {
 // parent of the commit that narrowed genes to one byte (PR 16).
 func TestStrategyGoldenAcrossCommits(t *testing.T) {
 	lab := pipeline.NewLab()
-	rig := &powermodel.Rig{Chip: lab.Chip, Ground: lab.Ground, Sensor: powersim.NewSensor(lab.Seed + 900), Thermal: lab.Thermal}
-	uncoreDynW, err := dualdvfs.CalibrateUncore(rig, 0.8, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	search := func(islands int) ga.Config {
 		cfg := ga.DefaultConfig()
 		cfg.PopSize, cfg.Generations, cfg.Seed, cfg.Islands = 64, 64, 12, islands
@@ -78,18 +70,6 @@ func TestStrategyGoldenAcrossCommits(t *testing.T) {
 				t.Fatal(err)
 			}
 			got[fmt.Sprintf("core/%s/islands=%d", name, islands)] = strategyHash(t, strat)
-
-			if name != "bert" {
-				continue
-			}
-			dcfg := dualdvfs.DefaultConfig()
-			dcfg.GA = search(islands)
-			dstrat, _, _, err := dualdvfs.GenerateContext(context.Background(),
-				dualdvfs.Input{Chip: lab.Chip, Profile: ms.Baseline, Power: ms.Power, UncoreDynW: uncoreDynW}, dcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[fmt.Sprintf("dualdvfs/%s/islands=%d", name, islands)] = strategyHash(t, dstrat)
 		}
 	}
 

@@ -1,5 +1,5 @@
 // Package evaltab implements the flat evaluation table behind the
-// model-based policy evaluation hot path (core and dualdvfs): the
+// model-based policy evaluation hot path (core's problem): the
 // per-stage, per-allele quantities a GA individual is scored from,
 // stored as one stride-indexed []float64 block in structure-of-arrays
 // order so scoring one gene touches one contiguous quadruple instead

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"npudvfs/internal/core"
 	"npudvfs/internal/npu"
@@ -90,7 +89,6 @@ type pendingSwitch struct {
 	// boundary (Fig. 14).
 	offsetMicros float64
 	freqMHz      float64
-	uncoreScale  float64 // 0 = leave at nominal
 	effectTime   float64 // filled at runtime: dispatch + latency
 	dispatched   bool
 	applied      bool
@@ -98,68 +96,21 @@ type pendingSwitch struct {
 
 // Executor runs traces under strategies on the simulated chip.
 //
-// Concurrency contract: one Executor may be shared by any number of
-// goroutines calling Run/RunStable/planSwitches concurrently, provided
-// Chip and Ground are not reassigned after New and each goroutine
-// supplies its own *thermal.State (thermal evolution is per-run
-// mutable state). The GA worker pool relies on this: every Score call
-// of a hardware-in-the-loop problem drives the same Executor. The only
-// internal mutable state is the lazily populated scaled-view cache,
-// which is guarded by mu.
+// Concurrency contract: an Executor does not change after New, so one
+// Executor may be shared by any number of goroutines calling
+// Run/RunStable/planSwitches concurrently, provided Chip and Ground
+// are not reassigned and each goroutine supplies its own
+// *thermal.State (thermal evolution is per-run mutable state). The GA
+// worker pool relies on this: every Score call of a
+// hardware-in-the-loop problem drives the same Executor.
 type Executor struct {
 	Chip   *npu.Chip
 	Ground *powersim.Ground
-
-	// mu guards scaled. Chip and Ground are treated as immutable after
-	// construction and read without locking.
-	mu sync.RWMutex
-	// scaled caches per-uncore-scale views of the chip and ground
-	// truth for the two-domain extension.
-	scaled map[float64]scaledView
-}
-
-type scaledView struct {
-	chip   *npu.Chip
-	ground *powersim.Ground
 }
 
 // New returns an executor for the chip with its ground-truth power.
 func New(chip *npu.Chip, ground *powersim.Ground) *Executor {
 	return &Executor{Chip: chip, Ground: ground}
-}
-
-// viewAt returns the chip and ground truth adjusted for an uncore
-// scale (cached; scale 1 or 0 is the stock view). Safe for concurrent
-// use: the common paths (stock view, cache hit) take only a read lock,
-// and on a racing miss both builders compute the same deterministic
-// view, so whichever wins the write lock publishes it first.
-func (e *Executor) viewAt(scale float64) scaledView {
-	//lint:allow floateq exact sentinels: 0 = unset, 1 = stock; the scaled-view cache below is keyed by the exact scale value
-	if scale == 0 || scale == 1 {
-		return scaledView{chip: e.Chip, ground: e.Ground}
-	}
-	e.mu.RLock()
-	v, ok := e.scaled[scale]
-	e.mu.RUnlock()
-	if ok {
-		return v
-	}
-	chip := e.Chip.WithUncoreScale(scale)
-	g := *e.Ground
-	g.Chip = chip
-	g.UncoreScale = scale
-	v = scaledView{chip: chip, ground: &g}
-	e.mu.Lock()
-	if cached, ok := e.scaled[scale]; ok {
-		v = cached
-	} else {
-		if e.scaled == nil {
-			e.scaled = make(map[float64]scaledView)
-		}
-		e.scaled[scale] = v
-	}
-	e.mu.Unlock()
-	return v
 }
 
 // validateStrategy checks the structural assumptions planSwitches
@@ -193,38 +144,23 @@ func validateStrategy(trace []op.Spec, strat *core.Strategy) error {
 // frequency), so landings stay precise even when early low-frequency
 // stages stretch the schedule.
 //
-// Safe for concurrent calls: it reads only the immutable chip/ground
-// views (via the locked cache) and the caller's trace and strategy,
-// and requires strat.Points sorted and unique by OpIndex (checked by
-// Run via validateStrategy).
+// Safe for concurrent calls: it reads only the immutable chip and the
+// caller's trace and strategy, and requires strat.Points sorted and
+// unique by OpIndex (checked by Run via validateStrategy).
 func (e *Executor) planSwitches(trace []op.Spec, strat *core.Strategy, opt Options) []pendingSwitch {
 	starts := make([]float64, len(trace))
 	now := 0.0
-	// Walk the sorted points with a cursor instead of calling
-	// FreqAt/UncoreScaleAt (each O(points)) per operator, caching the
-	// current scaled view — the timeline build is O(ops+points).
+	// Walk the sorted points with a cursor instead of calling FreqAt
+	// (O(points)) per operator — the timeline build is O(ops+points).
 	freq := float64(strat.BaselineMHz)
-	scale := 1.0
-	view := e.viewAt(scale)
 	pi := 0
 	for i := range trace {
 		for pi < len(strat.Points) && strat.Points[pi].OpIndex <= i {
-			pt := &strat.Points[pi]
-			freq = float64(pt.FreqMHz)
-			s := pt.UncoreScale
-			//lint:allow floateq exact sentinel: 0 means "uncore scale unset"
-			if s == 0 {
-				s = 1
-			}
-			//lint:allow floateq exact scale values key the cached view; a repeated point carries the identical float
-			if s != scale {
-				scale = s
-				view = e.viewAt(scale)
-			}
+			freq = float64(strat.Points[pi].FreqMHz)
 			pi++
 		}
 		starts[i] = now
-		now += view.chip.Time(&trace[i], freq)
+		now += e.Chip.Time(&trace[i], freq)
 	}
 	plan := make([]pendingSwitch, 0, len(strat.Points))
 	for _, pt := range strat.Points {
@@ -250,7 +186,6 @@ func (e *Executor) planSwitches(trace []op.Spec, strat *core.Strategy, opt Optio
 			targetOp:     pt.OpIndex,
 			offsetMicros: offset,
 			freqMHz:      float64(pt.FreqMHz),
-			uncoreScale:  pt.UncoreScale,
 		})
 	}
 	return plan
@@ -261,8 +196,7 @@ func (e *Executor) planSwitches(trace []op.Spec, strat *core.Strategy, opt Optio
 //
 // Run is safe for concurrent calls on a shared Executor as long as
 // each caller passes its own *thermal.State: all per-run bookkeeping
-// (switch plan, current frequency/view, accumulators) is local, and
-// the scaled-view cache is internally synchronized. The strategy's
+// (switch plan, current frequency, accumulators) is local. The strategy's
 // Points must be sorted strictly ascending by OpIndex; Run returns a
 // descriptive error otherwise rather than silently misaligning switch
 // landings.
@@ -288,17 +222,14 @@ func (e *Executor) Run(trace []op.Spec, strat *core.Strategy, th *thermal.State,
 	}
 	plan := e.planSwitches(trace, strat, opt)
 	freq := float64(strat.Points[0].FreqMHz)
-	scale := strat.Points[0].UncoreScale
 	if strat.Points[0].OpIndex != 0 {
 		freq = float64(strat.BaselineMHz)
-		scale = 0
 	}
-	view := e.viewAt(scale)
 
 	res := &Result{}
 	c := runCursor{
 		e: e, plan: plan, opt: opt, jitter: jitter, th: th, res: res,
-		freq: freq, view: view,
+		freq: freq,
 	}
 	c.walk(trace)
 	res.TimeMicros = c.now
@@ -334,7 +265,6 @@ type runCursor struct {
 	res    *Result
 
 	freq float64
-	view scaledView
 	now  float64
 
 	applyLo    int
@@ -352,7 +282,6 @@ func (c *runCursor) applyEffects(t float64) {
 				c.freq = p.freqMHz
 				c.res.Switches++
 			}
-			c.view = c.e.viewAt(p.uncoreScale)
 			p.applied = true
 		}
 	}
@@ -362,15 +291,15 @@ func (c *runCursor) applyEffects(t float64) {
 }
 
 // integrate accrues energy and thermal state over dur at the current
-// frequency/view (s == nil integrates an idle stall). The view's
-// ground evaluates the power terms once for both domains; their
-// bandwidth term is its own chip's time at c.freq, whatever share of
-// the operator dur covers.
+// frequency (s == nil integrates an idle stall). The ground truth
+// evaluates the power terms once for both domains; their bandwidth
+// term is the chip's time at c.freq, whatever share of the operator
+// dur covers.
 func (c *runCursor) integrate(s *op.Spec, dur float64) {
 	if dur <= 0 {
 		return
 	}
-	terms := c.view.ground.Terms(s, c.freq)
+	terms := c.e.Ground.Terms(s, c.freq)
 	coreP, soc := terms.Power(float64(c.th.DeltaT()))
 	c.res.EnergySoCJ += soc * dur * 1e-6
 	c.res.EnergyCoreJ += coreP * dur * 1e-6
@@ -421,7 +350,7 @@ func (c *runCursor) walk(trace []op.Spec) {
 		// effect: the remaining work continues at the new frequency.
 		remaining := 1.0
 		for remaining > 1e-12 {
-			dur := c.view.chip.Time(s, c.freq) * remaining
+			dur := c.e.Chip.Time(s, c.freq) * remaining
 			if dur <= 0 {
 				break
 			}

@@ -26,8 +26,7 @@ func planSwitchesReference(e *Executor, trace []op.Spec, strat *core.Strategy, o
 	now := 0.0
 	for i := range trace {
 		starts[i] = now
-		view := e.viewAt(strat.UncoreScaleAt(i))
-		now += view.chip.Time(&trace[i], float64(strat.FreqAt(i)))
+		now += e.Chip.Time(&trace[i], float64(strat.FreqAt(i)))
 	}
 	var plan []pendingSwitch
 	for _, pt := range strat.Points {
@@ -51,7 +50,6 @@ func planSwitchesReference(e *Executor, trace []op.Spec, strat *core.Strategy, o
 			targetOp:     pt.OpIndex,
 			offsetMicros: offset,
 			freqMHz:      float64(pt.FreqMHz),
-			uncoreScale:  pt.UncoreScale,
 		})
 	}
 	return plan
@@ -67,12 +65,9 @@ func runReference(e *Executor, trace []op.Spec, strat *core.Strategy, th *therma
 	}
 	plan := planSwitchesReference(e, trace, strat, opt)
 	freq := float64(strat.Points[0].FreqMHz)
-	scale := strat.Points[0].UncoreScale
 	if strat.Points[0].OpIndex != 0 {
 		freq = float64(strat.BaselineMHz)
-		scale = 0
 	}
-	view := e.viewAt(scale)
 
 	res := &Result{}
 	now := 0.0
@@ -85,7 +80,6 @@ func runReference(e *Executor, trace []op.Spec, strat *core.Strategy, th *therma
 					freq = p.freqMHz
 					res.Switches++
 				}
-				view = e.viewAt(p.uncoreScale)
 				p.applied = true
 			}
 		}
@@ -95,8 +89,8 @@ func runReference(e *Executor, trace []op.Spec, strat *core.Strategy, th *therma
 			return
 		}
 		deltaT := float64(th.DeltaT())
-		soc := view.ground.SoCPower(s, freq, deltaT)
-		coreP := view.ground.AICorePower(s, freq, deltaT)
+		soc := e.Ground.SoCPower(s, freq, deltaT)
+		coreP := e.Ground.AICorePower(s, freq, deltaT)
 		res.EnergySoCJ += soc * dur * 1e-6
 		res.EnergyCoreJ += coreP * dur * 1e-6
 		th.Step(units.Micros(dur), units.Watt(soc))
@@ -132,7 +126,7 @@ func runReference(e *Executor, trace []op.Spec, strat *core.Strategy, th *therma
 
 		remaining := 1.0
 		for remaining > 1e-12 {
-			dur := view.chip.Time(s, freq) * remaining
+			dur := e.Chip.Time(s, freq) * remaining
 			if dur <= 0 {
 				break
 			}
@@ -169,9 +163,9 @@ func runReference(e *Executor, trace []op.Spec, strat *core.Strategy, th *therma
 }
 
 // synthStrategy builds a strategy switching among grid frequencies
-// (and occasionally uncore scales) every few operators, with switch
-// times on the baseline timeline as core.GenerateContext produces them.
-func synthStrategy(e *Executor, trace []op.Spec, rng *rand.Rand, withScale bool) *core.Strategy {
+// every few operators, with switch times on the baseline timeline as
+// core.GenerateContext produces them.
+func synthStrategy(e *Executor, trace []op.Spec, rng *rand.Rand) *core.Strategy {
 	grid := e.Chip.Curve.Grid()
 	strat := &core.Strategy{BaselineMHz: 1800}
 	prev := units.MHz(-1)
@@ -184,11 +178,7 @@ func synthStrategy(e *Executor, trace []op.Spec, rng *rand.Rand, withScale bool)
 		for i := 0; i < opIdx; i++ {
 			start += e.Chip.Time(&trace[i], 1800)
 		}
-		pt := core.FreqPoint{OpIndex: opIdx, TimeMicros: units.Micros(start), FreqMHz: f}
-		if withScale && rng.Intn(3) == 0 {
-			pt.UncoreScale = 0.8 + 0.1*float64(rng.Intn(3))
-		}
-		strat.Points = append(strat.Points, pt)
+		strat.Points = append(strat.Points, core.FreqPoint{OpIndex: opIdx, TimeMicros: units.Micros(start), FreqMHz: f})
 		prev = f
 	}
 	if len(strat.Points) == 0 {
@@ -240,7 +230,7 @@ func TestRunMatchesSeedReferenceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, w := range workloads {
 		for trial := 0; trial < 4; trial++ {
-			strat := synthStrategy(e, w.trace, rng, trial%2 == 1)
+			strat := synthStrategy(e, w.trace, rng)
 			for _, o := range opts {
 				compareRuns(t, w.name+"/"+o.name, e, w.trace, strat, o.opt)
 			}

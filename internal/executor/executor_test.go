@@ -297,21 +297,24 @@ func TestQuickRandomStrategiesBounded(t *testing.T) {
 	}
 }
 
-// Uncore-scaled strategies must slow memory-heavy traces and reduce
-// SoC power relative to the same core frequencies at stock uncore.
+// A whole chip whose uncore runs at 0.8x — the Sect. 8.2 what-if's
+// path: npu.Chip.WithUncoreScale plus powersim.Ground.UncoreScale —
+// must slow memory-heavy traces and reduce SoC power relative to the
+// same core frequency at stock uncore.
 func TestUncoreScaledStrategy(t *testing.T) {
 	e := testExec()
+	chip := e.Chip.WithUncoreScale(0.8)
+	ground := *e.Ground
+	ground.Chip = chip
+	ground.UncoreScale = 0.8
+	scaled := New(chip, &ground)
 	m := workload.MicroOp(workload.TanhOp(), 60) // memory-bound
-	stock := FixedStrategy(1800)
-	scaled := &core.Strategy{
-		BaselineMHz: 1800,
-		Points:      []core.FreqPoint{{OpIndex: 0, FreqMHz: 1800, UncoreScale: 0.8}},
-	}
-	rs, err := e.Run(m.Trace, stock, th(), DefaultOptions())
+	strat := FixedStrategy(1800)
+	rs, err := e.Run(m.Trace, strat, th(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := e.Run(m.Trace, scaled, th(), DefaultOptions())
+	rc, err := scaled.Run(m.Trace, strat, th(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,25 +348,19 @@ func TestRunRejectsMalformedPoints(t *testing.T) {
 	}
 }
 
-// A shared Executor must tolerate concurrent Run calls that populate
-// the scaled-view cache from many goroutines (run under -race). Every
-// goroutine also checks its results against a serial golden run: the
-// cache races only on construction, never on values.
+// A shared Executor must tolerate concurrent Run calls from many
+// goroutines (run under -race). Every goroutine also checks its
+// results against a serial golden run.
 func TestConcurrentRunSharedExecutor(t *testing.T) {
 	e := testExec()
 	trace := flatTrace(30)
 	grid := e.Chip.Curve.Grid()
-	scales := []float64{0, 0.8, 0.85, 0.9, 0.95, 1, 1.05}
 	strategies := make([]*core.Strategy, 16)
 	for k := range strategies {
 		rng := rand.New(rand.NewSource(int64(40 + k)))
 		strat := &core.Strategy{BaselineMHz: 1800}
 		for opIdx := 0; opIdx < len(trace); opIdx += 1 + rng.Intn(6) {
-			strat.Points = append(strat.Points, core.FreqPoint{
-				OpIndex:     opIdx,
-				FreqMHz:     grid[rng.Intn(len(grid))],
-				UncoreScale: scales[rng.Intn(len(scales))],
-			})
+			strat.Points = append(strat.Points, core.FreqPoint{OpIndex: opIdx, FreqMHz: grid[rng.Intn(len(grid))]})
 		}
 		strategies[k] = strat
 	}
@@ -419,8 +416,7 @@ func exactAllocs(k int, f func()) float64 {
 // of the cursor walk (DESIGN.md §10): Run allocates its switch plan,
 // timeline, Result and jitter source once per call, and walk nothing
 // per operator or per switch, so a 10-op, 2-point strategy and a
-// 3,000-op, 600-point one with two uncore scales allocate the same.
-// The warm-up call inside AllocsPerRun fills the scaled-view cache.
+// 3,000-op, 600-point one allocate the same.
 func TestRunAllocsIndependentOfTraceSize(t *testing.T) {
 	e := testExec()
 	opt := DefaultOptions()
@@ -434,11 +430,7 @@ func TestRunAllocsIndependentOfTraceSize(t *testing.T) {
 	}}
 	large := &core.Strategy{BaselineMHz: 1800}
 	for i := 0; i < 600; i++ {
-		large.Points = append(large.Points, core.FreqPoint{
-			OpIndex:     5 * i,
-			FreqMHz:     grid[i%len(grid)],
-			UncoreScale: []float64{0.8, 0.9}[i%2],
-		})
+		large.Points = append(large.Points, core.FreqPoint{OpIndex: 5 * i, FreqMHz: grid[i%len(grid)]})
 	}
 
 	count := func(trace []op.Spec, strat *core.Strategy) float64 {
@@ -452,6 +444,7 @@ func TestRunAllocsIndependentOfTraceSize(t *testing.T) {
 	}
 	smallN := count(flatTrace(10), small)
 	largeN := count(flatTrace(3000), large)
+	t.Logf("Run allocations over 3 calls: %v at 10 ops / 2 points, %v at 3000 ops / 600 points", smallN, largeN)
 	if smallN != largeN {
 		t.Fatalf("Run allocations grow with the trace: %v over 3 calls at 10 ops / 2 points, %v at 3000 ops / 600 points", smallN, largeN)
 	}

@@ -9,14 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"npudvfs/internal/adaptive"
-	"npudvfs/internal/classify"
 	"npudvfs/internal/core"
-	"npudvfs/internal/dualdvfs"
 	"npudvfs/internal/executor"
 	"npudvfs/internal/ga"
 	"npudvfs/internal/op"
-	"npudvfs/internal/preprocess"
 	"npudvfs/internal/thermal"
 	"npudvfs/internal/units"
 	"npudvfs/internal/workload"
@@ -37,15 +33,13 @@ func skipHeavyUnderRace(t *testing.T) {
 // sharedExecProblem scores GA individuals by running them on ONE
 // Executor shared across all GA island goroutines — the shape of a
 // hardware-in-the-loop search, and the scenario the Executor's
-// concurrency contract exists for. Alleles mix core frequencies with
-// uncore scales so concurrent Run calls populate the scaled-view
-// cache while racing each other.
+// concurrency contract exists for. Alleles are core frequencies, as a
+// strategy's points are.
 type sharedExecProblem struct {
-	lab    *Lab
-	ex     *executor.Executor
-	trace  []op.Spec
-	grid   []float64
-	scales []float64
+	lab   *Lab
+	ex    *executor.Executor
+	trace []op.Spec
+	grid  []float64
 }
 
 func (p *sharedExecProblem) Genes() int     { return 4 }
@@ -56,11 +50,7 @@ func (p *sharedExecProblem) Score(ind []int) float64 {
 	step := len(p.trace) / len(ind)
 	strat := &core.Strategy{BaselineMHz: units.MHz(p.grid[len(p.grid)-1])}
 	for i, g := range ind {
-		strat.Points = append(strat.Points, core.FreqPoint{
-			OpIndex:     i * step,
-			FreqMHz:     units.MHz(p.grid[g]),
-			UncoreScale: p.scales[g%len(p.scales)],
-		})
+		strat.Points = append(strat.Points, core.FreqPoint{OpIndex: i * step, FreqMHz: units.MHz(p.grid[g])})
 	}
 	th := thermal.NewState(p.lab.Thermal)
 	res, err := p.ex.Run(p.trace, strat, th, executor.DefaultOptions())
@@ -74,9 +64,9 @@ func (p *sharedExecProblem) Score(ind []int) float64 {
 // Executor from two concurrently running islands (the engine scores a
 // plain Problem serially per island, so islands are what make Score
 // calls overlap). Its real assertion is the race detector: `go test
-// -race` fails here if the Executor's view cache (or any other shared
-// state on the Score path) races. It also pins determinism: a
-// Workers=1 run must find the identical result.
+// -race` fails here if any shared state on the Score path races. It
+// also pins determinism: a Workers=1 run must find the identical
+// result.
 func TestGASharedExecutorStress(t *testing.T) {
 	lab := sharedLab().Lab
 	reps := workload.RepresentativeOps()
@@ -86,11 +76,10 @@ func TestGASharedExecutorStress(t *testing.T) {
 	}
 	newProblem := func() *sharedExecProblem {
 		return &sharedExecProblem{
-			lab:    lab,
-			ex:     executor.New(lab.Chip, lab.Ground),
-			trace:  trace,
-			grid:   units.Floats(lab.Chip.Curve.Grid()),
-			scales: []float64{0, 0.8, 0.9, 0.95, 1.05},
+			lab:   lab,
+			ex:    executor.New(lab.Chip, lab.Ground),
+			trace: trace,
+			grid:  units.Floats(lab.Chip.Curve.Grid()),
 		}
 	}
 	cfg := ga.Config{
@@ -315,27 +304,10 @@ func TestSearchesHonourCancellation(t *testing.T) {
 	}
 	in := gpt.Input(l.Chip)
 	cfg := core.DefaultConfig()
-	stages, err := preprocess.Stages(in.Profile, classify.Trace(in.Profile), float64(cfg.FAIMicros))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := core.NewEvaluator(in, cfg, stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dual := dualdvfs.Input{Chip: l.Chip, Profile: gpt.Baseline, Power: gpt.Power}
 	for name, search := range map[string]func() error{
 		"core.Search": func() error { _, _, err := core.Search(ctx, in, cfg); return err },
 		"core.GenerateContext": func() error {
 			_, _, _, err := core.GenerateContext(ctx, in, cfg)
-			return err
-		},
-		"dualdvfs.GenerateContext": func() error {
-			_, _, _, err := dualdvfs.GenerateContext(ctx, dual, dualdvfs.DefaultConfig())
-			return err
-		},
-		"adaptive.Reoptimize": func() error {
-			_, err := adaptive.Reoptimize(ctx, ev.Problem(), cfg.GA, nil)
 			return err
 		},
 	} {

@@ -322,26 +322,6 @@ func TestUncoreWhatIfAddsHeadroom(t *testing.T) {
 	}
 }
 
-func TestDualDomainAddsSoCSavings(t *testing.T) {
-	skipHeavyUnderRace(t)
-	if testing.Short() {
-		t.Skip("GPT-3 pipeline in -short mode")
-	}
-	r, err := sharedLab().DualDomain(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.DualSoC <= r.CoreOnlySoC {
-		t.Errorf("dual SoC saving %.3f should exceed core-only %.3f", r.DualSoC, r.CoreOnlySoC)
-	}
-	if r.DualUncoreSwitches == 0 {
-		t.Error("dual strategy never touched the uncore")
-	}
-	if r.DualLoss > r.LossTarget+0.01 {
-		t.Errorf("dual loss %.3f far beyond the %.0f%% target", r.DualLoss, r.LossTarget*100)
-	}
-}
-
 func TestAttributionMemoryOpsGoLow(t *testing.T) {
 	skipHeavyUnderRace(t)
 	if testing.Short() {

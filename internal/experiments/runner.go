@@ -65,8 +65,6 @@ func Registry() []Spec {
 		{"sensitivity", func(_ context.Context, l *Harness) (fmt.Stringer, error) {
 			return l.Sensitivity(float64(l.Chip.Curve.Max()), float64(l.Chip.Curve.Plan().PriorLFC)), nil
 		}},
-		{"adaptive", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.Adaptive(ctx) }},
-		{"dual", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.DualDomain(ctx) }},
 		{"faisweep", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.FAISweep(ctx) }},
 		{"seeds", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.SeedsRobustness(ctx) }},
 		{"pareto", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.Pareto(ctx) }},

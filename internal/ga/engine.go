@@ -73,10 +73,6 @@ type Engine struct {
 	migScores []float64
 	migSums   []float64
 
-	// Final-population capture (Config.CapturePopulation).
-	popRows  [][]int
-	popGenes []int
-
 	res Result
 }
 
@@ -101,15 +97,6 @@ func New(p Problem, cfg Config) (*Engine, error) {
 	if cfg.Elitism < 0 || cfg.Elitism >= cfg.PopSize {
 		return nil, fmt.Errorf("ga: elitism %d incompatible with population %d", cfg.Elitism, cfg.PopSize)
 	}
-	for _, w := range cfg.WarmStart {
-		if len(w) != n {
-			return nil, fmt.Errorf("ga: warm-start individual of length %d, want %d", len(w), n)
-		}
-		if err := checkAlleles(w, alleles); err != nil {
-			return nil, err
-		}
-	}
-
 	nIsl := cfg.Islands
 	switch {
 	case nIsl < 0:
@@ -172,17 +159,13 @@ func New(p Problem, cfg Config) (*Engine, error) {
 			e.migSums = make([]float64, nIsl*migrants*e.sumN)
 		}
 	}
-	if cfg.CapturePopulation {
-		e.popRows = make([][]int, cfg.PopSize)
-		e.popGenes = make([]int, cfg.PopSize*n)
-	}
 	return e, nil
 }
 
 // Run executes the search under ctx and returns the engine-owned
-// result: Best, History, IslandEvaluations and Population alias
-// engine slabs, valid until the next Run call. Callers that need a
-// caller-owned result use Result.Clone (RunContext does). Repeat
+// result: Best, History and IslandEvaluations alias engine slabs,
+// valid until the next Run call. Callers that need a caller-owned
+// result use Result.Clone (RunContext does). Repeat
 // calls reproduce byte-identical results: the RNG streams re-seed and
 // the populations re-initialize from scratch.
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
@@ -194,8 +177,8 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	e.history = e.history[:0]
 	e.migrations = 0
 
-	// Initial population: problem seeds then warm-start vectors,
-	// dealt round-robin across islands (overflowing to the next
+	// Initial population: problem seeds, dealt round-robin across
+	// islands (overflowing to the next
 	// island with space, dropped once all are full — the single-
 	// population engine truncated at PopSize the same way), then each
 	// island fills its remainder from its own RNG stream.
@@ -208,10 +191,6 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		e.place(idx, s)
-		idx++
-	}
-	for _, w := range e.cfg.WarmStart {
-		e.place(idx, w) // length- and allele-validated in New
 		idx++
 	}
 	for i := range e.islands {
@@ -248,8 +227,8 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	return e.assemble(), nil
 }
 
-// checkAlleles rejects an initial individual (seed or warm-start
-// vector) with an allele outside [0, alleles). Unchecked, such an
+// checkAlleles rejects an initial individual (a Problem seed) with an
+// allele outside [0, alleles). Unchecked, such an
 // allele would index the neighbouring stage's table cells — a wrong
 // score, no error — and narrowing to a byte would wrap it on top.
 func checkAlleles(vec []int, alleles int) error {
@@ -396,19 +375,6 @@ func (e *Engine) assemble() *Result {
 		Islands:           len(e.islands),
 		Migrations:        e.migrations,
 		IslandEvaluations: e.islandEvals,
-	}
-	if e.cfg.CapturePopulation {
-		k := 0
-		for i := range e.islands {
-			isl := &e.islands[i]
-			for r := 0; r < isl.size; r++ {
-				row := e.popGenes[k*e.n : (k+1)*e.n : (k+1)*e.n]
-				widen(row, isl.pop[isl.perm[r]].genes)
-				e.popRows[k] = row
-				k++
-			}
-		}
-		e.res.Population = e.popRows
 	}
 	return &e.res
 }

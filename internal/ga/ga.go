@@ -5,18 +5,16 @@
 // parents, and mutation rewrites a random burst of genes.
 //
 // A gene is an index into the V-F table — nine points in the paper
-// (Fig. 9), 36 core×uncore pairs in dualdvfs — so inside the engine it
-// is one byte: every population slab, migration buffer and the
-// PartialScorer batch walk are []uint8, and breeding a child copies
-// Genes() bytes rather than 8·Genes() (GPT-3: 1,446 against 11,568;
-// the double-buffered population 0.58 MB against 4.6). The
-// API edge stays []int: Problem.Seeds and Config.WarmStart are
-// range-checked and narrowed on the way in, Result.Best and
-// Result.Population widened on the way out, and Problem.Score is
-// handed a widened copy. New rejects a problem with more than 256
-// alleles with an error rather than falling back to a second, wide
-// engine: no caller has one, and a fallback would be a whole code path
-// no benchmark or golden ever runs.
+// (Fig. 9) — so inside the engine it is one byte: every population
+// slab, migration buffer and the PartialScorer batch walk are []uint8,
+// and breeding a child copies Genes() bytes rather than 8·Genes()
+// (GPT-3: 1,446 against 11,568; the double-buffered population 0.58 MB
+// against 4.6). The API edge stays []int: Problem.Seeds are
+// range-checked and narrowed on the way in, Result.Best widened on the
+// way out, and Problem.Score is handed a widened copy. New rejects a
+// problem with more than 256 alleles with an error rather than falling
+// back to a second, wide engine: no caller has one, and a fallback
+// would be a whole code path no benchmark or golden ever runs.
 //
 // The engine is an island model: the population is partitioned into N
 // islands (Config.Islands), each with its own RNG stream and recycled
@@ -29,8 +27,8 @@
 // contract; see DESIGN.md §13).
 //
 // There are two scoring paths, chosen by what the problem is and never
-// by an option. A PartialScorer (both real problems: core and
-// dualdvfs) gets incremental scoring — a child produced by crossover
+// by an option. A PartialScorer (the real problem, core's) gets
+// incremental scoring — a child produced by crossover
 // or a mutation burst inherits a parent's partial sums and applies
 // O(changed genes) updates instead of an O(genes) re-walk, with a
 // batched full re-walk of every cohort at a fixed cadence. Any other
@@ -42,9 +40,8 @@
 // every worker count, so equal seeds reproduce runs.
 //
 // RunContext is the one-shot convenience; callers re-searching
-// the same problem shape (the adaptive re-optimizer) should hold an
-// Engine, whose Run reuses every slab across searches and allocates
-// nothing in steady state.
+// the same problem shape should hold an Engine, whose Run reuses every
+// slab across searches and allocates nothing in steady state.
 package ga
 
 import (
@@ -149,16 +146,6 @@ type Config struct {
 	// DefaultIslands), so neither the worker count nor the host's core
 	// count can change the trajectory.
 	Islands int
-	// WarmStart seeds the first generation with previous-search
-	// individuals (e.g. Result.Population from a prior run),
-	// distributed round-robin across islands after Problem.Seeds().
-	// The engine copies the vectors. Length- and allele-validated
-	// like seeds.
-	WarmStart [][]int
-	// CapturePopulation asks the engine to return the final population
-	// (island-major, best-first per island) in Result.Population, for
-	// warm-starting a later search.
-	CapturePopulation bool
 }
 
 // DefaultConfig returns the paper's search settings.
@@ -196,10 +183,6 @@ type Result struct {
 	Migrations int
 	// IslandEvaluations is Evaluations split per island.
 	IslandEvaluations []int
-	// Population is the final population (island-major, best-first
-	// per island), only when Config.CapturePopulation is set — the
-	// warm-start input for a follow-up search.
-	Population [][]int
 }
 
 // Clone returns a deep copy of the result, sharing no storage.
@@ -208,12 +191,6 @@ func (r *Result) Clone() *Result {
 	c.Best = append([]int(nil), r.Best...)
 	c.History = append([]float64(nil), r.History...)
 	c.IslandEvaluations = append([]int(nil), r.IslandEvaluations...)
-	if r.Population != nil {
-		c.Population = make([][]int, len(r.Population))
-		for i, ind := range r.Population {
-			c.Population[i] = append([]int(nil), ind...)
-		}
-	}
 	return &c
 }
 

@@ -152,7 +152,7 @@ func (isl *island) reset(e *Engine) {
 }
 
 // fillRandom completes the initial population with uniform random
-// individuals after seeds and warm-start vectors were placed.
+// individuals after the seeds were placed.
 func (isl *island) fillRandom(e *Engine) {
 	for ; isl.filled < isl.size; isl.filled++ {
 		g := isl.pop[isl.filled].genes

@@ -219,91 +219,6 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmStartSeedsPopulation: a warm-start vector enters the initial
-// population, so planting the optimum makes generation 0 perfect.
-func TestWarmStartSeedsPopulation(t *testing.T) {
-	tgt := target(18, 5)
-	p := &matchProblem{target: tgt, alleles: 5}
-	cfg := DefaultConfig()
-	cfg.PopSize = 40
-	cfg.Generations = 5
-	cfg.Islands = 2
-	cfg.WarmStart = [][]int{append([]int(nil), tgt...)}
-	res, err := RunContext(context.Background(), p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.History[0] != float64(len(tgt)) {
-		t.Fatalf("warm-started History[0] = %v, want %v", res.History[0], float64(len(tgt)))
-	}
-	if res.BestScore != float64(len(tgt)) {
-		t.Fatalf("warm-started BestScore = %v, want %v", res.BestScore, float64(len(tgt)))
-	}
-
-	cfg.WarmStart = [][]int{make([]int, 3)}
-	if _, err := RunContext(context.Background(), p, cfg); err == nil {
-		t.Fatal("wrong-length warm-start vector accepted")
-	}
-}
-
-// TestCapturePopulation: the final population comes back with the
-// requested shape, contains the winner, and package-level Run hands
-// the caller an independent copy.
-func TestCapturePopulation(t *testing.T) {
-	p := &matchProblem{target: target(12, 4), alleles: 4}
-	cfg := DefaultConfig()
-	cfg.PopSize = 36
-	cfg.Generations = 40
-	cfg.Islands = 3
-	cfg.CapturePopulation = true
-	res, err := RunContext(context.Background(), p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Population) != cfg.PopSize {
-		t.Fatalf("len(Population) = %d, want %d", len(res.Population), cfg.PopSize)
-	}
-	foundBest := false
-	for _, row := range res.Population {
-		if len(row) != 12 {
-			t.Fatalf("population row of length %d, want 12", len(row))
-		}
-		if fmt.Sprint(row) == fmt.Sprint(res.Best) {
-			foundBest = true
-		}
-	}
-	if !foundBest {
-		t.Fatal("Best individual missing from captured population")
-	}
-	// Defensive copy: corrupting the returned rows must not leak into a
-	// fresh identical run.
-	for _, row := range res.Population {
-		for i := range row {
-			row[i] = -1
-		}
-	}
-	again, err := RunContext(context.Background(), p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range again.Population {
-		for _, g := range row {
-			if g < 0 || g >= 4 {
-				t.Fatalf("fresh run returned corrupted population gene %d", g)
-			}
-		}
-	}
-
-	cfg.CapturePopulation = false
-	bare, err := RunContext(context.Background(), p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Population != nil {
-		t.Fatal("Population captured without CapturePopulation")
-	}
-}
-
 // TestIslandConfigValidation covers the island-specific New errors and
 // the never-failing defaults.
 func TestIslandConfigValidation(t *testing.T) {

@@ -49,7 +49,6 @@ var unitTypedPkgs = map[string]bool{
 	"npudvfs/internal/perfmodel":  true,
 	"npudvfs/internal/powermodel": true,
 	"npudvfs/internal/core":       true,
-	"npudvfs/internal/dualdvfs":   true,
 	"npudvfs/internal/traceio":    true,
 }
 

@@ -83,10 +83,6 @@ func WriteChromeTrace(w io.Writer, prof *profiler.Profile, strat *core.Strategy)
 	if strat != nil {
 		for _, p := range strat.Points {
 			args := map[string]any{"freq_mhz": float64(p.FreqMHz), "op_index": p.OpIndex}
-			//lint:allow floateq exact sentinels: 0 = unset, 1 = nominal scale
-			if p.UncoreScale != 0 && p.UncoreScale != 1 {
-				args["uncore_scale"] = p.UncoreScale
-			}
 			events = append(events, chromeEvent{
 				Name:  fmt.Sprintf("SetFreq %0.f", float64(p.FreqMHz)),
 				Cat:   "dvfs",

@@ -29,7 +29,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 		BaselineMHz: 1800,
 		Points: []core.FreqPoint{
 			{OpIndex: 0, FreqMHz: 1800},
-			{OpIndex: 20, TimeMicros: units.Micros(prof.Records[20].StartMicros), FreqMHz: 1200, UncoreScale: 0.9},
+			{OpIndex: 20, TimeMicros: units.Micros(prof.Records[20].StartMicros), FreqMHz: 1200},
 		},
 	}
 	var buf bytes.Buffer

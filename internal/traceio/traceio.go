@@ -234,10 +234,9 @@ type strategyJSON struct {
 }
 
 type pointJSON struct {
-	OpIndex     int          `json:"op_index"`
-	TimeMicros  units.Micros `json:"time_us"`
-	FreqMHz     units.MHz    `json:"freq_mhz"`
-	UncoreScale float64      `json:"uncore_scale,omitempty"`
+	OpIndex    int          `json:"op_index"`
+	TimeMicros units.Micros `json:"time_us"`
+	FreqMHz    units.MHz    `json:"freq_mhz"`
 }
 
 // WriteStrategy serializes a strategy to w.
@@ -247,10 +246,7 @@ func WriteStrategy(w io.Writer, s *core.Strategy) error {
 	}
 	out := strategyJSON{BaselineMHz: s.BaselineMHz, Points: make([]pointJSON, len(s.Points))}
 	for i, p := range s.Points {
-		out.Points[i] = pointJSON{
-			OpIndex: p.OpIndex, TimeMicros: p.TimeMicros,
-			FreqMHz: p.FreqMHz, UncoreScale: p.UncoreScale,
-		}
+		out.Points[i] = pointJSON{OpIndex: p.OpIndex, TimeMicros: p.TimeMicros, FreqMHz: p.FreqMHz}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -258,16 +254,25 @@ func WriteStrategy(w io.Writer, s *core.Strategy) error {
 }
 
 // ReadStrategy deserializes a strategy from r and checks basic
-// invariants (ordered, positive frequencies). Like ReadWorkload, it
-// reads all of r and allows only whitespace after the value.
+// invariants (non-negative, strictly ascending operator indices,
+// non-negative times, positive frequencies). It rejects a key the wire
+// format does not define, so a field from another format (say, a
+// per-point uncore scale) is an error rather than silently dropped.
+// Like ReadWorkload, it reads all of r and allows only whitespace
+// after the value.
 func ReadStrategy(r io.Reader) (*core.Strategy, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("traceio: reading strategy: %w", err)
 	}
 	var in strategyJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("traceio: decoding strategy: %w", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("traceio: decoding strategy: %d bytes after the value", len(rest))
 	}
 	if in.BaselineMHz <= 0 {
 		return nil, fmt.Errorf("traceio: baseline frequency %g", float64(in.BaselineMHz))
@@ -278,17 +283,17 @@ func ReadStrategy(r io.Reader) (*core.Strategy, error) {
 		if p.FreqMHz <= 0 {
 			return nil, fmt.Errorf("traceio: point %d has frequency %g", i, float64(p.FreqMHz))
 		}
-		if p.UncoreScale < 0 || p.UncoreScale > 1 {
-			return nil, fmt.Errorf("traceio: point %d has uncore scale %g", i, p.UncoreScale)
+		if p.TimeMicros < 0 {
+			return nil, fmt.Errorf("traceio: point %d has time %g µs", i, float64(p.TimeMicros))
 		}
-		if p.OpIndex <= prev && i > 0 {
+		if p.OpIndex < 0 {
+			return nil, fmt.Errorf("traceio: point %d has operator index %d", i, p.OpIndex)
+		}
+		if p.OpIndex <= prev {
 			return nil, fmt.Errorf("traceio: point %d out of order (op %d after %d)", i, p.OpIndex, prev)
 		}
 		prev = p.OpIndex
-		s.Points = append(s.Points, core.FreqPoint{
-			OpIndex: p.OpIndex, TimeMicros: p.TimeMicros,
-			FreqMHz: p.FreqMHz, UncoreScale: p.UncoreScale,
-		})
+		s.Points = append(s.Points, core.FreqPoint{OpIndex: p.OpIndex, TimeMicros: p.TimeMicros, FreqMHz: p.FreqMHz})
 	}
 	return s, nil
 }

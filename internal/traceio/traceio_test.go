@@ -224,7 +224,7 @@ func TestStrategyRoundTrip(t *testing.T) {
 		BaselineMHz: 1800,
 		Points: []core.FreqPoint{
 			{OpIndex: 0, TimeMicros: 0, FreqMHz: 1800},
-			{OpIndex: 42, TimeMicros: 1234.5, FreqMHz: 1200, UncoreScale: 0.9},
+			{OpIndex: 42, TimeMicros: 1234.5, FreqMHz: 1200},
 			{OpIndex: 90, TimeMicros: 8000, FreqMHz: 1700},
 		},
 	}
@@ -255,6 +255,12 @@ func TestReadStrategyValidates(t *testing.T) {
 		`{"baseline_mhz":1800,"points":[{"op_index":0,"freq_mhz":-5}]}`,
 		`{"baseline_mhz":1800,"points":[{"op_index":9,"freq_mhz":1200},{"op_index":3,"freq_mhz":1500}]}`,
 		`{"baseline_mhz":1800,"points":[{"op_index":0,"freq_mhz":1200,"uncore_scale":1.4}]}`,
+		// A negative operator index on the first point, a negative
+		// switch time, and a key the wire format does not define (a
+		// per-point uncore scale from a two-domain file).
+		`{"baseline_mhz":1800,"points":[{"op_index":-5,"freq_mhz":1200}]}`,
+		`{"baseline_mhz":1800,"points":[{"op_index":0,"time_us":-3,"freq_mhz":1200}]}`,
+		`{"baseline_mhz":1800,"points":[{"op_index":0,"freq_mhz":1200,"uncore_scale":0.9}]}`,
 		`not json`,
 		// A valid strategy with anything but whitespace after it.
 		`{"baseline_mhz":1800,"points":[]}xx`,

@@ -35,9 +35,7 @@ package npudvfs
 import (
 	"context"
 
-	"npudvfs/internal/adaptive"
 	"npudvfs/internal/core"
-	"npudvfs/internal/dualdvfs"
 	"npudvfs/internal/executor"
 	"npudvfs/internal/ga"
 	"npudvfs/internal/npu"
@@ -215,18 +213,6 @@ type ThermalState = thermal.State
 // NewThermalState returns a state at ambient equilibrium.
 func NewThermalState(p ThermalParams) *ThermalState { return thermal.NewState(p) }
 
-// AdaptiveController closes the loop around a deployed strategy: it
-// observes measured iteration durations and ratchets frequencies up
-// when the realized loss exceeds the target.
-type AdaptiveController = adaptive.Controller
-
-// NewAdaptiveController wraps a strategy with the production feedback
-// guard. baselineMicros is the measured baseline iteration duration
-// and target the allowed relative loss.
-func NewAdaptiveController(curve *VFCurve, s *Strategy, baselineMicros Micros, target float64) (*AdaptiveController, error) {
-	return adaptive.New(curve, s, baselineMicros, target)
-}
-
 // SaveStrategy and LoadStrategy persist strategies as JSON.
 func SaveStrategy(path string, s *Strategy) error { return traceio.SaveStrategy(path, s) }
 
@@ -238,35 +224,6 @@ func SaveWorkload(path string, m *Workload) error { return traceio.SaveWorkload(
 
 // LoadWorkload reads a trace written by SaveWorkload.
 func LoadWorkload(path string) (*Workload, error) { return traceio.LoadWorkload(path) }
-
-// Dual-domain (core + uncore) strategy generation — the Sect. 8.2
-// future work implemented in internal/dualdvfs.
-type (
-	// DualConfig tunes the two-domain search.
-	DualConfig = dualdvfs.Config
-	// DualInput bundles its inputs.
-	DualInput = dualdvfs.Input
-)
-
-// DefaultDualConfig mirrors the production settings with a
-// conservative uncore candidate set.
-func DefaultDualConfig() DualConfig { return dualdvfs.DefaultConfig() }
-
-// GenerateDualStrategy searches (core frequency, uncore scale) pairs
-// per stage, observing ctx like GenerateStrategy.
-func GenerateDualStrategy(ctx context.Context, in DualInput, cfg DualConfig) (*Strategy, error) {
-	strat, _, _, err := dualdvfs.GenerateContext(ctx, in, cfg)
-	return strat, err
-}
-
-// CalibrateUncoreDyn measures the clock-proportional uncore idle power
-// needed by the dual-domain search.
-func CalibrateUncoreDyn(rig *PowerRig, probeScale float64, samples int) (float64, error) {
-	return dualdvfs.CalibrateUncore(rig, probeScale, samples)
-}
-
-// PowerRig bundles the live system power calibration measures.
-type PowerRig = powermodel.Rig
 
 // Serving layer (DESIGN.md §8): dvfsd exposes the Fig. 1 pipeline over
 // HTTP with a bounded worker pool and a strategy cache.
