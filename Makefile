@@ -42,10 +42,11 @@ fmt-check:
 
 # dvfslint enforces the determinism, concurrency and serving/cluster
 # contracts (DESIGN.md §9): seeded randomness only, tolerance-based
-# float comparison, paired locks, tracked goroutines, dimensional
-# safety, and the interprocedural rules (errsink, lockorder). One cold
-# whole-module pass, ~4 s, nearly all of it type-checking the stdlib
-# from source. Run a subset with e.g.:
+# float comparison, tracked goroutines, dimensional safety, and the
+# interprocedural rules (errsink; lockorder, which also checks that
+# every lock is paired with its unlock). One cold whole-module pass,
+# ~4 s, nearly all of it type-checking the stdlib from source. Run a
+# subset with e.g.:
 #   go run ./cmd/dvfslint -rules detrand,floateq
 lint:
 	go run ./cmd/dvfslint

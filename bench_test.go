@@ -958,21 +958,6 @@ func BenchmarkScoreGPT3Policy(b *testing.B) {
 	}
 }
 
-// BenchmarkCoarseGrainedBaseline contrasts whole-program DVFS (prior
-// work's granularity) with the fine-grained strategy on GPT-3.
-func BenchmarkCoarseGrainedBaseline(b *testing.B) {
-	l := lab()
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		r, err := l.CoarseGrained(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		gap = r.FineGrained.CoreReduction - r.BestFixed.CoreReduction
-	}
-	b.ReportMetric(gap*100, "fine-vs-fixed-core-%")
-}
-
 // BenchmarkModelFreeComparison regenerates the Sect. 8.1 equal-budget
 // search comparison.
 func BenchmarkModelFreeComparison(b *testing.B) {

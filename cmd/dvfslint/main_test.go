@@ -11,7 +11,7 @@ import (
 // DESIGN.md §9 — deliberately.
 func TestRulesListing(t *testing.T) {
 	want := []string{
-		"detrand", "floateq", "lockpair", "goleak", "unitcheck",
+		"detrand", "floateq", "goleak", "unitcheck",
 		"errsink", "lockorder",
 	}
 	listing := rulesListing()

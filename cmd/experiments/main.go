@@ -7,13 +7,16 @@
 //	experiments -run fig3,fig9,table3 -parallel 4
 //
 // Available experiments: fig3, fig4, fig9, fig10, fig15, fig16, fig17,
-// fig18, table2, table3, fitcost, inference, throughput, coarse,
-// modelfree, uncore, sensitivity, faisweep, seeds, pareto,
-// attribution, search.
+// fig18, table2, table3, fitcost, inference, throughput, modelfree,
+// uncore, sensitivity, faisweep, seeds, pareto, attribution, search.
 //
-// Reports go to stdout in canonical registry order; per-experiment
-// wall times go to stderr, so the stdout stream (and -out files) are
-// byte-identical whether experiments run serially or in parallel.
+// Reports go to stdout in canonical registry order, each under an
+// "=== name ===" header line. Per-experiment wall times go to stderr.
+// The four experiments that measure wall time (fitcost, throughput,
+// fig17, search) print those times in their header,
+// "=== name (times) ===", so every line below a header (and so each
+// -out file below its first line) is byte-identical whether
+// experiments run serially or in parallel.
 package main
 
 import (
@@ -86,7 +89,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", o.Name, o.Err)
 			continue
 		}
-		report := fmt.Sprintf("=== %s ===\n%s\n", o.Name, o.Report)
+		report := o.Header() + "\n" + o.Report + "\n"
 		fmt.Print(report)
 		if *svgDir != "" {
 			if err := renderSVGs(*svgDir, o.Name, o.Result); err != nil {

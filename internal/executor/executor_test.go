@@ -298,15 +298,14 @@ func TestQuickRandomStrategiesBounded(t *testing.T) {
 }
 
 // A whole chip whose uncore runs at 0.8x — the Sect. 8.2 what-if's
-// path: npu.Chip.WithUncoreScale plus powersim.Ground.UncoreScale —
-// must slow memory-heavy traces and reduce SoC power relative to the
-// same core frequency at stock uncore.
+// path: npu.Chip.WithUncoreScale, under a ground on that chip — must
+// slow memory-heavy traces and reduce SoC power relative to the same
+// core frequency at stock uncore.
 func TestUncoreScaledStrategy(t *testing.T) {
 	e := testExec()
 	chip := e.Chip.WithUncoreScale(0.8)
 	ground := *e.Ground
 	ground.Chip = chip
-	ground.UncoreScale = 0.8
 	scaled := New(chip, &ground)
 	m := workload.MicroOp(workload.TanhOp(), 60) // memory-bound
 	strat := FixedStrategy(1800)

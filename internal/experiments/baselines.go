@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"npudvfs/internal/classify"
@@ -16,89 +15,6 @@ import (
 	"npudvfs/internal/units"
 	"npudvfs/internal/workload"
 )
-
-// CoarseRow is one fixed-frequency measurement.
-type CoarseRow struct {
-	MHz           float64
-	PerfLoss      float64
-	SoCReduction  float64
-	CoreReduction float64
-}
-
-// CoarseResult compares whole-program DVFS — the granularity of prior
-// work, which sets one frequency for the entire run (Sect. 1) — with
-// the fine-grained per-operator strategy, both under the same 2%
-// performance-loss constraint.
-type CoarseResult struct {
-	Rows []CoarseRow
-	// BestFixed is the lowest-power fixed frequency meeting the loss
-	// target; 0 if only the maximum frequency qualifies.
-	BestFixed CoarseRow
-	// FineGrained is the fine-grained strategy's measurement.
-	FineGrained CoarseRow
-	LossTarget  float64
-}
-
-// CoarseGrained sweeps every fixed frequency on GPT-3 and contrasts
-// the best compliant one with the fine-grained strategy.
-func (l *Harness) CoarseGrained(ctx context.Context) (*CoarseResult, error) {
-	gpt, err := l.gpt3Models()
-	if err != nil {
-		return nil, err
-	}
-	base, err := l.MeasureFixed(gpt.Workload, l.Chip.Curve.Max())
-	if err != nil {
-		return nil, err
-	}
-	res := &CoarseResult{LossTarget: 0.02}
-	res.BestFixed = CoarseRow{MHz: float64(l.Chip.Curve.Max())}
-	for _, f := range l.Chip.Curve.Grid() {
-		meas, err := l.MeasureFixed(gpt.Workload, f)
-		if err != nil {
-			return nil, err
-		}
-		row := CoarseRow{
-			MHz:           float64(f),
-			PerfLoss:      meas.TimeMicros/base.TimeMicros - 1,
-			SoCReduction:  1 - meas.MeanSoCW/base.MeanSoCW,
-			CoreReduction: 1 - meas.MeanCoreW/base.MeanCoreW,
-		}
-		res.Rows = append(res.Rows, row)
-		if row.PerfLoss <= res.LossTarget && row.SoCReduction > res.BestFixed.SoCReduction {
-			res.BestFixed = row
-		}
-	}
-	cfg := core.DefaultConfig()
-	cfg.GA.Seed = 501
-	strat, _, _, err := core.GenerateContext(ctx, gpt.Input(l.Chip), cfg)
-	if err != nil {
-		return nil, err
-	}
-	fine, err := l.MeasureStrategy(gpt.Workload, strat, executor.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	res.FineGrained = CoarseRow{
-		PerfLoss:      fine.TimeMicros/base.TimeMicros - 1,
-		SoCReduction:  1 - fine.MeanSoCW/base.MeanSoCW,
-		CoreReduction: 1 - fine.MeanCoreW/base.MeanCoreW,
-	}
-	return res, nil
-}
-
-func (r *CoarseResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Whole-program DVFS baseline vs fine-grained (%.0f%% loss target)\n", r.LossTarget*100)
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  fixed %4.0f MHz: loss %6.2f%%  SoC -%5.2f%%  AICore -%6.2f%%\n",
-			row.MHz, row.PerfLoss*100, row.SoCReduction*100, row.CoreReduction*100)
-	}
-	fmt.Fprintf(&b, "  best compliant fixed: %4.0f MHz (AICore -%.2f%%)\n",
-		r.BestFixed.MHz, r.BestFixed.CoreReduction*100)
-	fmt.Fprintf(&b, "  fine-grained:  loss %.2f%%  SoC -%.2f%%  AICore -%.2f%%\n",
-		r.FineGrained.PerfLoss*100, r.FineGrained.SoCReduction*100, r.FineGrained.CoreReduction*100)
-	return b.String()
-}
 
 // hardwareProblem scores individuals by actually executing them on the
 // simulated NPU — the model-free alternative of Sect. 8.1. Each Score

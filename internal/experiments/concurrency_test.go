@@ -108,10 +108,12 @@ func TestGASharedExecutorStress(t *testing.T) {
 	}
 }
 
-// deterministicSuite lists cheap experiments whose rendered reports
-// carry no wall-clock timing, so serial and parallel runs must be
-// byte-identical.
-var deterministicSuite = []string{"fig3", "fig4", "fig9", "sensitivity"}
+// deterministicSuite lists cheap experiments, in registry order, whose
+// serial and parallel reports must be byte-identical. fitcost measures
+// wall time, which goes in its header, not the report. throughput
+// would too, but building its GPT-3 models for both harnesses costs
+// about 2 s.
+var deterministicSuite = []string{"fig3", "fig4", "fig9", "fitcost", "sensitivity"}
 
 func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 	serialLab := &Harness{Lab: NewLab(), Parallel: 1}
@@ -144,6 +146,32 @@ func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 			t.Errorf("%s: parallel report differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				serial[i].Name, serial[i].Report, parallel[i].Report)
 		}
+	}
+}
+
+// TestTimesGoInTheHeader: a result that measures wall time prints its
+// times in the header line, never in the report below it.
+func TestTimesGoInTheHeader(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		res    fmt.Stringer
+		figure string
+	}{
+		{"fitcost", &FitCostResult{Operators: 1, Func2Millis: 0.5, Func1Millis: 87.1, Speedup: 174.2}, "87.1"},
+		{"throughput", &ThroughputResult{Policies: 10, Seconds: 0.37, PerEvalMicros: 18.4, ModelFreeEquivalentSec: 110}, "0.37"},
+		{"fig17", &Fig17Result{Series: []Fig17Series{{LossTarget: 0.02, History: []float64{1, 2}, SearchSec: 1.83}}}, "1.83"},
+		{"search", &SearchAblationResult{LossTarget: 0.04, Rows: []SearchRow{{Algorithm: "genetic", Evaluations: 9, SearchSec: 2.08}}}, "2.08"},
+	} {
+		o := Outcome{Name: c.name, Result: c.res, Report: c.res.String()}
+		if h := o.Header(); !strings.HasPrefix(h, "=== "+c.name+" (") || !strings.Contains(h, c.figure) {
+			t.Errorf("%s: header %q lacks the time %s", c.name, h, c.figure)
+		}
+		if strings.Contains(o.Report, c.figure) {
+			t.Errorf("%s: report carries the time %s:\n%s", c.name, c.figure, o.Report)
+		}
+	}
+	if h := (Outcome{Name: "fig9", Result: sharedLab().Fig9()}).Header(); h != "=== fig9 ===" {
+		t.Errorf("untimed header = %q, want %q", h, "=== fig9 ===")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"npudvfs/internal/core"
 	"npudvfs/internal/executor"
@@ -159,8 +158,7 @@ func (l *Harness) Fig17(ctx context.Context) (*Fig17Result, error) {
 		cfg := core.DefaultConfig()
 		cfg.PerfLossTarget = target
 		cfg.GA.Seed = int64(300 + i)
-		//lint:allow detrand wall-clock timing only: SearchSec; fig17 is excluded from the byte-identity suite
-		start := time.Now()
+		sw := startStopwatch()
 		_, _, gaRes, err := core.GenerateContext(ctx, gpt.Input(l.Chip), cfg)
 		if err != nil {
 			return nil, err
@@ -168,8 +166,7 @@ func (l *Harness) Fig17(ctx context.Context) (*Fig17Result, error) {
 		res.Series = append(res.Series, Fig17Series{
 			LossTarget: target,
 			History:    gaRes.History,
-			//lint:allow detrand wall-clock timing only: SearchSec; fig17 is excluded from the byte-identity suite
-			SearchSec: time.Since(start).Seconds(),
+			SearchSec:  sw.elapsed().Seconds(),
 		})
 	}
 	return res, nil
@@ -191,10 +188,20 @@ func (r *Fig17Result) String() string {
 	var b strings.Builder
 	b.WriteString("Fig. 17 - GA convergence under performance lower bounds\n")
 	for _, s := range r.Series {
-		fmt.Fprintf(&b, "  target %2.0f%%: final score %.4g, converged(99%%) at gen %d, search %.2fs\n",
-			s.LossTarget*100, s.History[len(s.History)-1], s.ConvergedAt(0.01), s.SearchSec)
+		fmt.Fprintf(&b, "  target %2.0f%%: final score %.4g, converged(99%%) at gen %d\n",
+			s.LossTarget*100, s.History[len(s.History)-1], s.ConvergedAt(0.01))
 	}
 	return b.String()
+}
+
+// Timing reports each target's search time, which varies from run to
+// run.
+func (r *Fig17Result) Timing() string {
+	secs := make([]string, len(r.Series))
+	for i, s := range r.Series {
+		secs[i] = fmt.Sprintf("%.2f", s.SearchSec)
+	}
+	return "search " + strings.Join(secs, "/") + " s"
 }
 
 // Fig18Row is one comparative configuration on GPT-3 training.
@@ -357,8 +364,7 @@ func (l *Harness) ScoringThroughput(ctx context.Context, policies int) (*Through
 	}
 	rng := rand.New(rand.NewSource(9))
 	ind := make([]int, ev.Genes())
-	//lint:allow detrand wall-clock timing only: scoring throughput is a timing benchmark by definition
-	start := time.Now()
+	sw := startStopwatch()
 	sink := 0.0
 	for i := 0; i < policies; i++ {
 		for j := range ind {
@@ -366,8 +372,7 @@ func (l *Harness) ScoringThroughput(ctx context.Context, policies int) (*Through
 		}
 		sink += ev.Score(ind)
 	}
-	//lint:allow detrand wall-clock timing only: scoring throughput is a timing benchmark by definition
-	elapsed := time.Since(start).Seconds()
+	elapsed := sw.elapsed().Seconds()
 	_ = sink
 	iterSec := gpt.Baseline.TotalMicros / 1e6
 	return &ThroughputResult{
@@ -386,7 +391,11 @@ func quickGA() ga.Config {
 }
 
 func (r *ThroughputResult) String() string {
-	return fmt.Sprintf(
-		"Sect. 8.1 scoring throughput - %d policies in %.2fs (%.1f µs each); model-free equivalent: %.0fs\n",
-		r.Policies, r.Seconds, r.PerEvalMicros, r.ModelFreeEquivalentSec)
+	return fmt.Sprintf("Sect. 8.1 scoring throughput - %d policies; model-free equivalent: %.0fs\n",
+		r.Policies, r.ModelFreeEquivalentSec)
+}
+
+// Timing reports the scoring time, which varies from run to run.
+func (r *ThroughputResult) Timing() string {
+	return fmt.Sprintf("%.2fs, %.1f µs each", r.Seconds, r.PerEvalMicros)
 }

@@ -242,31 +242,6 @@ func TestScoringThroughputFastEnough(t *testing.T) {
 	}
 }
 
-func TestCoarseGrainedLosesToFineGrained(t *testing.T) {
-	skipHeavyUnderRace(t)
-	if testing.Short() {
-		t.Skip("GPT-3 pipeline in -short mode")
-	}
-	r, err := sharedLab().CoarseGrained(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The motivating claim: under a tight loss bound, whole-program
-	// DVFS saves (almost) nothing while the fine-grained strategy
-	// saves materially.
-	if r.FineGrained.CoreReduction <= r.BestFixed.CoreReduction {
-		t.Errorf("fine-grained AICore saving %.3f should beat best fixed %.3f",
-			r.FineGrained.CoreReduction, r.BestFixed.CoreReduction)
-	}
-	// Rows ascend in frequency, so fixed-frequency losses must fall
-	// (up to measurement noise) as frequency rises.
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].PerfLoss > r.Rows[i-1].PerfLoss+0.002 {
-			t.Errorf("fixed-frequency loss rose with frequency at %g MHz", r.Rows[i].MHz)
-		}
-	}
-}
-
 func TestModelFreeStarved(t *testing.T) {
 	skipHeavyUnderRace(t)
 	if testing.Short() {

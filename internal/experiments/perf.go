@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"npudvfs/internal/op"
 	"npudvfs/internal/perfmodel"
@@ -359,8 +358,7 @@ func (l *Harness) FitCost() (*FitCostResult, error) {
 	series := profiler.BuildInstanceSeries(profiles)
 	res := &FitCostResult{Operators: len(series)}
 
-	//lint:allow detrand wall-clock timing only: FitCost measures fit latency; excluded from the byte-identity suite
-	start := time.Now()
+	sw := startStopwatch()
 	for _, s := range series {
 		if fs, ts, ok := perfmodel.SelectPoints(s, plan.PerfFit); ok {
 			if _, err := perfmodel.FitFunc2(fs, ts); err != nil {
@@ -368,11 +366,9 @@ func (l *Harness) FitCost() (*FitCostResult, error) {
 			}
 		}
 	}
-	//lint:allow detrand wall-clock timing only: FitCost measures fit latency; excluded from the byte-identity suite
-	res.Func2Millis = float64(time.Since(start).Microseconds()) / 1000
+	res.Func2Millis = float64(sw.elapsed().Microseconds()) / 1000
 
-	//lint:allow detrand wall-clock timing only: FitCost measures fit latency; excluded from the byte-identity suite
-	start = time.Now()
+	sw = startStopwatch()
 	for _, s := range series {
 		if fs, ts, ok := perfmodel.SelectPoints(s, threeFreqs); ok {
 			if _, err := perfmodel.FitFunc1Iterative(fs, ts); err != nil {
@@ -380,8 +376,7 @@ func (l *Harness) FitCost() (*FitCostResult, error) {
 			}
 		}
 	}
-	//lint:allow detrand wall-clock timing only: FitCost measures fit latency; excluded from the byte-identity suite
-	res.Func1Millis = float64(time.Since(start).Microseconds()) / 1000
+	res.Func1Millis = float64(sw.elapsed().Microseconds()) / 1000
 	if res.Func2Millis > 0 {
 		res.Speedup = res.Func1Millis / res.Func2Millis
 	}
@@ -389,7 +384,10 @@ func (l *Harness) FitCost() (*FitCostResult, error) {
 }
 
 func (r *FitCostResult) String() string {
-	return fmt.Sprintf(
-		"Sect. 4.3 fit cost - %d operators: Func2 direct %.1f ms, Func1 iterative %.1f ms (%.0fx)\n",
-		r.Operators, r.Func2Millis, r.Func1Millis, r.Speedup)
+	return fmt.Sprintf("Sect. 4.3 fit cost - %d operators fitted by Func2 (direct) and Func1 (iterative)\n", r.Operators)
+}
+
+// Timing reports the two fit times, which vary from run to run.
+func (r *FitCostResult) Timing() string {
+	return fmt.Sprintf("Func2 %.1f ms, Func1 %.1f ms, %.0fx", r.Func2Millis, r.Func1Millis, r.Speedup)
 }

@@ -59,7 +59,6 @@ func Registry() []Spec {
 		{"fitcost", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.FitCost() }},
 		{"inference", func(_ context.Context, l *Harness) (fmt.Stringer, error) { return l.Inference() }},
 		{"throughput", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.ScoringThroughput(ctx, 20000) }},
-		{"coarse", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.CoarseGrained(ctx) }},
 		{"modelfree", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.ModelFree(ctx) }},
 		{"uncore", func(ctx context.Context, l *Harness) (fmt.Stringer, error) { return l.UncoreDVFS(ctx) }},
 		{"sensitivity", func(_ context.Context, l *Harness) (fmt.Stringer, error) {
@@ -132,13 +131,23 @@ type Outcome struct {
 	// implement the chart interfaces consumed by cmd/experiments -svg.
 	Result fmt.Stringer
 	// Report is Result rendered to text. It contains no wall-clock
-	// timing of the harness itself, so serial and parallel runs of a
-	// deterministic experiment render byte-identical reports.
+	// time, so serial and parallel runs render byte-identical reports.
 	Report string
 	// Elapsed is the experiment's wall time.
 	Elapsed time.Duration
 	// Err is the experiment's failure, including timeouts.
 	Err error
+}
+
+// Header is the report's first line, "=== name ===". A result that
+// measures wall time (fitcost, throughput, fig17, search) has a Timing
+// method, and the header carries its times, "=== name (times) ===", so
+// the report below stays byte-identical from run to run.
+func (o Outcome) Header() string {
+	if t, ok := o.Result.(interface{ Timing() string }); ok {
+		return fmt.Sprintf("=== %s (%s) ===", o.Name, t.Timing())
+	}
+	return "=== " + o.Name + " ==="
 }
 
 // RunSuite executes the named experiments (nil or "all" = the full
@@ -182,12 +191,10 @@ const cancelGrace = time.Second
 // report distinct errors: only the clean one satisfies
 // errors.Is(err, context.DeadlineExceeded).
 func runOne(ctx context.Context, l *Harness, s Spec, timeout time.Duration) Outcome {
-	//lint:allow detrand wall-clock timing only: feeds Outcome.Elapsed, which reports exclude
-	start := time.Now()
+	sw := startStopwatch()
 	if timeout <= 0 {
 		res, err := s.Run(ctx, l)
-		//lint:allow detrand wall-clock timing only: feeds Outcome.Elapsed, which reports exclude
-		return finishOutcome(s.Name, res, err, time.Since(start))
+		return finishOutcome(s.Name, res, err, sw.elapsed())
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -202,9 +209,8 @@ func runOne(ctx context.Context, l *Harness, s Spec, timeout time.Duration) Outc
 	}()
 	cancelled := func(d done) Outcome {
 		return Outcome{
-			Name: s.Name,
-			//lint:allow detrand wall-clock timing only: feeds Outcome.Elapsed, which reports exclude
-			Elapsed: time.Since(start),
+			Name:    s.Name,
+			Elapsed: sw.elapsed(),
 			Err:     fmt.Errorf("experiments: %s timed out after %s (search cancelled): %w", s.Name, timeout, d.err),
 		}
 	}
@@ -213,8 +219,7 @@ func runOne(ctx context.Context, l *Harness, s Spec, timeout time.Duration) Outc
 		if d.err != nil && errors.Is(d.err, context.DeadlineExceeded) {
 			return cancelled(d)
 		}
-		//lint:allow detrand wall-clock timing only: feeds Outcome.Elapsed, which reports exclude
-		return finishOutcome(s.Name, d.res, d.err, time.Since(start))
+		return finishOutcome(s.Name, d.res, d.err, sw.elapsed())
 	case <-ctx.Done():
 		grace := time.NewTimer(cancelGrace)
 		defer grace.Stop()
@@ -226,8 +231,7 @@ func runOne(ctx context.Context, l *Harness, s Spec, timeout time.Duration) Outc
 			// Finished (or failed for an unrelated reason) in the
 			// grace window: a result that just beat the deadline is
 			// better reported than discarded.
-			//lint:allow detrand wall-clock timing only: feeds Outcome.Elapsed, which reports exclude
-			return finishOutcome(s.Name, d.res, d.err, time.Since(start))
+			return finishOutcome(s.Name, d.res, d.err, sw.elapsed())
 		case <-grace.C:
 			return Outcome{
 				Name:    s.Name,

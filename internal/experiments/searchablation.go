@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"npudvfs/internal/core"
 	"npudvfs/internal/executor"
@@ -135,14 +134,12 @@ func (l *Harness) SearchAblation(ctx context.Context) (*SearchAblationResult, er
 	}
 
 	// Genetic algorithm (the paper's search).
-	//lint:allow detrand wall-clock timing only: SearchSec; search ablation is excluded from the byte-identity suite
-	start := time.Now()
+	sw := startStopwatch()
 	strat, stages, gaRes, err := core.GenerateContext(ctx, gpt.Input(l.Chip), cfg)
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow detrand wall-clock timing only: SearchSec; search ablation is excluded from the byte-identity suite
-	if err := measure("genetic", strat, gaRes.Evaluations, time.Since(start).Seconds()); err != nil {
+	if err := measure("genetic", strat, gaRes.Evaluations, sw.elapsed().Seconds()); err != nil {
 		return nil, err
 	}
 	ev, err := core.NewEvaluator(gpt.Input(l.Chip), cfg, stages)
@@ -164,19 +161,15 @@ func (l *Harness) SearchAblation(ctx context.Context) (*SearchAblationResult, er
 	}
 	perLB := (1 / float64(basePred.TimeMicros)) * (1 - cfg.PerfLossTarget*guard)
 
-	//lint:allow detrand wall-clock timing only: SearchSec; search ablation is excluded from the byte-identity suite
-	start = time.Now()
+	sw = startStopwatch()
 	greedyInd, greedyEvals := greedySearch(ev, stages, perLB)
-	//lint:allow detrand wall-clock timing only: SearchSec; search ablation is excluded from the byte-identity suite
-	if err := measure("greedy", ev.Strategy(greedyInd), greedyEvals, time.Since(start).Seconds()); err != nil {
+	if err := measure("greedy", ev.Strategy(greedyInd), greedyEvals, sw.elapsed().Seconds()); err != nil {
 		return nil, err
 	}
 
-	//lint:allow detrand wall-clock timing only: SearchSec; search ablation is excluded from the byte-identity suite
-	start = time.Now()
+	sw = startStopwatch()
 	randInd, randEvals := randomSearch(ev, gaRes.Evaluations, 912)
-	//lint:allow detrand wall-clock timing only: SearchSec; search ablation is excluded from the byte-identity suite
-	if err := measure("random", ev.Strategy(randInd), randEvals, time.Since(start).Seconds()); err != nil {
+	if err := measure("random", ev.Strategy(randInd), randEvals, sw.elapsed().Seconds()); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -185,11 +178,19 @@ func (l *Harness) SearchAblation(ctx context.Context) (*SearchAblationResult, er
 func (r *SearchAblationResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Search-algorithm ablation on GPT-3 (%.0f%% target)\n", r.LossTarget*100)
-	fmt.Fprintf(&b, "  %-9s %9s %8s %8s %8s %9s\n", "search", "evals", "time", "loss", "SoC-", "AICore-")
+	fmt.Fprintf(&b, "  %-9s %9s %8s %8s %9s\n", "search", "evals", "loss", "SoC-", "AICore-")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s %9d %7.2fs %7.2f%% %7.2f%% %8.2f%%\n",
-			row.Algorithm, row.Evaluations, row.SearchSec,
-			row.PerfLoss*100, row.SoCReduction*100, row.CoreReduction*100)
+		fmt.Fprintf(&b, "  %-9s %9d %7.2f%% %7.2f%% %8.2f%%\n",
+			row.Algorithm, row.Evaluations, row.PerfLoss*100, row.SoCReduction*100, row.CoreReduction*100)
 	}
 	return b.String()
+}
+
+// Timing reports each search's time, which varies from run to run.
+func (r *SearchAblationResult) Timing() string {
+	secs := make([]string, len(r.Rows))
+	for i, row := range r.Rows {
+		secs[i] = fmt.Sprintf("%s %.2fs", row.Algorithm, row.SearchSec)
+	}
+	return strings.Join(secs, ", ")
 }

@@ -39,7 +39,6 @@ func (l *Harness) scaledLab(scale float64) *pipeline.Lab {
 	chip := l.Chip.WithUncoreScale(scale)
 	ground := *l.Ground
 	ground.Chip = chip
-	ground.UncoreScale = scale
 	return pipeline.NewLabFor(chip, &ground, l.Thermal, l.Seed)
 }
 

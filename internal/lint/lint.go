@@ -1,14 +1,12 @@
 // Package lint is dvfslint: a project-specific static-analysis suite,
 // built entirely on the stdlib go/ast + go/types toolchain, that
 // mechanically enforces the repository's determinism, concurrency and
-// dimensional-safety contracts (DESIGN.md §9). It ships seven
+// dimensional-safety contracts (DESIGN.md §9). It ships six
 // analyzers:
 //
 //	detrand     — no process-global math/rand or wall-clock reads in
 //	              deterministic packages
 //	floateq     — no float ==/!= outside internal/stats tolerance helpers
-//	lockpair    — every mutex Lock/RLock pairs with an Unlock/RUnlock in
-//	              the same function
 //	goleak      — every `go` statement must be tracked by a WaitGroup, a
 //	              result channel, or internal/pool
 //	unitcheck   — no raw-float64 physical quantities in the typed
@@ -17,9 +15,10 @@
 //	errsink     — no discarded errors with os/io/net provenance in the
 //	              serving/cluster packages (interprocedural: a helper
 //	              wrapping os.Rename taints its callers)
-//	lockorder   — no lock-order cycles across the module's lock graph;
-//	              no blocking ops (channel, Wait, network, store I/O)
-//	              while holding a serving-path mutex
+//	lockorder   — every mutex Lock/RLock pairs with an Unlock/RUnlock in
+//	              the same function; no lock-order cycles across the
+//	              module's lock graph; no blocking ops (channel, Wait,
+//	              network, store I/O) while holding a serving-path mutex
 //
 // The last two are interprocedural: they consume per-function
 // summaries from a fact store filled bottom-up along the import DAG at
@@ -73,7 +72,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, FloatEq, LockPair, GoLeak, UnitCheck, ErrSink, LockOrder}
+	return []*Analyzer{DetRand, FloatEq, GoLeak, UnitCheck, ErrSink, LockOrder}
 }
 
 // registered reports whether name is a rule of the full suite.

@@ -134,11 +134,6 @@ func TestFloatEqSkipsStats(t *testing.T) {
 	}
 }
 
-func TestLockPairGolden(t *testing.T) {
-	p := loadTestPkg(t, "lockpair", "npudvfs/internal/lockpair")
-	checkGolden(t, p, []*Analyzer{LockPair})
-}
-
 func TestGoLeakGolden(t *testing.T) {
 	p := loadTestPkg(t, "goleak", "npudvfs/internal/goleak")
 	checkGolden(t, p, []*Analyzer{GoLeak})

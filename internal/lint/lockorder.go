@@ -7,12 +7,19 @@ import (
 	"strings"
 )
 
-// LockOrder is the interprocedural successor to lockpair's pairing
-// check: instead of asking "is every Lock matched", it asks "can the
-// locks this module takes ever deadlock". Two rules, both over the fact
-// store:
+// LockOrder checks the module's mutexes with three rules. The first
+// is a shape check over every package; the other two are
+// interprocedural, over the fact store:
 //
-//  1. Lock-order cycles. Every function's sweep contributes
+//  1. Pairing. Every Lock/RLock needs an Unlock/RUnlock of the same
+//     receiver somewhere in the same function: direct, deferred, or
+//     inside a nested literal (`defer func() { mu.Unlock() }()`). An
+//     acquire belongs to the innermost function, declared or literal,
+//     that contains it. This is not a path-sensitive prover: a lock
+//     released in another function is almost always a bug, or a
+//     hand-off worth an explicit //lint:allow lockorder <reason>.
+//
+//  2. Lock-order cycles. Every function's sweep contributes
 //     held→acquired edges (directly, through module-internal callees
 //     via their AllAcquires closure, and through callbacks via the
 //     callee's LockParamCalls fact) to a global lock-acquisition graph,
@@ -21,17 +28,17 @@ import (
 //     graph is a potential deadlock, reported at the acquisition site
 //     in the package under analysis.
 //
-//  2. Blocking while holding. A channel send/receive, blocking select,
+//  3. Blocking while holding. A channel send/receive, blocking select,
 //     Wait, sleep, network call, or file/store I/O — direct or through
 //     any reachable callee — while a mutex is held stalls every other
 //     goroutine contending for that lock. By-design sites (jobstore's
 //     persist-under-lock contract) carry //lint:allow lockorder audits.
 //
-// The rule runs over the packages whose locks actually guard shared
+// Rules 2 and 3 run over the packages whose locks actually guard shared
 // serving state: server, cluster/jobstore, cluster/ring, pool, ga.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "no lock-order cycles across the module, no blocking ops while holding a serving-path mutex",
+	Doc:  "every Lock/RLock released in its function; no lock-order cycles across the module, no blocking ops while holding a serving-path mutex",
 	Run:  runLockOrder,
 }
 
@@ -46,6 +53,19 @@ var lockOrderPkgs = map[string]bool{
 }
 
 func runLockOrder(p *Package, report func(pos token.Pos, format string, args ...any)) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkLockPairs(p, fn.Body, report)
+				}
+			case *ast.FuncLit:
+				checkLockPairs(p, fn.Body, report)
+			}
+			return true
+		})
+	}
 	if !isInternalPkg(p.ImportPath) || !lockOrderPkgs[pkgBase(p.ImportPath)] {
 		return
 	}
@@ -151,6 +171,50 @@ func runLockOrder(p *Package, report func(pos token.Pos, format string, args ...
 		}
 		report(e.pos, "acquiring %s while holding %s%s forms a lock-order cycle: elsewhere in the module %s is held when %s is acquired — potential deadlock",
 			e.acq, e.held, via, e.acq, e.held)
+	}
+}
+
+// checkLockPairs applies rule 1 to one function body. Releases count
+// anywhere in it, nested literals included; acquires only outside
+// nested literals, which runLockOrder visits on their own.
+func checkLockPairs(p *Package, body *ast.BlockStmt, report func(pos token.Pos, format string, args ...any)) {
+	type acquire struct {
+		pos          token.Pos
+		recv, method string
+	}
+	var acquires []acquire
+	released := map[string]bool{} // receiver + "." + release method
+	var walk func(n ast.Node, top bool) bool
+	walk = func(n ast.Node, top bool) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && top {
+			ast.Inspect(lit.Body, func(m ast.Node) bool { return walk(m, false) })
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || !isSyncMethod(calleeFunc(p, call), sel.Sel.Name) {
+			return true
+		}
+		switch recv := renderExpr(p, sel.X); sel.Sel.Name {
+		case "Unlock", "RUnlock":
+			released[recv+"."+sel.Sel.Name] = true
+		case "Lock", "RLock":
+			if top {
+				acquires = append(acquires, acquire{call.Pos(), recv, sel.Sel.Name})
+			}
+		}
+		return true
+	}
+	ast.Inspect(body, func(n ast.Node) bool { return walk(n, true) })
+	for _, a := range acquires {
+		release := strings.Replace(a.method, "Lock", "Unlock", 1)
+		if !released[a.recv+"."+release] {
+			report(a.pos, "%s.%s() has no matching %s.%s() in this function; release on every path (usually defer %s.%s()) or justify with %s lockorder <reason>",
+				a.recv, a.method, a.recv, release, a.recv, release, allowPrefix)
+		}
 	}
 }
 

@@ -5,9 +5,16 @@ import (
 	"testing"
 )
 
-// Tests for lockorder: golden fixtures per blocking kind, cross-package
-// fact propagation (two-package lock cycles, held-callback edges) and
-// package scoping.
+// Tests for lockorder: golden fixtures for pairing and per blocking
+// kind, cross-package fact propagation (two-package lock cycles,
+// held-callback edges) and package scoping.
+
+// TestLockPairGolden: the pairing rule runs in every package, here one
+// outside the serving/search packages the other two rules cover.
+func TestLockPairGolden(t *testing.T) {
+	p := loadTestPkg(t, "lockpair", "npudvfs/internal/lockpair")
+	checkGolden(t, p, []*Analyzer{LockOrder})
+}
 
 func TestLockOrderGolden(t *testing.T) {
 	p := loadTestPkg(t, "lockorder", "npudvfs/internal/server")

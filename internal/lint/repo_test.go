@@ -1,9 +1,13 @@
 package lint
 
 import (
+	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +29,71 @@ func TestRepoLintClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// allowBudget is the most //lint:allow directives each rule may carry
+// outside internal/lint, test files included. When an exemption goes,
+// lower its rule's number; raising one is a decision for review.
+var allowBudget = map[string]int{
+	"detrand":   2,
+	"errsink":   3,
+	"floateq":   8,
+	"goleak":    1,
+	"lockorder": 7,
+	"unitcheck": 2,
+}
+
+// TestAllowBudget counts the //lint:allow directives in the module's
+// package directories outside internal/lint, per rule, with the
+// engine's own directive parser, and fails if a rule has more than its
+// budget.
+func TestAllowBudget(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatalf("FindModuleRoot: %v", err)
+	}
+	ld, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	dirs, err := ld.moduleDirs()
+	if err != nil {
+		t.Fatalf("moduleDirs: %v", err)
+	}
+	lintDir := filepath.Join(root, "internal", "lint")
+	p := &Package{Fset: token.NewFileSet()}
+	bad := func(pos token.Pos, format string, args ...any) {
+		t.Errorf("%s: %s", p.Fset.Position(pos), fmt.Sprintf(format, args...))
+	}
+	got := map[string]int{}
+	for _, dir := range dirs {
+		if dir == lintDir || strings.HasPrefix(dir, lintDir+string(filepath.Separator)) {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			f, err := parser.ParseFile(p.Fset, path, nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range parseAllows(p, f, bad) {
+				got[a.rule]++
+			}
+		}
+	}
+	for rule, n := range got {
+		if n > allowBudget[rule] {
+			t.Errorf("%d //lint:allow %s directives, budget %d: remove the new exemption, or raise the budget in review", n, rule, allowBudget[rule])
+		}
+	}
+	for rule, budget := range allowBudget {
+		if got[rule] < budget {
+			t.Logf("%d //lint:allow %s directives, budget %d: lower the budget", got[rule], rule, budget)
+		}
 	}
 }
 

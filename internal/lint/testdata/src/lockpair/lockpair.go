@@ -1,5 +1,5 @@
-// Package lockpair is dvfslint golden-test input for the lockpair
-// analyzer.
+// Package lockpair is dvfslint golden-test input for lockorder's pairing
+// rule.
 package lockpair
 
 import "sync"
@@ -13,13 +13,13 @@ type Store struct {
 
 // Leak locks and never unlocks: flagged.
 func (s *Store) Leak(k string, v int) {
-	s.mu.Lock() // want lockpair `s.mu.Lock() has no matching s.mu.Unlock()`
+	s.mu.Lock() // want lockorder `s.mu.Lock() has no matching s.mu.Unlock()`
 	s.data[k] = v
 }
 
 // WrongRelease pairs a read lock with the write release: flagged.
 func (s *Store) WrongRelease(k string) int {
-	s.rw.RLock() // want lockpair `s.rw.RLock() has no matching s.rw.RUnlock()`
+	s.rw.RLock() // want lockorder `s.rw.RLock() has no matching s.rw.RUnlock()`
 	defer s.rw.Unlock()
 	return s.data[k]
 }
@@ -50,7 +50,7 @@ func (s *Store) Len() int {
 // Acquire shows an in-tree justified suppression: a lock handed to the
 // caller.
 func (s *Store) Acquire() {
-	//lint:allow lockpair lock handed to the caller; Release unlocks it
+	//lint:allow lockorder lock handed to the caller; Release unlocks it
 	s.mu.Lock()
 }
 

@@ -40,6 +40,12 @@ type Chip struct {
 	T0 float64
 	// Curve is the firmware voltage-frequency table.
 	Curve *vf.Curve
+
+	// UncoreScale is the uncore clock relative to nominal that
+	// WithUncoreScale applied to BWL2 and BWHBM; set it only through
+	// WithUncoreScale. Zero, the zero value, means the chip was never
+	// scaled: its uncore runs at nominal.
+	UncoreScale float64
 }
 
 // GBs converts a bandwidth in GB/s to the package convention bytes/µs.
@@ -89,13 +95,20 @@ func (c *Chip) BWUncore(l2Hit float64) float64 {
 
 // WithUncoreScale returns a copy of the chip whose L2 and HBM
 // bandwidths are scaled by the given factor, modeling an uncore
-// domain running at scale x its nominal frequency. The platform the
-// paper measures cannot tune the uncore (Sect. 8.2); this hook
-// supports the what-if study of that future capability.
+// domain running at scale x its nominal frequency. The copy records
+// the scale, so the ground-truth power of a powersim.Ground on it
+// follows without a second setting. Scales compose: scaling a scaled
+// chip multiplies them. The platform the paper measures cannot tune
+// the uncore (Sect. 8.2); this hook supports the what-if study of
+// that future capability.
 func (c *Chip) WithUncoreScale(scale float64) *Chip {
 	scaled := *c
 	scaled.BWL2 *= scale
 	scaled.BWHBM *= scale
+	if c.UncoreScale > 0 {
+		scale *= c.UncoreScale
+	}
+	scaled.UncoreScale = scale
 	return &scaled
 }
 

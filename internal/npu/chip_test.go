@@ -300,8 +300,15 @@ func TestWithUncoreScale(t *testing.T) {
 		t.Fatalf("bandwidths not scaled: %g %g", slow.BWL2, slow.BWHBM)
 	}
 	// The original is untouched.
-	if c.BWL2 != Default().BWL2 {
+	if c.BWL2 != Default().BWL2 || c.UncoreScale != 0 {
 		t.Error("WithUncoreScale mutated the receiver")
+	}
+	// The copy records its scale, and scales compose.
+	if slow.UncoreScale != 0.8 {
+		t.Errorf("recorded scale = %g, want 0.8", slow.UncoreScale)
+	}
+	if half := slow.WithUncoreScale(0.5); half.UncoreScale != 0.4 || half.BWHBM != 0.5*slow.BWHBM {
+		t.Errorf("composed scale = %g (BWHBM %g), want 0.4", half.UncoreScale, half.BWHBM)
 	}
 	// A memory-bound op slows down; a compute-bound op does not.
 	mem := testSpec(op.PingPongIndep)

@@ -49,13 +49,10 @@ type Ground struct {
 	UncoreBWCoef float64 // W per (byte/µs) of achieved uncore traffic
 	// UncoreIdleDyn is the clock-proportional share of UncoreIdle: the
 	// part that would shrink if the uncore domain were downclocked.
-	// Used by the Sect. 8.2 what-if study; at UncoreScale = 1 it is
-	// simply included in UncoreIdle.
+	// Used by the Sect. 8.2 what-if study, on a Chip made by
+	// npu.Chip.WithUncoreScale; at nominal uncore clock it is simply
+	// included in UncoreIdle.
 	UncoreIdleDyn float64
-	// UncoreScale is the uncore domain's frequency relative to
-	// nominal (1 = stock). Scaling it models the uncore DVFS the
-	// paper's platform lacks.
-	UncoreScale float64
 	// UncoreCoupling scales uncore (bus, L2 interface) switching with
 	// the AICore's active power: the uncore serves requests at the
 	// rate the core issues them, so part of its dynamic power follows
@@ -88,7 +85,6 @@ func Default(chip *npu.Chip) *Ground {
 		DriftFrac:      0.04,
 		UncoreIdle:     150,
 		UncoreIdleDyn:  60,
-		UncoreScale:    1,
 		UncoreBWCoef:   3e-5,
 		UncoreCoupling: 0.8,
 		UncoreGamma:    0.1,
@@ -246,10 +242,11 @@ func (t *Terms) aicore(deltaT float64) float64 {
 func (t *Terms) uncore(deltaT float64) float64 {
 	g := t.g
 	p := g.UncoreIdle + g.UncoreGamma*deltaT
-	//lint:allow floateq exact sentinel: 1 is the nominal scale, copied verbatim from config
-	if scale := g.UncoreScale; scale > 0 && scale != 1 {
+	if scale := g.Chip.UncoreScale; scale > 0 {
 		// Downclocking the uncore shrinks its clock-proportional idle
-		// power (frequency and, mildly, voltage).
+		// power (frequency and, mildly, voltage). A chip never scaled
+		// skips this, and a unit scale subtracts an exact zero, so
+		// both leave p bit-identical to the nominal uncore's.
 		p -= g.UncoreIdleDyn * (1 - scale*scale)
 	}
 	switch t.class {

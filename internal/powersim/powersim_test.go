@@ -202,7 +202,13 @@ func TestUncoreScaleReducesUncorePower(t *testing.T) {
 	g := ground()
 	s := computeSpec()
 	stock := g.UncorePower(s, 1500, 10)
-	g.UncoreScale = 0.8
+	// A unit scale leaves the power bit-identical to a chip never
+	// scaled.
+	unit := *g
+	unit.Chip = g.Chip.WithUncoreScale(1)
+	if got := unit.UncorePower(s, 1500, 10); math.Float64bits(got) != math.Float64bits(stock) {
+		t.Errorf("unit-scale uncore power %v != stock %v", got, stock)
+	}
 	g.Chip = g.Chip.WithUncoreScale(0.8)
 	slow := g.UncorePower(s, 1500, 10)
 	if slow >= stock {

@@ -300,19 +300,20 @@ func sameGround(a, b *powersim.Ground) bool {
 	return *a == *b && groundBits(a) == groundBits(b)
 }
 
-func chipBits(c *npu.Chip) [5]uint64 {
+func chipBits(c *npu.Chip) [6]uint64 {
 	return [...]uint64{
 		math.Float64bits(c.CLoad), math.Float64bits(c.CStore),
 		math.Float64bits(c.BWL2), math.Float64bits(c.BWHBM), math.Float64bits(c.T0),
+		math.Float64bits(c.UncoreScale),
 	}
 }
 
-func groundBits(g *powersim.Ground) [14]uint64 {
+func groundBits(g *powersim.Ground) [13]uint64 {
 	return [...]uint64{
 		math.Float64bits(g.BetaCore), math.Float64bits(g.ThetaCore), math.Float64bits(g.GammaCore),
 		math.Float64bits(g.AlphaScale), math.Float64bits(g.DriftFrac),
 		math.Float64bits(g.UncoreIdle), math.Float64bits(g.UncoreBWCoef), math.Float64bits(g.UncoreIdleDyn),
-		math.Float64bits(g.UncoreScale), math.Float64bits(g.UncoreCoupling), math.Float64bits(g.UncoreGamma),
+		math.Float64bits(g.UncoreCoupling), math.Float64bits(g.UncoreGamma),
 		math.Float64bits(g.AICPUPower), math.Float64bits(g.CommPower), math.Float64bits(g.RefMHz),
 	}
 }

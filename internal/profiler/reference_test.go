@@ -157,8 +157,7 @@ func refAchievedBW(g *powersim.Ground, s *op.Spec, fMHz float64) float64 {
 
 func refUncorePower(g *powersim.Ground, s *op.Spec, fMHz, deltaT float64) float64 {
 	p := g.UncoreIdle + g.UncoreGamma*deltaT
-	//lint:allow floateq verbatim copy of the seed's exact sentinel: 1 is the nominal scale
-	if scale := g.UncoreScale; scale > 0 && scale != 1 {
+	if scale := g.Chip.UncoreScale; scale > 0 {
 		p -= g.UncoreIdleDyn * (1 - scale*scale)
 	}
 	if s == nil {
@@ -427,7 +426,6 @@ func TestProfilerSessionMatchesReference(t *testing.T) {
 		g := powersim.Default(chip)
 		scaled := *g
 		scaled.Chip = chip.WithUncoreScale(0.8)
-		scaled.UncoreScale = 0.8
 		other := npu.Default()
 		otherG := powersim.Default(other)
 		prod, ref := NewNoiseless(chip), NewNoiseless(chip)
@@ -651,14 +649,9 @@ func TestGroundTermsMatchReferenceBitIdentical(t *testing.T) {
 			specs = append(specs, s)
 		}
 	}
-	for _, scale := range []float64{1, 0.8} {
-		chip := npu.Default()
+	for _, chip := range []*npu.Chip{npu.Default(), npu.Default().WithUncoreScale(0.8)} {
 		g := powersim.Default(chip)
-		//lint:allow floateq exact sentinel: 1 is the stock view
-		if scale != 1 {
-			g.Chip = chip.WithUncoreScale(scale)
-			g.UncoreScale = scale
-		}
+		scale := chip.UncoreScale
 		for _, f := range units.Floats(chip.Curve.Grid()) {
 			for _, s := range specs {
 				terms := g.Terms(s, f)
