@@ -42,9 +42,9 @@ fmt-check:
 
 # dvfslint enforces the determinism, concurrency and serving/cluster
 # contracts (DESIGN.md §9): seeded randomness only, tolerance-based
-# float comparison, tracked goroutines, dimensional safety, and the
-# interprocedural rules (errsink; lockorder, which also checks that
-# every lock is paired with its unlock). One cold whole-module pass,
+# float comparison, tracked goroutines, dimensional safety, every lock
+# paired with its unlock (lockpair), and no dropped I/O errors on the
+# serving path (errsink, interprocedural). One cold whole-module pass,
 # ~4 s, nearly all of it type-checking the stdlib from source. Run a
 # subset with e.g.:
 #   go run ./cmd/dvfslint -rules detrand,floateq

@@ -12,7 +12,7 @@ import (
 func TestRulesListing(t *testing.T) {
 	want := []string{
 		"detrand", "floateq", "goleak", "unitcheck",
-		"errsink", "lockorder",
+		"errsink", "lockpair",
 	}
 	listing := rulesListing()
 	lines := strings.Split(strings.TrimRight(listing, "\n"), "\n")

@@ -69,10 +69,11 @@ func OpenFS(dir string, capacity int, idPrefix string) (*FS, error) {
 	// lexicographic sort is the submission order.
 	sort.Strings(names)
 
+	// Startup-only: OpenFS reads the records and evicts under mu before
+	// the store is shared, so nothing contends for it yet.
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, name := range names {
-		//lint:allow lockorder startup-only: OpenFS seeds the index before the store is shared, nothing contends yet
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			continue
@@ -89,7 +90,6 @@ func OpenFS(dir string, capacity int, idPrefix string) (*FS, error) {
 			f.pending = append(f.pending, &rec)
 		}
 	}
-	//lint:allow lockorder startup-only: recovery eviction runs before the store is shared
 	f.evictLocked()
 	return f, nil
 }

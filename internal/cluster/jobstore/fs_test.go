@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"npudvfs/internal/traceio"
 )
@@ -197,5 +200,59 @@ func TestFSPendingSortedByID(t *testing.T) {
 		if rec.ID != want[i] {
 			t.Errorf("pending[%d] = %s, want %s (ID order)", i, rec.ID, want[i])
 		}
+	}
+}
+
+// TestFSUpdatesPersistInIndexOrder pins why Memory persists under its
+// mutex: two Updates of one ID reach the disk in the order they reach
+// the index. The first write parks in the write seam while a second
+// Update runs; afterwards the record OpenFS reloads must be the one
+// Get serves. A store that wrote after unlocking would let the newer
+// record land first and the parked, older one overwrite it.
+func TestFSUpdatesPersistInIndexOrder(t *testing.T) {
+	dir := t.TempDir()
+	s := openFS(t, dir, 16, "")
+	id := mustAdd(t, s, liveRec())
+
+	parked, release, secondWrote := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var writes atomic.Int32
+	s.write = func(path string, data []byte) error {
+		n := writes.Add(1)
+		if n == 1 {
+			close(parked)
+			<-release
+		}
+		err := writeAtomic(path, data)
+		if n == 2 {
+			close(secondWrote)
+		}
+		return err
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- s.Update(&Record{ID: id, State: traceio.JobRunning, QueueMillis: 5}) }()
+	<-parked
+	go func() { errs <- s.Update(&Record{ID: id, State: traceio.JobDone, QueueMillis: 5, SearchMillis: 40}) }()
+	// The store holds the second Update until the parked write returns,
+	// so this wait runs out; it only gives a store that writes after
+	// unlocking the time to land the newer record first.
+	select {
+	case <-secondWrote:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want, _ := s.Get(id)
+	got, ok := openFS(t, dir, 16, "").Get(id)
+	if !ok {
+		t.Fatalf("record %s lost across reopen", id)
+	}
+	got.SavedUnixNano = 0 // stamped on the file only
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("disk holds %+v, the index serves %+v: the writes reached the disk out of index order", got, want)
 	}
 }

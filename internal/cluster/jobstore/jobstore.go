@@ -167,9 +167,10 @@ func (s *Memory) Add(rec *Record) (string, error) {
 		e.noted = true
 		s.terminal = append(s.terminal, id)
 	}
-	//lint:allow lockorder by-design: the fs hook persists under mu so records on disk never reorder against the index
+	// Persist under mu so records on disk never reorder against the
+	// index (TestFSUpdatesPersistInIndexOrder); eviction unlinks under
+	// mu for the same reason.
 	err := s.persistLocked(e.rec)
-	//lint:allow lockorder eviction unlinks under mu for the same index/disk atomicity
 	s.evictLocked()
 	return id, err
 }
@@ -186,9 +187,8 @@ func (s *Memory) Update(rec *Record) error {
 		e.noted = true
 		s.terminal = append(s.terminal, rec.ID)
 	}
-	//lint:allow lockorder by-design: the fs hook persists under mu so records on disk never reorder against the index
+	// Persist and evict under mu, as in Add.
 	err := s.persistLocked(e.rec)
-	//lint:allow lockorder eviction unlinks under mu for the same index/disk atomicity
 	s.evictLocked()
 	return err
 }
@@ -211,7 +211,7 @@ func (s *Memory) Remove(id string) {
 	}
 	delete(s.m, id)
 	if s.unlink != nil {
-		//lint:allow lockorder by-design: unlink under mu keeps the on-disk set a subset of the index
+		// Unlink under mu keeps the on-disk set a subset of the index.
 		s.unlink(id)
 	}
 }

@@ -6,8 +6,7 @@ import (
 	"sync"
 )
 
-// This file is the interprocedural fact store behind errsink (and,
-// through lockfacts.go, lockorder). Facts are
+// This file is the interprocedural fact store behind errsink. Facts are
 // per-function summaries keyed by *types.Func identity — valid because
 // the Loader caches every package against one shared FileSet, so a
 // function object seen by a dependent package is the same object its
@@ -25,34 +24,6 @@ type FuncFact struct {
 	// callees). Consumed by errsink: discarding such an error hides a
 	// real I/O failure.
 	DerivesIOError bool
-
-	// --- lock facts (lockfacts.go) ---
-
-	// Callees are the module-internal functions this one calls
-	// statically (including dynamic calls through unexported func-typed
-	// struct fields, resolved in the field's declaring package). The
-	// fixpoint propagation of AllAcquires and Blocks runs over this
-	// edge list.
-	Callees []*types.Func
-	// Acquires are the lock IDs ("pkg.Type.field") the function
-	// acquires directly; AllAcquires closes the set over Callees.
-	Acquires    []string
-	AllAcquires []string
-	// Blocks are the blocking-operation kinds (channel send/recv, Wait,
-	// sleep, network, file I/O) the function can reach, closed over
-	// Callees. Consumed by lockorder's held-lock blocking rule.
-	Blocks []string
-	// HeldEdges are direct lock-order edges observed in the body:
-	// [held, acquired] pairs. HeldCallees are module-internal calls made
-	// while holding a lock; the analyzer expands them against the
-	// callee's AllAcquires to complete the global graph.
-	HeldEdges   [][2]string
-	HeldCallees []HeldCallee
-	// LockParamCalls maps func-typed parameter indices to the lock IDs
-	// held when the function invokes that parameter, so a callback
-	// passed from another package contributes its acquisitions to the
-	// graph at the pass site.
-	LockParamCalls map[int][]string
 }
 
 // Facts is a concurrency-safe store of function summaries shared by all
@@ -60,15 +31,11 @@ type FuncFact struct {
 type Facts struct {
 	mu sync.RWMutex
 	m  map[*types.Func]FuncFact
-	// fields maps unexported func-typed struct fields (fieldFuncKey) to
-	// the functions assigned to them in their declaring package, for
-	// resolving dynamic calls like jobstore's persist/unlink hooks.
-	fields map[string][]*types.Func
 }
 
 // NewFacts returns an empty fact store.
 func NewFacts() *Facts {
-	return &Facts{m: map[*types.Func]FuncFact{}, fields: map[string][]*types.Func{}}
+	return &Facts{m: map[*types.Func]FuncFact{}}
 }
 
 // Lookup returns the summary for fn (zero value when unknown or when
@@ -174,7 +141,6 @@ func computePackageFacts(p *Package, store *Facts) {
 			store.put(df.fn, fact)
 		}
 	}
-	computeLockFacts(p, fns, store)
 }
 
 // derivesIOError reports whether fn (with body decl) has an error
@@ -261,40 +227,4 @@ func allBlank(exprs []ast.Expr) bool {
 		}
 	}
 	return len(exprs) > 0
-}
-
-// paramObjects maps fn's parameter objects (receiver included at index
-// -1) so body scans can resolve ident uses back to parameter indices.
-func paramObjects(p *Package, decl *ast.FuncDecl) map[types.Object]int {
-	out := map[types.Object]int{}
-	add := func(fl *ast.FieldList, start int) int {
-		if fl == nil {
-			return start
-		}
-		i := start
-		for _, field := range fl.List {
-			if len(field.Names) == 0 {
-				i++
-				continue
-			}
-			for _, name := range field.Names {
-				if obj := p.Info.Defs[name]; obj != nil {
-					out[obj] = i
-				}
-				i++
-			}
-		}
-		return i
-	}
-	if decl.Recv != nil {
-		for _, field := range decl.Recv.List {
-			for _, name := range field.Names {
-				if obj := p.Info.Defs[name]; obj != nil {
-					out[obj] = -1
-				}
-			}
-		}
-	}
-	add(decl.Type.Params, 0)
-	return out
 }

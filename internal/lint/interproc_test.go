@@ -7,9 +7,9 @@ import (
 )
 
 // Tests for the fact-based interprocedural analyzer errsink: golden
-// true-positive + allowlisted cases, cross-package fact propagation,
-// and the engine guarantees (selectable by name, unused directives)
-// for the three interprocedural rules.
+// true-positive + allowlisted cases and cross-package fact
+// propagation; and the engine guarantees (selectable by name, unused
+// directives) for errsink and lockpair.
 
 // loadTestPkgWithDeps mounts several testdata packages on one Loader
 // (so facts propagate between them) and returns the package loaded
@@ -73,7 +73,7 @@ func TestErrSinkCrossPackage(t *testing.T) {
 // TestNewRulesSelectable: each new analyzer resolves by name and lists
 // a doc string (the -rules/-list contract).
 func TestNewRulesSelectable(t *testing.T) {
-	for _, rule := range []string{"errsink", "lockorder"} {
+	for _, rule := range []string{"errsink", "lockpair"} {
 		as, err := SelectAnalyzers(rule)
 		if err != nil || len(as) != 1 || as[0].Name != rule {
 			t.Fatalf("SelectAnalyzers(%q) = %v, %v", rule, as, err)
@@ -88,7 +88,7 @@ func TestNewRulesSelectable(t *testing.T) {
 // the new rules — a no-op exemption is a finding when its rule runs,
 // and silent when it doesn't.
 func TestNewRulesUnusedAllow(t *testing.T) {
-	for _, rule := range []string{"errsink", "lockorder"} {
+	for _, rule := range []string{"errsink", "lockpair"} {
 		src := "package server\n\n//lint:allow " + rule + " stale exemption kept for the engine test\nfunc ok() int {\n\treturn 1\n}\n"
 		p := mountSource(t, "npudvfs/internal/server", "stale.go", src)
 		diags := Run(p, Analyzers())

@@ -15,19 +15,19 @@
 //	errsink     — no discarded errors with os/io/net provenance in the
 //	              serving/cluster packages (interprocedural: a helper
 //	              wrapping os.Rename taints its callers)
-//	lockorder   — every mutex Lock/RLock pairs with an Unlock/RUnlock in
-//	              the same function; no lock-order cycles across the
-//	              module's lock graph; no blocking ops (channel, Wait,
-//	              network, store I/O) while holding a serving-path mutex
+//	lockpair    — every mutex Lock/RLock pairs with an Unlock/RUnlock in
+//	              the same function
 //
-// The last two are interprocedural: they consume per-function
-// summaries from a fact store filled bottom-up along the import DAG at
-// load time (facts.go, lockfacts.go).
+// errsink is interprocedural: it consumes per-function summaries from
+// a fact store filled bottom-up along the import DAG at load time
+// (facts.go).
 //
 // Invariants that one function can hold by construction are not
 // linted: jobstore's only disk write is writeAtomic, client's only
-// *http.Response lives in roundTrip, and /metrics is a declare-once
-// registry (DESIGN.md §9, "What is enforced by construction instead").
+// *http.Response lives in roundTrip, /metrics is a declare-once
+// registry, and every mutex guards a leaf critical section, so there
+// is no lock order to check (DESIGN.md §9, "What is enforced by
+// construction instead").
 //
 // A diagnostic is suppressed only by an explicit justification on the
 // flagged line (or the line above):
@@ -72,7 +72,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, FloatEq, GoLeak, UnitCheck, ErrSink, LockOrder}
+	return []*Analyzer{DetRand, FloatEq, GoLeak, UnitCheck, ErrSink, LockPair}
 }
 
 // registered reports whether name is a rule of the full suite.

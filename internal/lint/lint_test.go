@@ -139,6 +139,13 @@ func TestGoLeakGolden(t *testing.T) {
 	checkGolden(t, p, []*Analyzer{GoLeak})
 }
 
+// TestLockPairGolden: the pairing rule runs in every package, here one
+// that holds no serving state.
+func TestLockPairGolden(t *testing.T) {
+	p := loadTestPkg(t, "lockpair", "npudvfs/internal/lockpair")
+	checkGolden(t, p, []*Analyzer{LockPair})
+}
+
 func TestUnitCheckGolden(t *testing.T) {
 	p := loadTestPkg(t, "unitcheck", "npudvfs/internal/perfmodel")
 	checkGolden(t, p, []*Analyzer{UnitCheck})

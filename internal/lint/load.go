@@ -35,9 +35,6 @@ type Package struct {
 	Pkg *types.Package
 	// Info carries the type-checker's fact tables for the files.
 	Info *types.Info
-	// Module is the module path of the owning Loader, so analyzers can
-	// distinguish module-internal callees without a Loader handle.
-	Module string
 	// Facts is the Loader-wide interprocedural fact store (see
 	// facts.go); summaries of this package's functions and of every
 	// dependency are present by the time analyzers run.
@@ -269,7 +266,7 @@ func (l *Loader) check(importPath, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", importPath, err)
 	}
-	p := &Package{ImportPath: importPath, Dir: dir, Files: files, Fset: sharedFset, Pkg: pkg, Info: info, Module: l.Module, Facts: l.facts}
+	p := &Package{ImportPath: importPath, Dir: dir, Files: files, Fset: sharedFset, Pkg: pkg, Info: info, Facts: l.facts}
 	// Summarize this package's functions immediately: type-checking a
 	// package forces its module-internal imports through the Loader
 	// first, so facts flow bottom-up and are complete before any

@@ -33,16 +33,6 @@ func funcPkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// isPkgFunc reports whether fn is the package-level function
-// pkgPath.name (not a method).
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Name() != name || funcPkgPath(fn) != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // recvNamed returns the named type of fn's receiver (dereferenced), or
 // nil for package-level functions.
 func recvNamed(fn *types.Func) *types.Named {

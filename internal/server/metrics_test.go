@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -10,10 +11,13 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"npudvfs/internal/cluster/jobstore"
 	"npudvfs/internal/ga"
+	"npudvfs/internal/traceio"
 )
 
 // goldenEvents drives every family: each closed-set label value at
@@ -213,6 +217,84 @@ func TestStalledScrapeDoesNotBlockWriters(t *testing.T) {
 	close(w.release)
 	<-scraped
 	<-wrote
+}
+
+// parkingStore is a job store whose first Add publishes its record and
+// then parks until release is closed, as a stalled disk would.
+type parkingStore struct {
+	jobstore.Store
+	parked           atomic.Bool
+	entered, release chan struct{}
+	parkedID         string // written before entered is closed
+}
+
+func (s *parkingStore) Add(rec *jobstore.Record) (string, error) {
+	id, err := s.Store.Add(rec)
+	if s.parked.CompareAndSwap(false, true) {
+		s.parkedID = id
+		close(s.entered)
+		<-s.release
+	}
+	return id, err
+}
+
+// TestStalledStoreWriteDoesNotBlockServer: handleSubmit writes the job
+// store outside s.mu, so a cold submit stalled in store.Add (disk I/O
+// on the fs backend) holds up neither another submit nor Shutdown.
+// Resumed into a closed server, it answers 503 and takes back the
+// record it published.
+func TestStalledStoreWriteDoesNotBlockServer(t *testing.T) {
+	lab, bundle := fixture(t)
+	store := &parkingStore{
+		Store:   jobstore.NewMemory(64, ""),
+		entered: make(chan struct{}), release: make(chan struct{}),
+	}
+	s, err := New(Config{
+		Workers: 1, Lab: lab, Store: store,
+		Bundles: map[string]*traceio.ModelBundle{"resnet50": bundle},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) <-chan int {
+		code := make(chan int, 1)
+		go func() {
+			w := httptest.NewRecorder()
+			s.handleSubmit(w, httptest.NewRequest("POST", "/v1/strategies", strings.NewReader(body)))
+			code <- w.Code
+		}()
+		return code
+	}
+	parked := post(smallSearch(1))
+	<-store.entered
+
+	select {
+	case code := <-post(smallSearch(2)):
+		if code != http.StatusAccepted {
+			t.Errorf("cold submit beside a stalled store write: code %d, want 202", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a cold submit blocked behind another submit's stalled store write")
+	}
+	stopped := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		stopped <- s.Shutdown(ctx)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Error("Shutdown blocked behind a stalled store write")
+	}
+
+	close(store.release)
+	if code := <-parked; code != http.StatusServiceUnavailable {
+		t.Errorf("submit resumed after Shutdown: code %d, want 503", code)
+	}
+	if _, ok := store.Get(store.parkedID); ok {
+		t.Errorf("record %s, published while Shutdown ran, is still in the store", store.parkedID)
+	}
 }
 
 func TestSubmitBodyTooLarge(t *testing.T) {

@@ -522,7 +522,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a terminal transition, so an unpublished record would drop the
 	// result — and the submitter could never poll the ID it was
 	// acknowledged with. The store write is disk I/O on the fs backend,
-	// so it must not happen under s.mu (lockorder); instead the closed
+	// so it must not happen under s.mu
+	// (TestStalledStoreWriteDoesNotBlockServer); instead the closed
 	// check is repeated under the lock before the send, and a record
 	// published during a shutdown race is removed again.
 	id, addErr := s.store.Add(rec)
