@@ -3,10 +3,11 @@
 # (the repo ships concurrency — shared Executors, GA worker pools, the
 # pipeline Lab the dvfsd workers share, the parallel experiment harness
 # and the dvfsd serving layer — so a race-clean run is part of "tests
-# pass"), the examples, and finally the dvfsd end-to-end smokes.
-.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short examples bench-smoke fuzz-smoke serve-smoke cluster-smoke
+# pass"), the examples, the check that results/ matches the experiment
+# harness, and finally the dvfsd end-to-end smokes.
+.PHONY: verify build bench-build bench-traced test vet fmt-check lint race short examples results-check bench-smoke fuzz-smoke serve-smoke cluster-smoke
 
-verify: build bench-build vet fmt-check lint test race examples serve-smoke cluster-smoke
+verify: build bench-build vet fmt-check lint test race examples results-check serve-smoke cluster-smoke
 
 build:
 	go build ./...
@@ -71,11 +72,19 @@ examples:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	for e in examples/*/; do echo "go run ./$$e"; TMPDIR=$$tmp go run ./$$e > /dev/null || exit 1; done
 
-# Every benchmark in the repo, once each — the CI smoke that they
-# still compile and run — plus the cheap perf-contract assertions
-# (BenchmarkGASearch must stay allocation-free).
+# Regenerates every experiment's report and SVG (25-45 s) and fails when
+# a report body below its header line, or an SVG, differs from
+# results/, or when results/ holds a file no experiment writes or
+# lacks one that an experiment does. cmd/experiments is the one
+# producer of the paper's numbers; this is their one check.
+results-check:
+	./scripts/results_check.sh
+
+# Every benchmark in the repo, once each: the CI smoke that they still
+# compile and run. Nothing parses their output; the allocation ceilings
+# are tier-1 tests beside the code they guard.
 bench-smoke:
-	./scripts/bench_smoke.sh
+	go test -run '^$$' -bench . -benchtime 1x ./...
 
 # Ten seconds of fuzzing for each of the three hand-written codecs held
 # to encoding/json — the fast trace decoder (FuzzReadWorkload), the

@@ -1,16 +1,19 @@
 package jobstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"npudvfs/internal/traceio"
+	"npudvfs/internal/workload"
 )
 
 func openFS(t *testing.T, dir string, capacity int, prefix string) *FS {
@@ -255,4 +258,47 @@ func TestFSUpdatesPersistInIndexOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("disk holds %+v, the index serves %+v: the writes reached the disk out of index order", got, want)
 	}
+}
+
+// TestFSAddEncodesIntoOneBuffer holds the fs store acknowledging one
+// inline GPT-3 submission — Add of a queued record carrying the
+// compacted trace as a request brings it — under 6 MB: the record is
+// encoded into one buffer with the trace copied as it arrived
+// (12.8 MB when json.MarshalIndent re-scanned and re-indented it).
+func TestFSAddEncodesIntoOneBuffer(t *testing.T) {
+	m, err := workload.ByName("gpt3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented, trace bytes.Buffer
+	if err := traceio.WriteWorkload(&indented, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&trace, indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	req := &traceio.StrategyRequest{Trace: trace.Bytes(), Search: traceio.SearchSpec{Pop: 200, Gens: 600, Seed: 7}}
+	key := traceio.CacheKey(traceio.Fingerprint(m.Trace), req.Search)
+	s := openFS(t, t.TempDir(), 64, "")
+	defer s.Close()
+	n := allocBytes(func() {
+		if _, err := s.Add(&Record{State: traceio.JobQueued, Workload: m.Name, CacheKey: key, Request: req}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("FS.Add of an inline GPT-3 request: %d bytes", n)
+	if n >= 6_000_000 {
+		t.Errorf("FS.Add of an inline GPT-3 request allocated %d bytes, want < 6 MB (one buffer per record, trace copied verbatim)", n)
+	}
+}
+
+// allocBytes returns the heap bytes one warm call of f allocates.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -296,6 +296,11 @@ func (e *Evaluator) Grid() []units.MHz { return e.prob.grid }
 // BaselineIndex returns the gene value of the baseline frequency.
 func (e *Evaluator) BaselineIndex() int { return e.prob.baselineIdx }
 
+// PerLB returns the compliance bound the search scores under: the
+// lowest performance (1/µs) an assignment may predict, the baseline's
+// less the guarded loss target.
+func (e *Evaluator) PerLB() float64 { return e.prob.PerLB }
+
 // Problem exposes the evaluator's precomputed assignment problem as a
 // ga.Problem (it also satisfies ga.PartialScorer, enabling the
 // engine's incremental scoring). Useful for benchmarks and for callers

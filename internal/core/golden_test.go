@@ -14,9 +14,7 @@ import (
 
 	"npudvfs/internal/core"
 	"npudvfs/internal/ga"
-	"npudvfs/internal/pipeline"
 	"npudvfs/internal/traceio"
-	"npudvfs/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/strategy_golden.json from this binary's output")
@@ -46,7 +44,6 @@ func strategyHash(t *testing.T, s *core.Strategy) string {
 // whose per-child copy dominates a search) were generated at the
 // parent of the commit that narrowed genes to one byte (PR 16).
 func TestStrategyGoldenAcrossCommits(t *testing.T) {
-	lab := pipeline.NewLab()
 	search := func(islands int) ga.Config {
 		cfg := ga.DefaultConfig()
 		cfg.PopSize, cfg.Generations, cfg.Seed, cfg.Islands = 64, 64, 12, islands
@@ -54,18 +51,11 @@ func TestStrategyGoldenAcrossCommits(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, name := range []string{"resnet50", "bert", "gpt3"} {
-		m, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms, err := lab.BuildModels(m, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := labInput(t, name)
 		for _, islands := range []int{1, 4} {
 			cfg := core.DefaultConfig()
 			cfg.GA = search(islands)
-			strat, _, _, err := core.GenerateContext(context.Background(), ms.Input(lab.Chip), cfg)
+			strat, _, _, err := core.GenerateContext(context.Background(), in, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -149,8 +149,9 @@ func TestInferenceShape(t *testing.T) {
 	}
 }
 
-// quickTable3Case runs the end-to-end pipeline on BERT with a reduced
-// GA; the full-scale version is the BenchmarkTable3EndToEnd benchmark.
+// TestEndToEndBERTQuick runs the end-to-end pipeline on BERT with a
+// reduced GA; the full-scale run is cmd/experiments -run table3, whose
+// report make results-check holds to results/table3.txt.
 func TestEndToEndBERTQuick(t *testing.T) {
 	skipHeavyUnderRace(t)
 	if testing.Short() {

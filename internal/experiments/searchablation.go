@@ -8,7 +8,6 @@ import (
 
 	"npudvfs/internal/core"
 	"npudvfs/internal/executor"
-	"npudvfs/internal/preprocess"
 )
 
 // SearchRow is one search algorithm's outcome.
@@ -33,8 +32,9 @@ type SearchAblationResult struct {
 
 // greedySearch lowers stage frequencies one grid step at a time,
 // always taking the step with the best predicted power-saving per
-// predicted time cost, until the bound binds.
-func greedySearch(ev *core.Evaluator, stages []preprocess.Stage, perLB float64) ([]int, int) {
+// predicted time cost, until the evaluator's compliance bound binds.
+func greedySearch(ev *core.Evaluator) ([]int, int) {
+	perLB := ev.PerLB()
 	grid := ev.Grid()
 	ind := make([]int, ev.Genes())
 	for i := range ind {
@@ -135,34 +135,18 @@ func (l *Harness) SearchAblation(ctx context.Context) (*SearchAblationResult, er
 
 	// Genetic algorithm (the paper's search).
 	sw := startStopwatch()
-	strat, stages, gaRes, err := core.GenerateContext(ctx, gpt.Input(l.Chip), cfg)
+	ev, gaRes, err := core.Search(ctx, gpt.Input(l.Chip), cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := measure("genetic", strat, gaRes.Evaluations, sw.elapsed().Seconds()); err != nil {
+	if err := measure("genetic", ev.Strategy(gaRes.Best), gaRes.Evaluations, sw.elapsed().Seconds()); err != nil {
 		return nil, err
 	}
-	ev, err := core.NewEvaluator(gpt.Input(l.Chip), cfg, stages)
-	if err != nil {
-		return nil, err
-	}
-	// The evaluator's internal bound mirrors core.GenerateContext's.
-	guard := cfg.Guard
-	if guard <= 0 || guard > 1 {
-		guard = 1
-	}
-	baselineInd := make([]int, ev.Genes())
-	for i := range baselineInd {
-		baselineInd[i] = ev.BaselineIndex()
-	}
-	basePred, err := ev.Predict(baselineInd)
-	if err != nil {
-		return nil, err
-	}
-	perLB := (1 / float64(basePred.TimeMicros)) * (1 - cfg.PerfLossTarget*guard)
 
+	// Greedy and random search score on the GA's evaluator, under its
+	// bound and budget.
 	sw = startStopwatch()
-	greedyInd, greedyEvals := greedySearch(ev, stages, perLB)
+	greedyInd, greedyEvals := greedySearch(ev)
 	if err := measure("greedy", ev.Strategy(greedyInd), greedyEvals, sw.elapsed().Seconds()); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package preprocess
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"npudvfs/internal/classify"
@@ -329,4 +330,35 @@ func TestStagesMatchReferenceOnTies(t *testing.T) {
 			checkAgainstReference(t, fmt.Sprintf("round %d fai %g durs %v", round, fai, durs), prof, res, fai)
 		}
 	}
+}
+
+// TestStagesMergeInPlace holds candidate splitting and FAI merging on
+// GPT-3's ~18,000 operators at the 5 ms FAI under 8 MB: the merge keeps
+// its stages in place (795 MB when every merge copied the slice).
+func TestStagesMergeInPlace(t *testing.T) {
+	prof, err := profiler.NewNoiseless(npu.Default()).Run(workload.GPT3().Trace, 1800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := classify.Trace(prof)
+	n := allocBytes(func() {
+		if _, err := Stages(prof, res, 5000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Stages on GPT-3: %d bytes", n)
+	if n >= 8_000_000 {
+		t.Errorf("Stages on GPT-3 allocated %d bytes, want < 8 MB (in-place stage merging)", n)
+	}
+}
+
+// allocBytes returns the heap bytes one warm call of f allocates.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

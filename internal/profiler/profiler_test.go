@@ -9,6 +9,7 @@ import (
 	"npudvfs/internal/powersim"
 	"npudvfs/internal/thermal"
 	"npudvfs/internal/units"
+	"npudvfs/internal/workload"
 )
 
 func smallTrace() []op.Spec {
@@ -210,5 +211,34 @@ func TestBuildSeriesAggregates(t *testing.T) {
 	want := chip.Time(&trace[0], 1400)
 	if math.Abs(mm.Micros[1]-want) > 1e-9 {
 		t.Errorf("mean duration = %g, want %g", mm.Micros[1], want)
+	}
+}
+
+// TestRunPowerAllocatesOnlyTheProfile holds one power-collecting run,
+// as Lab.PowerProfiles makes it ~330 times per ViT build, to 2
+// allocations, the Profile and its Records: each operator's timing and
+// power terms live in the table the Profiler keeps across its calls (a
+// table allocated per call would read 3; terms escaping per operator,
+// >= 721). The profiler is seeded as Lab.PowerProfiles seeds its own,
+// and the die is at thermal equilibrium for 1800 MHz, as after that
+// method's warm-up.
+func TestRunPowerAllocatesOnlyTheProfile(t *testing.T) {
+	chip := npu.Default()
+	g := powersim.Default(chip)
+	m, err := workload.ByName("vit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(chip, 2225)
+	th := thermal.NewState(thermal.Default())
+	if _, err := p.WarmupIterations(m.Trace, 1800, g, th, 4000, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(1, func() { _, err = p.RunPower(m.Trace, 1800, g, th) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 2 {
+		t.Errorf("RunPower on ViT made %v allocations, want <= 2 (the Profile and its Records)", n)
 	}
 }

@@ -282,3 +282,20 @@ func TestNilInputs(t *testing.T) {
 		t.Error("nil strategy: want error")
 	}
 }
+
+// TestReadWorkloadAllocsBounded holds decoding GPT-3's inline trace,
+// compacted as it arrives inside a request's JSON, to at most 256
+// allocations: the fast decoder builds the operators in one pass and
+// allocates each distinct name or shape once (92,148 allocations when
+// encoding/json's reflection walk decoded every operator).
+func TestReadWorkloadAllocsBounded(t *testing.T) {
+	body := registryBodies(t)["gpt3/compact"]
+	var err error
+	n := testing.AllocsPerRun(1, func() { _, err = ReadWorkload(bytes.NewReader(body)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 256 {
+		t.Errorf("ReadWorkload of GPT-3 made %v allocations, want <= 256 (one-pass trace decoding)", n)
+	}
+}
