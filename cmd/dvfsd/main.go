@@ -152,6 +152,10 @@ func main() {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+	// Shutdown waits for active handlers, and a parked
+	// GET /v1/jobs/{id}?wait= is one until its wait ends: release those
+	// when the HTTP drain begins.
+	httpSrv.RegisterOnShutdown(srv.ReleaseWaits)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

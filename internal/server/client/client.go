@@ -241,25 +241,40 @@ func (c *Client) Job(ctx context.Context, id string) (*traceio.JobStatus, error)
 	return &st, nil
 }
 
-// Wait polls a job until it reaches a terminal state or ctx expires.
+// Wait returns a job's status once it is terminal, or ctx's error. Each
+// call asks the server to hold the answer until the job settles
+// (GET /v1/jobs/{id}?wait=, for what is left of ctx, at most
+// traceio.MaxJobWait), so a job that settles inside that window costs
+// one request. poll is the retry interval (default 100 ms): Wait
+// sleeps it only when a server answers non-terminal before the wait is
+// up, as one that ignores wait or is shutting down does; a wait that
+// ran its full length is renewed at once.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*traceio.JobStatus, error) {
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
+		wait := traceio.MaxJobWait
+		if dl, ok := ctx.Deadline(); ok {
+			// A deadline already past asks for no wait: a negative one
+			// is answered 400.
+			wait = max(min(wait, time.Until(dl)), 0)
+		}
+		asked := time.Now()
+		var st traceio.JobStatus
+		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"?wait="+wait.String(), nil, &st); err != nil {
 			return nil, err
 		}
 		if traceio.IsTerminal(st.State) {
-			return st, nil
+			return &st, nil
+		}
+		if wait > 0 && time.Since(asked) >= wait {
+			continue
 		}
 		select {
 		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-t.C:
+			return &st, ctx.Err()
+		case <-time.After(poll):
 		}
 	}
 }

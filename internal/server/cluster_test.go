@@ -54,6 +54,7 @@ func newCluster(t *testing.T, count int) []clusterNode {
 			t.Fatal(err)
 		}
 		hs := &http.Server{Handler: s.Handler()}
+		hs.RegisterOnShutdown(s.ReleaseWaits)
 		ln := lns[i]
 		go func() { _ = hs.Serve(ln) }()
 		t.Cleanup(func() {
@@ -215,6 +216,51 @@ func TestClusterForwardsToOwner(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("cluster strategy differs from single-node:\n--- cluster ---\n%s\n--- single ---\n%s", a.Bytes(), b.Bytes())
+	}
+}
+
+// TestClusterForwardsWait: a ?wait= poll sent to a node that does not
+// own the job is forwarded with its query, so the owner holds it until
+// the job settles and one call brings back the terminal status.
+func TestClusterForwardsWait(t *testing.T) {
+	nodes := newCluster(t, 2)
+	if to := nodes[0].s.peers.Timeout; to <= traceio.MaxJobWait {
+		t.Fatalf("peer timeout %v does not exceed the wait cap %v: a forwarded wait would be cut", to, traceio.MaxJobWait)
+	}
+	// A blocker on the owner keeps the job under test queued.
+	body := smallSearch(91)
+	var req traceio.StrategyRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	key, err := req.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, other := nodes[0], nodes[1]
+	if owner.s.ring.Owner(key).ID != owner.id {
+		owner, other = other, owner
+	}
+	hdr := map[string]string{ForwardHeader: "test"}
+	if code, _ := postStrategy(t, owner.addr, blocker(90, 300), hdr); code != http.StatusAccepted {
+		t.Fatalf("blocker on owner %s: code %d", owner.id, code)
+	}
+	code, st := postStrategy(t, owner.addr, body, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit on owner %s: code %d", owner.id, code)
+	}
+
+	resp, err := http.Get(other.addr + "/v1/jobs/" + st.ID + "?wait=10s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got traceio.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("forwarded wait: code %d, %v", resp.StatusCode, err)
+	}
+	if got.ID != st.ID || got.State != traceio.JobDone {
+		t.Errorf("forwarded wait answered job %s in state %q (%s); want %s done in one call", got.ID, got.State, got.Error, st.ID)
 	}
 }
 

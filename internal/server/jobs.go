@@ -45,10 +45,18 @@ func (s *Server) jobStatus(id string) (*traceio.JobStatus, bool) {
 
 // storeUpdate persists a state transition, counting (but not
 // propagating) durability errors: the record is always current in
-// memory, so a full disk degrades persistence, not serving.
+// memory, so a full disk degrades persistence, not serving. A terminal
+// record wakes every parked wait once it is written, and the store
+// call is made before s.mu is taken, so no lock spans it.
 func (s *Server) storeUpdate(rec *jobstore.Record) {
 	if err := s.store.Update(rec); err != nil {
 		s.met.storeErrors.inc()
+	}
+	if traceio.IsTerminal(rec.State) {
+		s.mu.Lock()
+		close(s.settled)
+		s.settled = make(chan struct{})
+		s.mu.Unlock()
 	}
 }
 

@@ -129,7 +129,9 @@ type Server struct {
 	mux    *http.ServeMux
 	ring   *ring.Ring
 	nodeID string
-	// peers issues proxied requests to other ring nodes.
+	// peers issues proxied requests to other ring nodes. Its timeout
+	// stays above traceio.MaxJobWait, so a forwarded wait is answered
+	// before the hop gives up.
 	peers *http.Client
 
 	queue chan *job
@@ -150,9 +152,16 @@ type Server struct {
 	// callers wait on it so "Shutdown returned nil" always means
 	// "daemon quiesced", not "someone else is draining".
 	drained chan struct{}
+	// release is closed by ReleaseWaits; every parked
+	// GET /v1/jobs/{id}?wait= answers when it is.
+	release     chan struct{}
+	releaseOnce sync.Once
 
 	mu     sync.Mutex
 	closed bool
+	// settled is closed, and replaced, each time a job's terminal
+	// record is written; parked waits re-read their job's status then.
+	settled chan struct{}
 }
 
 // New starts the worker pool — re-enqueuing any unfinished jobs the
@@ -193,6 +202,8 @@ func New(cfg Config) (*Server, error) {
 		stopping:    make(chan struct{}),
 		requeueDone: make(chan struct{}),
 		drained:     make(chan struct{}),
+		release:     make(chan struct{}),
+		settled:     make(chan struct{}),
 	}
 	s.mux.HandleFunc("POST /v1/strategies", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
@@ -288,6 +299,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // still running. (Previously a second call returned nil immediately,
 // and callers treating that as "daemon quiesced" raced the drain.)
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.ReleaseWaits()
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
@@ -313,6 +325,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-s.drained
 		return ctx.Err()
 	}
+}
+
+// ReleaseWaits answers every parked GET /v1/jobs/{id}?wait= with its
+// job's current status, and makes every later one answer at once, as a
+// plain GET does. http.Server.Shutdown waits for active handlers, so a
+// daemon registers this with its RegisterOnShutdown; Shutdown calls it
+// too.
+func (s *Server) ReleaseWaits() {
+	s.releaseOnce.Do(func() { close(s.release) })
 }
 
 // worker consumes jobs until the queue is closed and drained.
@@ -555,14 +576,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, rec.Status())
 }
 
-// handleJob is GET /v1/jobs/{id}. In cluster mode, IDs carry their
-// node prefix, so polls for jobs another node accepted are proxied to
-// it.
+// handleJob is GET /v1/jobs/{id}. With ?wait=<Go duration> it answers
+// once the job is terminal, or when the wait (capped at
+// traceio.MaxJobWait) elapses, the caller goes away or waits are
+// released, with the same status a plain GET returns then. In cluster
+// mode, IDs carry their node prefix, so polls for jobs another node
+// accepted are proxied to it, query and all.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	wait, err := jobWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	if s.ring != nil && r.Header.Get(ForwardHeader) == "" {
 		if nid := nodePrefix(id); nid != "" && nid != s.nodeID {
-			if n, ok := s.ring.Lookup(nid); ok && s.proxy(w, n, "GET", "/v1/jobs/"+id, nil) {
+			path := "/v1/jobs/" + id
+			if r.URL.RawQuery != "" {
+				path += "?" + r.URL.RawQuery
+			}
+			if n, ok := s.ring.Lookup(nid); ok && s.proxy(w, n, "GET", path, nil) {
 				return
 			}
 			// Unknown node or unreachable: fall through to the local
@@ -570,12 +603,65 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			// as a fallback.
 		}
 	}
-	st, ok := s.jobStatus(id)
+	var st *traceio.JobStatus
+	var ok bool
+	if wait > 0 {
+		st, ok = s.settledStatus(r.Context(), id, wait)
+	} else {
+		st, ok = s.jobStatus(id)
+	}
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// jobWait reads GET /v1/jobs/{id}'s wait parameter. Absent or zero
+// means answer at once; a wait above traceio.MaxJobWait is cut to it.
+func jobWait(r *http.Request) (time.Duration, error) {
+	if r.URL.RawQuery == "" {
+		return 0, nil
+	}
+	v := r.URL.Query().Get("wait")
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, fmt.Errorf("wait: %w", err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("wait %q is negative", v)
+	}
+	return min(d, traceio.MaxJobWait), nil
+}
+
+// settledStatus returns id's status once its job is terminal, or its
+// current status when wait elapses, ctx ends or waits are released.
+func (s *Server) settledStatus(ctx context.Context, id string, wait time.Duration) (*traceio.JobStatus, bool) {
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		// The channel is taken before the status is read: a job that
+		// settles after the read closes this very channel, so its
+		// wake-up cannot be missed.
+		s.mu.Lock()
+		settled := s.settled
+		s.mu.Unlock()
+		st, ok := s.jobStatus(id)
+		if !ok || traceio.IsTerminal(st.State) {
+			return st, ok
+		}
+		select {
+		case <-settled:
+			continue
+		case <-timer.C:
+		case <-ctx.Done():
+		case <-s.release:
+		}
+		return s.jobStatus(id)
+	}
 }
 
 // proxy forwards a request to a peer node and relays its response

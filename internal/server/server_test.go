@@ -82,10 +82,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
-		ts.Close()
+		// Shutdown first: it releases parked waits, which ts.Close
+		// would otherwise wait out.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = s.Shutdown(ctx)
+		ts.Close()
 	})
 	return s, ts
 }

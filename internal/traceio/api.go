@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"time"
 	"unicode/utf8"
 
 	"npudvfs/internal/op"
@@ -42,6 +43,13 @@ func IsTerminal(state string) bool {
 	}
 	return false
 }
+
+// MaxJobWait caps the wait parameter of GET /v1/jobs/{id}?wait=: the
+// server answers a longer wait once MaxJobWait has passed, and
+// client.Wait never asks for more. It stays below the 30 s timeout of
+// the client a cluster node forwards a poll with, so a forwarded wait
+// is answered before that hop gives up.
+const MaxJobWait = 20 * time.Second
 
 // ErrUnknownWorkload marks a request naming a workload absent from the
 // registry; the server maps it to 404 instead of the generic 400.
