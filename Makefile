@@ -89,14 +89,17 @@ bench-smoke:
 # Ten seconds of fuzzing for each of the three hand-written codecs held
 # to encoding/json — the fast trace decoder (FuzzReadWorkload), the
 # fingerprint encoder (FuzzFingerprint) and the fs job store's record
-# encoder (FuzzEncodeRecord) — and for the GA child's word-at-a-time
-# parent diff held to the byte loop it replaced (FuzzMakeChild).
-# go test -fuzz takes one target per call.
+# encoder (FuzzEncodeRecord) — for the GA child's word-at-a-time
+# parent diff held to the byte loop it replaced (FuzzMakeChild), and for
+# a profiling session held to the reference profiler
+# (FuzzProfilerSession, which guards the operator table's same-trace
+# reuse). go test -fuzz takes one target per call.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadWorkload$$' -fuzztime 10s ./internal/traceio
 	go test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/traceio
 	go test -run '^$$' -fuzz '^FuzzEncodeRecord$$' -fuzztime 10s ./internal/cluster/jobstore
 	go test -run '^$$' -fuzz '^FuzzMakeChild$$' -fuzztime 10s ./internal/ga
+	go test -run '^$$' -fuzz '^FuzzProfilerSession$$' -fuzztime 10s ./internal/profiler
 
 # Boots dvfsd on a random port, submits the quickstart trace through
 # dvfsctl, asserts the served strategy matches the batch path and that

@@ -93,15 +93,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 func report(w io.Writer, m *workload.Model, prof *profiler.Profile, faiMicros float64, dumpOps bool) error {
 	fmt.Fprintf(w, "== %s at %.0f MHz: %d operators, iteration %.3f ms\n",
-		m.Name, prof.FreqMHz, len(prof.Records), prof.TotalMicros/1000)
+		m.Name, prof.FreqMHz, prof.Len(), prof.TotalMicros/1000)
 	results := classify.Trace(prof)
 	timeBy := map[classify.Bottleneck]float64{}
 	countBy := classify.Histogram(results)
 	sensTime := 0.0
 	for i, r := range results {
-		timeBy[r.Bottleneck] += prof.Records[i].DurMicros
+		timeBy[r.Bottleneck] += prof.DurMicros[i]
 		if r.Sensitive {
-			sensTime += prof.Records[i].DurMicros
+			sensTime += prof.DurMicros[i]
 		}
 	}
 	fmt.Fprintf(w, "   frequency-sensitive time: %.1f%%\n", 100*sensTime/prof.TotalMicros)
@@ -125,10 +125,10 @@ func report(w io.Writer, m *workload.Model, prof *profiler.Profile, faiMicros fl
 	fmt.Fprintf(w, "   stages at %.0f ms FAI: %d (%d LFC, %d HFC)\n",
 		faiMicros/1000, len(stages), lfc, len(stages)-lfc)
 	if dumpOps {
-		for i := range prof.Records {
-			r := &prof.Records[i]
+		for i := range prof.Trace {
+			spec := &prof.Trace[i]
 			fmt.Fprintf(w, "   #%05d %-28s %-13s %9.2f us  %v\n",
-				r.Index, r.Spec.Key(), r.Spec.Class, r.DurMicros, results[i].Bottleneck)
+				i, spec.Key(), spec.Class, prof.DurMicros[i], results[i].Bottleneck)
 		}
 	}
 	return nil
@@ -154,19 +154,21 @@ func emitJSON(w io.Writer, prof *profiler.Profile, dumpOps bool) error {
 	}{
 		FreqMHz:     prof.FreqMHz,
 		TotalMicros: prof.TotalMicros,
-		Operators:   len(prof.Records),
+		Operators:   prof.Len(),
 	}
 	if dumpOps {
-		for i := range prof.Records {
-			r := &prof.Records[i]
+		start := 0.0
+		for i := range prof.Trace {
+			spec := &prof.Trace[i]
 			out.Records = append(out.Records, jsonRecord{
-				Index:  r.Index,
-				Key:    r.Spec.Key(),
-				Class:  r.Spec.Class.String(),
-				Start:  r.StartMicros,
-				Dur:    r.DurMicros,
+				Index:  i,
+				Key:    spec.Key(),
+				Class:  spec.Class.String(),
+				Start:  start,
+				Dur:    prof.DurMicros[i],
 				Bottle: results[i].Bottleneck.String(),
 			})
+			start += prof.DurMicros[i]
 		}
 	}
 	enc := json.NewEncoder(w)

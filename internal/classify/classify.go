@@ -75,9 +75,9 @@ type Result struct {
 	Sensitive bool
 }
 
-// Op classifies a single profiled record.
-func Op(rec *profiler.Record) Result {
-	switch rec.Spec.Class {
+// Op classifies one profiled entry, s with the PMU ratios it ran at.
+func Op(s *op.Spec, ratios *[op.NumPipes]float64) Result {
+	switch s.Class {
 	case op.AICPU:
 		return Result{Bottleneck: AICPUOp}
 	case op.Communication:
@@ -88,7 +88,7 @@ func Op(rec *profiler.Record) Result {
 	sum := 0.0
 	maxRatio := 0.0
 	maxPipe := op.Cube
-	for p, r := range rec.Ratios {
+	for p, r := range ratios {
 		sum += r
 		if r > maxRatio {
 			maxRatio = r
@@ -111,11 +111,15 @@ func Op(rec *profiler.Record) Result {
 	return res
 }
 
-// Trace classifies every record of a profile, in order.
+// Trace classifies every entry of a timing profile (Profiler.Run), in
+// order. It panics on a profile without PMU ratios, as a power run's.
 func Trace(prof *profiler.Profile) []Result {
-	out := make([]Result, len(prof.Records))
-	for i := range prof.Records {
-		out[i] = Op(&prof.Records[i])
+	if len(prof.Ratios) != prof.Len() {
+		panic(fmt.Sprintf("classify: profile of %d entries has %d PMU ratios; classify a timing run", prof.Len(), len(prof.Ratios)))
+	}
+	out := make([]Result, prof.Len())
+	for i := range prof.Trace {
+		out[i] = Op(&prof.Trace[i], &prof.Ratios[i])
 	}
 	return out
 }

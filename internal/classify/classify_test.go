@@ -9,14 +9,10 @@ import (
 	"npudvfs/internal/workload"
 )
 
-func record(spec op.Spec, f float64) *profiler.Record {
-	chip := npu.Default()
-	return &profiler.Record{
-		Spec:      &spec,
-		DurMicros: chip.Time(&spec, f),
-		FreqMHz:   f,
-		Ratios:    chip.Ratios(&spec, f),
-	}
+// ratiosAt returns the PMU ratios of spec at f MHz on the default chip.
+func ratiosAt(spec *op.Spec, f float64) *[op.NumPipes]float64 {
+	r := npu.Default().Ratios(spec, f)
+	return &r
 }
 
 func TestNonComputeClasses(t *testing.T) {
@@ -29,7 +25,7 @@ func TestNonComputeClasses(t *testing.T) {
 		{op.Idle, IdleSlot},
 	}
 	for _, tc := range cases {
-		r := Op(&profiler.Record{Spec: &op.Spec{Name: "x", Class: tc.class, FixedTime: 10}})
+		r := Op(&op.Spec{Name: "x", Class: tc.class, FixedTime: 10}, &[op.NumPipes]float64{})
 		if r.Bottleneck != tc.want {
 			t.Errorf("%v: got %v, want %v", tc.class, r.Bottleneck, tc.want)
 		}
@@ -46,7 +42,7 @@ func TestCoreBoundSensitive(t *testing.T) {
 		Blocks: 16, LoadBytes: 1024, StoreBytes: 1024, CoreCycles: 1e6,
 		CorePipe: op.Cube, L2Hit: 0.9,
 	}
-	r := Op(record(spec, 1500))
+	r := Op(&spec, ratiosAt(&spec, 1500))
 	if r.Bottleneck != CoreBound {
 		t.Fatalf("got %v, want core", r.Bottleneck)
 	}
@@ -65,7 +61,7 @@ func TestUncoreBoundInsensitive(t *testing.T) {
 		Blocks: 16, LoadBytes: 8 << 20, StoreBytes: 2048, CoreCycles: 100,
 		CorePipe: op.Vector, L2Hit: 0,
 	}
-	r := Op(record(spec, 1500))
+	r := Op(&spec, ratiosAt(&spec, 1500))
 	if r.Bottleneck != UncoreBound {
 		t.Fatalf("got %v (pipe %v), want uncore", r.Bottleneck, r.BoundPipe)
 	}
@@ -84,7 +80,7 @@ func TestNoPipelineBound(t *testing.T) {
 		Blocks: 1, LoadBytes: 4096, StoreBytes: 4096, CoreCycles: 10,
 		CorePipe: op.Scalar, L2Hit: 0.9, PrePostTime: 50,
 	}
-	r := Op(record(spec, 1500))
+	r := Op(&spec, ratiosAt(&spec, 1500))
 	if r.Bottleneck != NoPipeline {
 		t.Fatalf("got %v, want no-pipeline", r.Bottleneck)
 	}
@@ -102,17 +98,17 @@ func TestLatencyBound(t *testing.T) {
 		Blocks: 8, LoadBytes: 2 << 20, StoreBytes: 2 << 20,
 		CoreCycles: 4000, CorePipe: op.Vector, L2Hit: 0.5,
 	}
-	rec := record(spec, 1500)
+	ratios := ratiosAt(&spec, 1500)
 	sum := 0.0
-	for _, r := range rec.Ratios {
+	for _, r := range ratios {
 		sum += r
 	}
 	if sum < 1 {
 		t.Skipf("premise broken: ratios sum %.2f < 1", sum)
 	}
-	r := Op(rec)
+	r := Op(&spec, ratios)
 	if r.Bottleneck != Latency {
-		t.Fatalf("got %v (ratios %v), want latency", r.Bottleneck, rec.Ratios)
+		t.Fatalf("got %v (ratios %v), want latency", r.Bottleneck, *ratios)
 	}
 	if !r.Sensitive {
 		t.Error("latency-bound must be sensitive (Table 1)")
@@ -129,8 +125,8 @@ func TestTraceAndHistogramOnRealWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := Trace(prof)
-	if len(results) != len(prof.Records) {
-		t.Fatalf("got %d results, want %d", len(results), len(prof.Records))
+	if len(results) != prof.Len() {
+		t.Fatalf("got %d results, want %d", len(results), prof.Len())
 	}
 	h := Histogram(results)
 	// A GPT-3 iteration must exhibit the full taxonomy: core-bound

@@ -327,8 +327,10 @@ func validateInput(in Input) error {
 	switch {
 	case in.Chip == nil:
 		return fmt.Errorf("core: nil chip")
-	case in.Profile == nil || len(in.Profile.Records) == 0:
+	case in.Profile == nil || in.Profile.Len() == 0:
 		return fmt.Errorf("core: empty profile")
+	case len(in.Profile.Ratios) != in.Profile.Len():
+		return fmt.Errorf("core: profile carries no PMU ratios; want a timing run")
 	case in.Power == nil:
 		return fmt.Errorf("core: nil power model")
 	case in.Perf == nil:
@@ -364,18 +366,20 @@ func buildProblem(in Input, cfg Config, stages []preprocess.Stage) (*problem, er
 		volts[gi] = float64(in.Chip.Curve.Voltage(f))
 		points[gi] = in.Power.At(f, 0)
 	}
+	trace, durs := in.Profile.Trace, in.Profile.DurMicros
 	for si, st := range stages {
 		for i := st.OpStart; i < st.OpEnd; i++ {
-			rec := &in.Profile.Records[i]
-			key := rec.Spec.Key()
+			spec := &trace[i]
+			key := spec.Key()
 			var perf perfmodel.Model
 			fitted := false
-			if rec.Spec.Class == op.Compute {
+			if spec.Class == op.Compute {
 				perf, fitted = in.Perf[key]
 			}
 			power, known := in.Power.Ops[key]
+			measured := durs[i]
 			for gi, f := range grid {
-				dur := rec.DurMicros
+				dur := measured
 				if fitted {
 					dur = float64(perf.Micros(f))
 				}

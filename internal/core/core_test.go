@@ -117,7 +117,7 @@ func TestGenerateProducesValidStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := preprocess.Validate(stages, len(f.input.Profile.Records)); err != nil {
+	if err := preprocess.Validate(stages, f.input.Profile.Len()); err != nil {
 		t.Fatal(err)
 	}
 	if len(strat.Points) == 0 {
@@ -370,11 +370,11 @@ func TestEvaluatorMatchesDirectSummation(t *testing.T) {
 	for si, st := range stages {
 		fm := grid[ind[si]]
 		for i := st.OpStart; i < st.OpEnd; i++ {
-			rec := &f.input.Profile.Records[i]
-			if m, ok := f.input.Perf[rec.Spec.Key()]; ok && rec.Spec.Class == 0 /* Compute */ {
+			spec := &f.input.Profile.Trace[i]
+			if m, ok := f.input.Perf[spec.Key()]; ok && spec.Class == 0 /* Compute */ {
 				direct += float64(m.Micros(fm))
 			} else {
-				direct += rec.DurMicros
+				direct += f.input.Profile.DurMicros[i]
 			}
 		}
 	}
@@ -435,14 +435,14 @@ func TestTableMatchesCellMajorFill(t *testing.T) {
 		for gi, fm := range grid {
 			v := float64(in.Chip.Curve.Voltage(fm))
 			for i := st.OpStart; i < st.OpEnd; i++ {
-				rec := &in.Profile.Records[i]
-				dur := rec.DurMicros
-				if rec.Spec.Class == op.Compute {
-					if m, ok := in.Perf[rec.Spec.Key()]; ok {
+				spec := &in.Profile.Trace[i]
+				dur := in.Profile.DurMicros[i]
+				if spec.Class == op.Compute {
+					if m, ok := in.Perf[spec.Key()]; ok {
 						dur = float64(m.Micros(fm))
 					}
 				}
-				core, soc := in.Power.OpPowerAt(rec.Spec.Key(), fm, 0)
+				core, soc := in.Power.OpPowerAt(spec.Key(), fm, 0)
 				ref.Add(si, gi, dur, float64(soc)*dur, float64(core)*dur, v*dur)
 			}
 		}

@@ -65,8 +65,8 @@ func (l *Harness) Attribution(ctx context.Context) (*AttributionResult, error) {
 	prof := gpt.Baseline
 	lastFreq := units.MHz(-1)
 	var total float64
-	for i := range prof.Records {
-		rec := &prof.Records[i]
+	for i := range prof.Trace {
+		spec, dur := &prof.Trace[i], prof.DurMicros[i]
 		f := strat.FreqAt(i)
 		a, ok := byFreq[f]
 		if !ok {
@@ -78,11 +78,11 @@ func (l *Harness) Attribution(ctx context.Context) (*AttributionResult, error) {
 			lastFreq = f
 		}
 		a.ops++
-		a.time += rec.DurMicros
-		total += rec.DurMicros
-		if rec.Spec.Class == op.Compute {
-			r := rec.Ratios
-			if r[rec.Spec.CorePipe] >= 0.8 {
+		a.time += dur
+		total += dur
+		if spec.Class == op.Compute {
+			r := prof.Ratios[i]
+			if r[spec.CorePipe] >= 0.8 {
 				a.sens++
 			}
 			if r[op.MTE2] >= 0.8 || r[op.MTE3] >= 0.8 {

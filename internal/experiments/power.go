@@ -122,7 +122,7 @@ func table2Workloads() []*workload.Model {
 // power at a uniform frequency using the full model stack.
 func (l *Harness) predictMeanPower(ms *Models, fMHz units.MHz) (float64, error) {
 	stage := []preprocess.Stage{{
-		OpStart: 0, OpEnd: len(ms.Baseline.Records),
+		OpStart: 0, OpEnd: ms.Baseline.Len(),
 		DurMicros: ms.Baseline.TotalMicros,
 	}}
 	ev, err := core.NewEvaluator(ms.Input(l.Chip), core.DefaultConfig(), stage)

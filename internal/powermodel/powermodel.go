@@ -245,33 +245,36 @@ func Build(off *Offline, profiles []*profiler.Profile, temperatureAware bool) (*
 	}
 	sums := make(map[string]*acc)
 	curve := off.Chip.Curve
-	for _, prof := range profiles {
-		for i := range prof.Records {
-			r := &prof.Records[i]
-			if r.Spec.Class == op.Idle {
+	for pi, prof := range profiles {
+		if len(prof.SoCW) != prof.Len() {
+			return nil, fmt.Errorf("powermodel: build profile %d carries no power readings; want a power run", pi)
+		}
+		f := prof.FreqMHz
+		for i := range prof.Trace {
+			spec := &prof.Trace[i]
+			if spec.Class == op.Idle {
 				continue
 			}
-			f := r.FreqMHz
 			v := float64(curve.Voltage(units.MHz(f)))
-			deltaT := r.TempC - float64(off.AmbientC)
+			deltaT := prof.TempC[i] - float64(off.AmbientC)
 			tempCore, tempSoC := 0.0, 0.0
 			if temperatureAware {
 				tempCore = off.AICore.Gamma * deltaT * v
 				tempSoC = off.SoC.Gamma * deltaT * v
 			}
-			key := r.Spec.Key()
+			key := spec.Key()
 			a, ok := sums[key]
 			if !ok {
-				a = &acc{compute: r.Spec.Class == op.Compute}
+				a = &acc{compute: spec.Class == op.Compute}
 				sums[key] = a
 			}
 			idleCore := float64(off.AICore.Idle(units.MHz(f), units.Volt(v)))
 			idleSoC := float64(off.SoC.Idle(units.MHz(f), units.Volt(v)))
 			if a.compute {
-				a.core += (r.AICoreW - idleCore - tempCore) / (f * v * v)
-				a.soc += (r.SoCW - idleSoC - tempSoC) / (f * v * v)
+				a.core += (prof.AICoreW[i] - idleCore - tempCore) / (f * v * v)
+				a.soc += (prof.SoCW[i] - idleSoC - tempSoC) / (f * v * v)
 			} else {
-				a.extra += r.SoCW - idleSoC - tempSoC
+				a.extra += prof.SoCW[i] - idleSoC - tempSoC
 			}
 			a.n++
 		}

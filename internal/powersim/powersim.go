@@ -331,3 +331,15 @@ func (s *Sensor) Temp(trueC float64) float64 {
 func (s *Sensor) TimeNoise(sigmaFrac float64) float64 {
 	return math.Exp(s.rng.NormFloat64() * sigmaFrac)
 }
+
+// TimeNoises fills dst with successive TimeNoise(sigmaFrac) factors:
+// the same draws in the same order, with their exps taken in a loop of
+// their own.
+func (s *Sensor) TimeNoises(dst []float64, sigmaFrac float64) {
+	for i := range dst {
+		dst[i] = s.rng.NormFloat64() * sigmaFrac
+	}
+	for i, x := range dst {
+		dst[i] = math.Exp(x)
+	}
+}

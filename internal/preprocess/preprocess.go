@@ -39,31 +39,35 @@ type Stage struct {
 // interval; stages shorter than it are merged into their longer
 // neighbor. A non-positive faiMicros disables merging.
 func Stages(prof *profiler.Profile, results []classify.Result, faiMicros float64) ([]Stage, error) {
-	if prof == nil || len(prof.Records) == 0 {
+	if prof == nil || prof.Len() == 0 {
 		return nil, fmt.Errorf("preprocess: empty profile")
 	}
-	if len(results) != len(prof.Records) {
+	if len(results) != prof.Len() {
 		return nil, fmt.Errorf("preprocess: %d classifications for %d records",
-			len(results), len(prof.Records))
+			len(results), prof.Len())
 	}
 	// Step 3 of Fig. 13: split on sensitivity changes.
 	var stages []Stage
 	cur := Stage{OpStart: 0, Sensitive: results[0].Sensitive}
-	for i := range prof.Records {
+	for i := range prof.Trace {
 		if results[i].Sensitive != cur.Sensitive {
 			cur.OpEnd = i
 			stages = append(stages, cur)
 			cur = Stage{OpStart: i, Sensitive: results[i].Sensitive}
 		}
 	}
-	cur.OpEnd = len(prof.Records)
+	cur.OpEnd = prof.Len()
 	stages = append(stages, cur)
+	// A stage starts where the profile's running sum of durations
+	// stands at its first entry.
+	now := 0.0
 	for si := range stages {
 		s := &stages[si]
-		for i := s.OpStart; i < s.OpEnd; i++ {
-			s.DurMicros += prof.Records[i].DurMicros
+		s.StartMicros = now
+		for _, d := range prof.DurMicros[s.OpStart:s.OpEnd] {
+			s.DurMicros += d
+			now += d
 		}
-		s.StartMicros = prof.Records[s.OpStart].StartMicros
 	}
 	if faiMicros <= 0 {
 		return stages, nil

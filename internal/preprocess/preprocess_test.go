@@ -15,17 +15,12 @@ import (
 // syntheticProfile builds a profile with explicit durations and
 // sensitivities for precise merge testing.
 func syntheticProfile(durs []float64, sensitive []bool) (*profiler.Profile, []classify.Result) {
-	prof := &profiler.Profile{FreqMHz: 1800}
+	spec := workload.RepresentativeOps()[0]
+	prof := &profiler.Profile{FreqMHz: 1800, DurMicros: durs}
 	results := make([]classify.Result, len(durs))
 	now := 0.0
 	for i, d := range durs {
-		prof.Records = append(prof.Records, profiler.Record{
-			Index:       i,
-			Spec:        &workload.RepresentativeOps()[0],
-			StartMicros: now,
-			DurMicros:   d,
-			FreqMHz:     1800,
-		})
+		prof.Trace = append(prof.Trace, spec)
 		now += d
 		results[i] = classify.Result{Sensitive: sensitive[i]}
 		if sensitive[i] {
@@ -57,7 +52,7 @@ func TestStagesSplitOnSensitivity(t *testing.T) {
 				i, s, wantSens[i], wantDur[i], wantStart[i])
 		}
 	}
-	if err := Validate(stages, len(prof.Records)); err != nil {
+	if err := Validate(stages, prof.Len()); err != nil {
 		t.Error(err)
 	}
 }
@@ -82,7 +77,7 @@ func TestMergeShortStageIntoLongerNeighbor(t *testing.T) {
 	if stages[1].DurMicros != 550 {
 		t.Errorf("merged stage duration = %g, want 550", stages[1].DurMicros)
 	}
-	if err := Validate(stages, len(prof.Records)); err != nil {
+	if err := Validate(stages, prof.Len()); err != nil {
 		t.Error(err)
 	}
 }
@@ -172,7 +167,7 @@ func TestFAIMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(stages, len(prof.Records)); err != nil {
+		if err := Validate(stages, prof.Len()); err != nil {
 			t.Fatalf("FAI %g: %v", fai, err)
 		}
 		for _, s := range stages[:len(stages)-1] {
@@ -274,7 +269,7 @@ func checkAgainstReference(t *testing.T, label string, prof *profiler.Profile, r
 			t.Fatalf("%s: stage %d = %+v, reference %+v", label, i, got[i], want[i])
 		}
 	}
-	if err := Validate(got, len(prof.Records)); err != nil {
+	if err := Validate(got, prof.Len()); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 }

@@ -21,67 +21,64 @@ import (
 	"npudvfs/internal/units"
 )
 
-// Record is one profiled trace entry.
-type Record struct {
-	// Index is the position of the entry in the trace.
-	Index int
-	// Spec points at the operator description.
-	Spec *op.Spec
-	// StartMicros is the start offset within the iteration, µs.
-	StartMicros float64
-	// DurMicros is the measured (noisy) duration, µs.
-	DurMicros float64
-	// FreqMHz is the core frequency while the entry executed.
-	FreqMHz float64
-	// Ratios is the per-pipeline utilization reported by the PMU.
-	Ratios [op.NumPipes]float64
-	// AICoreW and SoCW are mean power readings over the entry, in
-	// watts; populated only by power-collecting runs.
-	AICoreW, SoCW float64
-	// TempC is the die temperature reading at the end of the entry;
-	// populated only by power-collecting runs.
-	TempC float64
-}
-
-// Profile is the result of one profiled iteration.
+// Profile is the result of one profiled iteration. It keeps the trace
+// it profiled, shared with the caller, and per entry only what was
+// measured, in pointer-free columns indexed like Trace: entry i is
+// Trace[i], ran at FreqMHz, and started at the sum of DurMicros[:i],
+// added up in order.
 type Profile struct {
 	// FreqMHz is the nominal profiling frequency.
 	FreqMHz float64
-	// Records holds one entry per trace element, in order.
-	Records []Record
+	// Trace is the profiled trace. It is the caller's slice, not a
+	// copy.
+	Trace []op.Spec
+	// DurMicros is each entry's measured (noisy) duration, µs.
+	DurMicros []float64
+	// Ratios is each entry's per-pipeline utilization as the PMU
+	// reports it. A timing run (Run) carries it; a power run does not.
+	Ratios [][op.NumPipes]float64
+	// AICoreW and SoCW are each entry's mean power readings, in watts,
+	// and TempC the die temperature reading at its end. A power run
+	// (RunPower) carries them; a timing run does not.
+	AICoreW, SoCW, TempC []float64
 	// TotalMicros is the measured iteration duration.
 	TotalMicros float64
 }
+
+// Len returns the number of profiled entries.
+func (p *Profile) Len() int { return len(p.Trace) }
 
 // ComputeMicros returns the summed measured duration of Compute
 // entries.
 func (p *Profile) ComputeMicros() float64 {
 	sum := 0.0
-	for i := range p.Records {
-		if p.Records[i].Spec.Class == op.Compute {
-			sum += p.Records[i].DurMicros
+	for i := range p.Trace {
+		if p.Trace[i].Class == op.Compute {
+			sum += p.DurMicros[i]
 		}
 	}
 	return sum
 }
 
 // MeanSoCW returns the time-weighted mean SoC power of the profile.
-// Valid only for power-collecting runs.
+// Valid only for power-collecting runs; a timing profile reads 0.
 func (p *Profile) MeanSoCW() float64 {
-	return p.weightedMean(func(r *Record) float64 { return r.SoCW })
+	return p.weightedMean(p.SoCW)
 }
 
 // MeanAICoreW returns the time-weighted mean AICore power.
 func (p *Profile) MeanAICoreW() float64 {
-	return p.weightedMean(func(r *Record) float64 { return r.AICoreW })
+	return p.weightedMean(p.AICoreW)
 }
 
-func (p *Profile) weightedMean(get func(*Record) float64) float64 {
+func (p *Profile) weightedMean(xs []float64) float64 {
+	if len(xs) != len(p.DurMicros) {
+		return 0
+	}
 	var num, den float64
-	for i := range p.Records {
-		r := &p.Records[i]
-		num += get(r) * r.DurMicros
-		den += r.DurMicros
+	for i, d := range p.DurMicros {
+		num += xs[i] * d
+		den += d
 	}
 	//lint:allow floateq exact sentinel: division guard against a zero-duration profile
 	if den == 0 {
@@ -95,8 +92,9 @@ func (p *Profile) weightedMean(get func(*Record) float64) float64 {
 //
 // A Profiler remembers, across its calls, what each distinct operator
 // it has profiled works out to (see opTable), so a warm-up that
-// profiles one trace hundreds of times pays per call only for a
-// lookup per entry, its noise draws and the thermal steps. Like its
+// profiles one trace hundreds of times pays per call only for a check
+// per entry against where it was found last time, its noise draws and
+// the thermal steps. Like its
 // Sensor, that memory is per-run mutable state: use one Profiler per
 // goroutine, and note that a copied Profiler value shares both with
 // the original.
@@ -122,13 +120,6 @@ func NewNoiseless(chip *npu.Chip) *Profiler {
 	return &Profiler{Chip: chip}
 }
 
-func (p *Profiler) measure(trueDur float64) float64 {
-	if p.Sensor == nil || p.TimeNoiseFrac <= 0 {
-		return trueDur
-	}
-	return trueDur * p.Sensor.TimeNoise(p.TimeNoiseFrac)
-}
-
 // Run executes the trace once at a fixed core frequency and returns
 // the timing profile. Each distinct operator's true duration and ratios
 // are worked out once per frequency and chip, then looked up.
@@ -138,8 +129,9 @@ func (p *Profiler) Run(trace []op.Spec, fMHz float64) (*Profile, error) {
 }
 
 // run is Run through p's operator table, fitted first to fMHz, the
-// chip and, for a power run, the ground g; for a power run it also
-// fills the table's at for this trace.
+// chip and, for a power run, the ground g. A power run's profile has
+// power columns in place of Ratios, all four columns cut from one
+// allocation.
 func (p *Profiler) run(trace []op.Spec, fMHz float64, g *powersim.Ground) (*Profile, *opTable, error) {
 	if err := p.Chip.Validate(); err != nil {
 		return nil, nil, err
@@ -148,29 +140,35 @@ func (p *Profiler) run(trace []op.Spec, fMHz float64, g *powersim.Ground) (*Prof
 		return nil, nil, fmt.Errorf("profiler: invalid frequency %g MHz, want finite and positive", fMHz)
 	}
 	t := p.table(fMHz, g)
-	if g != nil {
-		if cap(t.at) < len(trace) {
-			t.at = make([]int32, len(trace))
-		}
-		t.at = t.at[:len(trace)]
+	n := len(trace)
+	prof := &Profile{FreqMHz: fMHz, Trace: trace}
+	if g == nil {
+		prof.DurMicros = make([]float64, n)
+		prof.Ratios = make([][op.NumPipes]float64, n)
+	} else {
+		cols := make([]float64, 4*n)
+		prof.DurMicros, prof.AICoreW = cols[:n:n], cols[n:2*n:2*n]
+		prof.SoCW, prof.TempC = cols[2*n:3*n:3*n], cols[3*n:]
 	}
-	prof := &Profile{FreqMHz: fMHz, Records: make([]Record, len(trace))}
+	noisy := p.Sensor != nil && p.TimeNoiseFrac > 0
+	if bad, err := t.resolve(trace, prof.DurMicros, prof.Ratios); err != nil {
+		// Entry by entry, the entries before the bad one would have
+		// drawn their noise: leave the sensor where that leaves it.
+		if noisy {
+			p.Sensor.TimeNoises(t.scratch(bad), p.TimeNoiseFrac)
+		}
+		return nil, nil, fmt.Errorf("profiler: trace entry %d: %w", bad, err)
+	}
+	if noisy {
+		noise := t.scratch(n)
+		p.Sensor.TimeNoises(noise, p.TimeNoiseFrac)
+		for i, x := range noise {
+			prof.DurMicros[i] *= x
+		}
+	}
 	now := 0.0
-	for i := range trace {
-		s := &trace[i]
-		k, trueDur, ratios, err := t.timing(s)
-		if err != nil {
-			return nil, nil, fmt.Errorf("profiler: trace entry %d: %w", i, err)
-		}
-		if g != nil {
-			t.at[i] = k
-		}
-		// Field by field: the Records are zeroed, and a Record literal
-		// would be built aside and then copied in.
-		r := &prof.Records[i]
-		r.Index, r.Spec, r.StartMicros, r.FreqMHz, r.Ratios = i, s, now, fMHz, ratios
-		r.DurMicros = p.measure(trueDur)
-		now += r.DurMicros
+	for _, d := range prof.DurMicros {
+		now += d
 	}
 	prof.TotalMicros = now
 	return prof, t, nil
@@ -193,18 +191,24 @@ func (p *Profiler) RunPower(trace []op.Spec, fMHz float64, g *powersim.Ground, t
 	if err != nil {
 		return nil, err
 	}
-	for i := range prof.Records {
-		r := &prof.Records[i]
-		core, soc := t.terms(i, g, r.Spec).Power(float64(th.DeltaT()))
-		th.Step(units.Micros(r.DurMicros), units.Watt(soc))
+	// An entry's thermal decay depends on its measured duration alone:
+	// take every exp in a loop of its own, off the chain of die
+	// temperatures the next loop walks.
+	decay := t.scratch(len(trace))
+	for i, d := range prof.DurMicros {
+		decay[i] = th.Decay(units.Micros(d))
+	}
+	for i := range trace {
+		core, soc := t.terms(i, g, &trace[i]).Power(float64(th.DeltaT()))
+		th.StepDecay(units.Micros(prof.DurMicros[i]), units.Watt(soc), decay[i])
 		if p.Sensor != nil {
-			r.AICoreW = p.Sensor.Power(core)
-			r.SoCW = p.Sensor.Power(soc)
-			r.TempC = p.Sensor.Temp(float64(th.TempC()))
+			prof.AICoreW[i] = p.Sensor.Power(core)
+			prof.SoCW[i] = p.Sensor.Power(soc)
+			prof.TempC[i] = p.Sensor.Temp(float64(th.TempC()))
 		} else {
-			r.AICoreW = core
-			r.SoCW = soc
-			r.TempC = float64(th.TempC())
+			prof.AICoreW[i] = core
+			prof.SoCW[i] = soc
+			prof.TempC[i] = float64(th.TempC())
 		}
 	}
 	return prof, nil
@@ -222,13 +226,20 @@ func (p *Profiler) RunPower(trace []op.Spec, fMHz float64, g *powersim.Ground, t
 // and then ==, under which a spec with a NaN never matches (it is
 // worked out afresh each time and never takes an entry) and +0 matches
 // -0, which every result treats alike. A trace edited between calls is
-// therefore looked up as what it now says. What the entries were
-// worked out from — the frequency, the profiler's chip and the power
-// run's ground with its chip, each by identity and by every field, bit
-// for bit — is recorded, and the table starts empty when a call brings
-// anything else (a timing-only Run leaves the ground alone). The table
-// holds at most opTableCap operators; each further new one is worked
-// out on every occurrence.
+// therefore looked up as what it now says. What
+// the entries were worked out from — the frequency, the profiler's chip
+// and the power run's ground with its chip, each by identity and by
+// every field, bit for bit — is recorded, and the table starts empty
+// when a call brings anything else (a timing-only Run leaves the ground
+// alone). The table holds at most opTableCap operators; each further
+// new one is worked out on every occurrence.
+//
+// The table also remembers which trace its last call resolved, by its
+// first entry's address and its length, and where each of its entries
+// was found. A call over the same trace — every call of a warm-up —
+// checks each entry against the operator it was found at last time with
+// == and skips the hash and the probe when it holds; an entry edited in
+// place since then fails the check and is looked up afresh.
 type opTable struct {
 	f       float64
 	chip    *npu.Chip
@@ -239,9 +250,14 @@ type opTable struct {
 
 	index [2 * opTableCap]int32 // 1 + an entry's position in ops; 0 is empty
 	ops   []opEntry
-	// at holds, for each entry of the trace the last power run
-	// profiled, its position in ops, or -1 if it took no entry.
-	at []int32
+	// at holds, for each entry of the trace the last call resolved, its
+	// position in ops, or -1 if it took no entry; last is that trace's
+	// first entry, nil if the call failed or ops was emptied since.
+	at   []int32
+	last *op.Spec
+	// buf is a call's scratch: the noise factors of its durations, then
+	// the thermal decays of a power run.
+	buf []float64
 	// spare holds the terms of an operator that took no entry, for the
 	// moment they are read.
 	spare powersim.Terms
@@ -287,6 +303,53 @@ func (t *opTable) reset(fMHz float64, chip *npu.Chip) {
 	t.ground = nil
 	t.index = [2 * opTableCap]int32{}
 	t.ops = t.ops[:0]
+	t.last = nil
+}
+
+// scratch returns t.buf resized to n.
+func (t *opTable) scratch(n int) []float64 {
+	if cap(t.buf) < n {
+		t.buf = make([]float64, n)
+	}
+	t.buf = t.buf[:n]
+	return t.buf
+}
+
+// resolve looks up every entry of trace, writing its true duration to
+// dur and, if ratios is not nil, its ratios there, and records where it
+// was found in at. On an invalid entry it returns the entry's index and
+// the error.
+func (t *opTable) resolve(trace []op.Spec, dur []float64, ratios [][op.NumPipes]float64) (int, error) {
+	same := len(trace) > 0 && t.last == &trace[0] && len(t.at) == len(trace)
+	t.last = nil
+	if cap(t.at) < len(trace) {
+		t.at = make([]int32, len(trace))
+	}
+	t.at = t.at[:len(trace)]
+	for i := range trace {
+		s := &trace[i]
+		if same {
+			if k := t.at[i]; k >= 0 && t.ops[k].spec == *s {
+				dur[i] = t.ops[k].dur
+				if ratios != nil {
+					ratios[i] = t.ops[k].ratios
+				}
+				continue
+			}
+		}
+		k, d, r, err := t.timing(s)
+		if err != nil {
+			return i, err
+		}
+		t.at[i], dur[i] = k, d
+		if ratios != nil {
+			ratios[i] = r
+		}
+	}
+	if len(trace) > 0 {
+		t.last = &trace[0]
+	}
+	return 0, nil
 }
 
 // sameChip and sameGround report whether a and b agree in every field,
@@ -346,7 +409,7 @@ func (t *opTable) timing(s *op.Spec) (int32, float64, [op.NumPipes]float64, erro
 }
 
 // terms returns the power terms under g of s, the i-th entry of the
-// trace the last power run profiled.
+// trace the last call resolved.
 func (t *opTable) terms(i int, g *powersim.Ground, s *op.Spec) *powersim.Terms {
 	k := t.at[i]
 	if k < 0 {
@@ -413,15 +476,15 @@ func BuildInstanceSeries(profiles []*Profile) []*Series {
 		return nil
 	}
 	var out []*Series
-	for i := range profiles[0].Records {
-		spec := profiles[0].Records[i].Spec
+	for i := range profiles[0].Trace {
+		spec := &profiles[0].Trace[i]
 		if spec.Class != op.Compute {
 			continue
 		}
 		s := &Series{Key: spec.Key(), Spec: spec, Count: 1}
 		for _, prof := range profiles {
 			s.FreqMHz = append(s.FreqMHz, prof.FreqMHz)
-			s.Micros = append(s.Micros, prof.Records[i].DurMicros)
+			s.Micros = append(s.Micros, prof.DurMicros[i])
 		}
 		out = append(out, s)
 	}
@@ -435,16 +498,16 @@ func BuildSeries(profiles []*Profile) map[string]*Series {
 	for _, prof := range profiles {
 		sums := make(map[string]float64)
 		counts := make(map[string]int)
-		for i := range prof.Records {
-			r := &prof.Records[i]
-			if r.Spec.Class != op.Compute {
+		for i := range prof.Trace {
+			spec := &prof.Trace[i]
+			if spec.Class != op.Compute {
 				continue
 			}
-			k := r.Spec.Key()
-			sums[k] += r.DurMicros
+			k := spec.Key()
+			sums[k] += prof.DurMicros[i]
 			counts[k]++
 			if _, ok := out[k]; !ok {
-				out[k] = &Series{Key: k, Spec: r.Spec}
+				out[k] = &Series{Key: k, Spec: spec}
 			}
 		}
 		for k, sum := range sums {

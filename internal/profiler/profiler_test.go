@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"npudvfs/internal/npu"
@@ -42,17 +43,20 @@ func TestRunNoiselessMatchesChipTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prof.Records) != len(trace) {
-		t.Fatalf("got %d records, want %d", len(prof.Records), len(trace))
+	if prof.Len() != len(trace) || len(prof.DurMicros) != len(trace) || len(prof.Ratios) != len(trace) {
+		t.Fatalf("got %d entries (%d durations, %d ratios), want %d", prof.Len(), len(prof.DurMicros), len(prof.Ratios), len(trace))
+	}
+	if &prof.Trace[0] != &trace[0] || prof.AICoreW != nil || prof.SoCW != nil || prof.TempC != nil {
+		t.Fatal("a timing profile must share the caller's trace and carry no power columns")
 	}
 	total := 0.0
 	for i := range trace {
 		want := chip.Time(&trace[i], 1500)
-		if got := prof.Records[i].DurMicros; got != want {
-			t.Errorf("record %d duration = %g, want %g", i, got, want)
+		if got := prof.DurMicros[i]; got != want {
+			t.Errorf("entry %d duration = %g, want %g", i, got, want)
 		}
-		if prof.Records[i].StartMicros != total {
-			t.Errorf("record %d start = %g, want %g", i, prof.Records[i].StartMicros, total)
+		if got, want := prof.Ratios[i], chip.Ratios(&trace[i], 1500); got != want {
+			t.Errorf("entry %d ratios = %v, want %v", i, got, want)
 		}
 		total += want
 	}
@@ -94,11 +98,11 @@ func TestNoiseIsSmallAndDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Records {
-		if a.Records[i].DurMicros != b.Records[i].DurMicros {
+	for i := range a.DurMicros {
+		if a.DurMicros[i] != b.DurMicros[i] {
 			t.Fatalf("same-seed profilers diverged at record %d", i)
 		}
-		rel := math.Abs(a.Records[i].DurMicros-exact.Records[i].DurMicros) / exact.Records[i].DurMicros
+		rel := math.Abs(a.DurMicros[i]-exact.DurMicros[i]) / exact.DurMicros[i]
 		if rel > 0.1 {
 			t.Errorf("record %d noise %g too large", i, rel)
 		}
@@ -114,16 +118,19 @@ func TestRunPowerPopulatesTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range prof.Records {
-		r := &prof.Records[i]
-		if r.SoCW <= 0 || r.AICoreW <= 0 {
-			t.Errorf("record %d: power not populated (%g, %g)", i, r.AICoreW, r.SoCW)
+	if prof.Ratios != nil {
+		t.Error("a power profile carries PMU ratios")
+	}
+	for i := range prof.Trace {
+		core, soc, temp := prof.AICoreW[i], prof.SoCW[i], prof.TempC[i]
+		if soc <= 0 || core <= 0 {
+			t.Errorf("record %d: power not populated (%g, %g)", i, core, soc)
 		}
-		if r.SoCW <= r.AICoreW {
-			t.Errorf("record %d: SoC power %g <= AICore %g", i, r.SoCW, r.AICoreW)
+		if soc <= core {
+			t.Errorf("record %d: SoC power %g <= AICore %g", i, soc, core)
 		}
-		if r.TempC < float64(thermal.Default().AmbientC) {
-			t.Errorf("record %d: temperature %g below ambient", i, r.TempC)
+		if temp < float64(thermal.Default().AmbientC) {
+			t.Errorf("record %d: temperature %g below ambient", i, temp)
 		}
 	}
 	if th.TempC() <= thermal.Default().AmbientC {
@@ -216,12 +223,15 @@ func TestBuildSeriesAggregates(t *testing.T) {
 
 // TestRunPowerAllocatesOnlyTheProfile holds one power-collecting run,
 // as Lab.PowerProfiles makes it ~330 times per ViT build, to 2
-// allocations, the Profile and its Records: each operator's timing and
-// power terms live in the table the Profiler keeps across its calls (a
-// table allocated per call would read 3; terms escaping per operator,
-// >= 721). The profiler is seeded as Lab.PowerProfiles seeds its own,
-// and the die is at thermal equilibrium for 1800 MHz, as after that
-// method's warm-up.
+// allocations, the Profile and the one block its four columns are cut
+// from, and to 32 KiB: 32 bytes per entry of ViT's 721 (a copy of the
+// trace per entry, as Records with spec pointers and ratios were, read
+// 81,971 B). Each operator's timing and power terms, and the scratch
+// for the noise and decay factors, live in the table the Profiler keeps
+// across its calls (a table allocated per call would read 3; terms
+// escaping per operator, >= 721). The profiler is seeded as
+// Lab.PowerProfiles seeds its own, and the die is at thermal
+// equilibrium for 1800 MHz, as after that method's warm-up.
 func TestRunPowerAllocatesOnlyTheProfile(t *testing.T) {
 	chip := npu.Default()
 	g := powersim.Default(chip)
@@ -239,6 +249,26 @@ func TestRunPowerAllocatesOnlyTheProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n > 2 {
-		t.Errorf("RunPower on ViT made %v allocations, want <= 2 (the Profile and its Records)", n)
+		t.Errorf("RunPower on ViT made %v allocations, want <= 2 (the Profile and its columns)", n)
 	}
+	bytes := allocBytes(func() { _, err = p.RunPower(m.Trace, 1800, g, th) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("RunPower on ViT: %d bytes", bytes)
+	if bytes > 32<<10 {
+		t.Errorf("RunPower on ViT allocated %d bytes, want <= 32 KiB (measured values only, no per-entry copy of the trace)", bytes)
+	}
+}
+
+// allocBytes returns the heap bytes the second of two calls of f
+// allocates, at GOMAXPROCS 1.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -25,7 +25,8 @@ import (
 // the receiver first; nothing else changed. The rewrite is only correct
 // if it is BIT-identical to these on every input — the models fitted
 // from the profiles feed every strategy — so the tests below compare
-// math.Float64bits, not values. Keep this copy in sync with nothing.
+// math.Float64bits, not values. Keep this copy in sync with nothing;
+// only the layout of the Profile it fills follows the production type.
 
 func refCycles(c *npu.Chip, s *op.Spec, fMHz float64) float64 {
 	if s.Class != op.Compute {
@@ -180,6 +181,13 @@ func refSoCPower(g *powersim.Ground, s *op.Spec, fMHz, deltaT float64) float64 {
 	return refAICorePower(g, s, fMHz, deltaT) + refUncorePower(g, s, fMHz, deltaT)
 }
 
+func refMeasure(p *Profiler, trueDur float64) float64 {
+	if p.Sensor == nil || p.TimeNoiseFrac <= 0 {
+		return trueDur
+	}
+	return trueDur * p.Sensor.TimeNoise(p.TimeNoiseFrac)
+}
+
 func refRun(p *Profiler, trace []op.Spec, fMHz float64) (*Profile, error) {
 	if err := p.Chip.Validate(); err != nil {
 		return nil, err
@@ -187,22 +195,19 @@ func refRun(p *Profiler, trace []op.Spec, fMHz float64) (*Profile, error) {
 	if fMHz <= 0 {
 		return nil, fmt.Errorf("profiler: invalid frequency %g MHz", fMHz)
 	}
-	prof := &Profile{FreqMHz: fMHz, Records: make([]Record, len(trace))}
+	prof := &Profile{
+		FreqMHz: fMHz, Trace: trace,
+		DurMicros: make([]float64, len(trace)), Ratios: make([][op.NumPipes]float64, len(trace)),
+	}
 	now := 0.0
 	for i := range trace {
 		s := &trace[i]
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("profiler: trace entry %d: %w", i, err)
 		}
-		dur := p.measure(refTime(p.Chip, s, fMHz))
-		prof.Records[i] = Record{
-			Index:       i,
-			Spec:        s,
-			StartMicros: now,
-			DurMicros:   dur,
-			FreqMHz:     fMHz,
-			Ratios:      refRatios(p.Chip, s, fMHz),
-		}
+		dur := refMeasure(p, refTime(p.Chip, s, fMHz))
+		prof.DurMicros[i] = dur
+		prof.Ratios[i] = refRatios(p.Chip, s, fMHz)
 		now += dur
 	}
 	prof.TotalMicros = now
@@ -217,20 +222,23 @@ func refRunPower(p *Profiler, trace []op.Spec, fMHz float64, g *powersim.Ground,
 	if err != nil {
 		return nil, err
 	}
-	for i := range prof.Records {
-		r := &prof.Records[i]
+	n := len(trace)
+	prof.Ratios = nil
+	prof.AICoreW, prof.SoCW, prof.TempC = make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range trace {
+		spec := &trace[i]
 		deltaT := float64(th.DeltaT())
-		core := refAICorePower(g, r.Spec, fMHz, deltaT)
-		soc := refSoCPower(g, r.Spec, fMHz, deltaT)
-		th.Step(units.Micros(r.DurMicros), units.Watt(soc))
+		core := refAICorePower(g, spec, fMHz, deltaT)
+		soc := refSoCPower(g, spec, fMHz, deltaT)
+		th.Step(units.Micros(prof.DurMicros[i]), units.Watt(soc))
 		if p.Sensor != nil {
-			r.AICoreW = p.Sensor.Power(core)
-			r.SoCW = p.Sensor.Power(soc)
-			r.TempC = p.Sensor.Temp(float64(th.TempC()))
+			prof.AICoreW[i] = p.Sensor.Power(core)
+			prof.SoCW[i] = p.Sensor.Power(soc)
+			prof.TempC[i] = p.Sensor.Temp(float64(th.TempC()))
 		} else {
-			r.AICoreW = core
-			r.SoCW = soc
-			r.TempC = float64(th.TempC())
+			prof.AICoreW[i] = core
+			prof.SoCW[i] = soc
+			prof.TempC[i] = float64(th.TempC())
 		}
 	}
 	return prof, nil
@@ -250,23 +258,39 @@ func sameRatios(a, b [op.NumPipes]float64) bool {
 }
 
 // diffProfiles returns the first field where got and want differ in
-// any bit, or "".
+// any bit, or "". Both must profile the same trace slice.
 func diffProfiles(got, want *Profile) string {
 	if !sameBits(got.FreqMHz, want.FreqMHz) || !sameBits(got.TotalMicros, want.TotalMicros) {
 		return fmt.Sprintf("header: got (%v, %v), want (%v, %v)", got.FreqMHz, got.TotalMicros, want.FreqMHz, want.TotalMicros)
 	}
-	if len(got.Records) != len(want.Records) {
-		return fmt.Sprintf("%d records, want %d", len(got.Records), len(want.Records))
+	n := len(want.Trace)
+	if len(got.Trace) != n || n > 0 && &got.Trace[0] != &want.Trace[0] {
+		return fmt.Sprintf("profiles %d entries of another trace, want %d of the caller's", len(got.Trace), n)
 	}
-	for i := range got.Records {
-		g, w := &got.Records[i], &want.Records[i]
-		same := g.Index == w.Index && g.Spec == w.Spec &&
-			sameBits(g.StartMicros, w.StartMicros) && sameBits(g.DurMicros, w.DurMicros) &&
-			sameBits(g.FreqMHz, w.FreqMHz) && sameBits(g.AICoreW, w.AICoreW) &&
-			sameBits(g.SoCW, w.SoCW) && sameBits(g.TempC, w.TempC) &&
-			sameRatios(g.Ratios, w.Ratios)
-		if !same {
-			return fmt.Sprintf("record %d (%s): got %+v, want %+v", i, g.Spec.Key(), *g, *w)
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"DurMicros", got.DurMicros, want.DurMicros},
+		{"AICoreW", got.AICoreW, want.AICoreW},
+		{"SoCW", got.SoCW, want.SoCW},
+		{"TempC", got.TempC, want.TempC},
+	} {
+		if (c.got == nil) != (c.want == nil) || len(c.got) != len(c.want) {
+			return fmt.Sprintf("%s: got %d values (nil %v), want %d (nil %v)", c.name, len(c.got), c.got == nil, len(c.want), c.want == nil)
+		}
+		for i := range c.want {
+			if !sameBits(c.got[i], c.want[i]) {
+				return fmt.Sprintf("entry %d (%s): %s %v, want %v", i, want.Trace[i].Key(), c.name, c.got[i], c.want[i])
+			}
+		}
+	}
+	if (got.Ratios == nil) != (want.Ratios == nil) || len(got.Ratios) != len(want.Ratios) {
+		return fmt.Sprintf("Ratios: got %d (nil %v), want %d (nil %v)", len(got.Ratios), got.Ratios == nil, len(want.Ratios), want.Ratios == nil)
+	}
+	for i := range want.Ratios {
+		if !sameRatios(got.Ratios[i], want.Ratios[i]) {
+			return fmt.Sprintf("entry %d (%s): Ratios %v, want %v", i, want.Trace[i].Key(), got.Ratios[i], want.Ratios[i])
 		}
 	}
 	return ""
@@ -380,31 +404,59 @@ type step struct {
 // temperature after each call to agree bit for bit.
 func compareSession(t *testing.T, label string, prod, ref *Profiler, steps []step) {
 	t.Helper()
-	thProd := thermal.NewState(thermal.Default())
-	thRef := thermal.NewState(thermal.Default())
+	s := newSession(prod, ref)
 	for call, st := range steps {
 		if st.edit != nil {
 			st.edit()
 		}
-		var got, want *Profile
-		var err, refErr error
-		if st.g == nil {
-			got, err = prod.Run(st.trace, st.f)
-			want, refErr = refRun(ref, st.trace, st.f)
-		} else {
-			got, err = prod.RunPower(st.trace, st.f, st.g, thProd)
-			want, refErr = refRunPower(ref, st.trace, st.f, st.g, thRef)
-		}
-		if err != nil || refErr != nil {
-			t.Fatalf("%s call %d: %v (reference: %v)", label, call, err, refErr)
-		}
-		if d := diffProfiles(got, want); d != "" {
-			t.Fatalf("%s call %d diverged from the reference: %s", label, call, d)
-		}
-		if !sameBits(float64(thProd.TempC()), float64(thRef.TempC())) {
-			t.Fatalf("%s call %d: die at %v °C, reference %v °C", label, call, thProd.TempC(), thRef.TempC())
+		if err := s.call(t, fmt.Sprintf("%s call %d", label, call), st.trace, st.f, st.g); err != nil {
+			t.Fatalf("%s call %d: %v", label, call, err)
 		}
 	}
+}
+
+// session pairs a production profiler with its reference twin, each
+// with a thermal state of its own.
+type session struct {
+	prod, ref     *Profiler
+	thProd, thRef *thermal.State
+}
+
+func newSession(prod, ref *Profiler) *session {
+	return &session{prod: prod, ref: ref,
+		thProd: thermal.NewState(thermal.Default()), thRef: thermal.NewState(thermal.Default())}
+}
+
+// call makes one call — a RunPower under g, or a timing-only Run when
+// g is nil — through s.prod and, with refRun or refRunPower, through
+// s.ref. It fails t unless both return profiles that agree bit for
+// bit, or both fail with the same error, and the die temperatures
+// after the call agree bit for bit. It returns the error both gave.
+func (s *session) call(t *testing.T, label string, trace []op.Spec, f float64, g *powersim.Ground) error {
+	t.Helper()
+	var got, want *Profile
+	var err, refErr error
+	if g == nil {
+		got, err = s.prod.Run(trace, f)
+		want, refErr = refRun(s.ref, trace, f)
+	} else {
+		got, err = s.prod.RunPower(trace, f, g, s.thProd)
+		want, refErr = refRunPower(s.ref, trace, f, g, s.thRef)
+	}
+	switch {
+	case err != nil || refErr != nil:
+		if err == nil || refErr == nil || err.Error() != refErr.Error() {
+			t.Fatalf("%s: %v, reference: %v", label, err, refErr)
+		}
+	default:
+		if d := diffProfiles(got, want); d != "" {
+			t.Fatalf("%s diverged from the reference: %s", label, d)
+		}
+	}
+	if !sameBits(float64(s.thProd.TempC()), float64(s.thRef.TempC())) {
+		t.Fatalf("%s: die at %v °C, reference %v °C", label, s.thProd.TempC(), s.thRef.TempC())
+	}
+	return err
 }
 
 // TestProfilerSessionMatchesReference keeps one Profiler for a whole

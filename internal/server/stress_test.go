@@ -38,9 +38,11 @@ func deepSearch(seed int64) string {
 // worker. With the fix (ID assigned and job published before the
 // queue send, retention covering workers+queue+1) every accepted job
 // is pollable from the moment submit returns until its result has
-// been observed.
+// been observed. The deep searches are cancelled at the end, not
+// drained.
 func TestSubmitPollNoLostJobs(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 3, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{Workers: 3, QueueDepth: 1})
+	t.Cleanup(func() { stopNow(s) })
 
 	for i := 0; i < 2; i++ {
 		code, _ := submit(t, ts, deepSearch(int64(100+i)))

@@ -26,6 +26,17 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 			return nil, fmt.Errorf("stats: row %d has %d columns, want %d", i, len(a[i]), n)
 		}
 	}
+	x := make([]float64, n)
+	if err := solveInto(a, b, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// solveInto is SolveLinear on a checked square system, writing the
+// solution to x.
+func solveInto(a [][]float64, b, x []float64) error {
+	n := len(a)
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		pivot := col
@@ -35,7 +46,7 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 			}
 		}
 		if math.Abs(a[pivot][col]) < 1e-300 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		a[col], a[pivot] = a[pivot], a[col]
 		b[col], b[pivot] = b[pivot], b[col]
@@ -51,7 +62,6 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 			b[r] -= factor * b[col]
 		}
 	}
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		for j := i + 1; j < n; j++ {
@@ -59,7 +69,7 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 		}
 		x[i] = sum / a[i][i]
 	}
-	return x, nil
+	return nil
 }
 
 // LeastSquares solves min ||X beta - y||² via the normal equations.
@@ -141,7 +151,8 @@ func DefaultLMOptions() LMOptions { return LMOptions{MaxIter: 200, Tol: 1e-12} }
 // CurveFit fits model parameters to (xs, ys) by Levenberg-Marquardt
 // with numerically differentiated Jacobians, starting from p0.
 // It returns the fitted parameters and the final sum of squared
-// residuals.
+// residuals. Its work buffers are allocated once per call, so the
+// allocations do not grow with the iterations.
 func CurveFit(model ModelFunc, xs, ys, p0 []float64, opt LMOptions) ([]float64, float64, error) {
 	if len(xs) != len(ys) {
 		return nil, 0, fmt.Errorf("stats: CurveFit length mismatch %d vs %d", len(xs), len(ys))
@@ -179,16 +190,29 @@ func CurveFit(model ModelFunc, xs, ys, p0 []float64, opt LMOptions) ([]float64, 
 	lambda := 1e-3
 	np := len(p)
 	smallSteps := 0 // consecutive sub-tolerance improvements
+	// Work buffers, refilled each iteration: the Jacobian, residuals,
+	// a perturbed copy of p, the normal equations, the damped system
+	// solveInto reorders in place, and the step and trial point.
+	rows := func(n int) [][]float64 {
+		flat := make([]float64, n*np)
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = flat[i*np : (i+1)*np : (i+1)*np]
+		}
+		return out
+	}
+	jac, jtj, aug := rows(len(xs)), rows(np), rows(np)
+	res := make([]float64, len(xs))
+	vecs := make([]float64, 5*np)
+	pj, jtr, rhs, delta, trial := vecs[:np:np], vecs[np:2*np:2*np], vecs[2*np:3*np:3*np], vecs[3*np:4*np:4*np], vecs[4*np:]
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		// Jacobian by forward differences.
-		jac := make([][]float64, len(xs))
-		res := make([]float64, len(xs))
 		for i, x := range xs {
 			res[i] = ys[i] - model(x, p)
-			row := make([]float64, np)
+			row := jac[i]
 			for j := 0; j < np; j++ {
 				h := 1e-6 * (math.Abs(p[j]) + 1e-6)
-				pj := append([]float64(nil), p...)
+				copy(pj, p)
 				pj[j] += h
 				clamp(pj)
 				dh := pj[j] - p[j]
@@ -198,19 +222,18 @@ func CurveFit(model ModelFunc, xs, ys, p0 []float64, opt LMOptions) ([]float64, 
 					clamp(pj)
 					dh = pj[j] - p[j]
 					if dh == 0 {
+						row[j] = 0
 						continue
 					}
 				}
 				row[j] = (model(x, pj) - model(x, p)) / dh
 			}
-			jac[i] = row
 		}
 		// Normal equations with damping: (JtJ + lambda*diag) d = Jt r.
-		jtj := make([][]float64, np)
 		for i := range jtj {
-			jtj[i] = make([]float64, np)
+			clear(jtj[i])
 		}
-		jtr := make([]float64, np)
+		clear(jtr)
 		for r := range jac {
 			for i := 0; i < np; i++ {
 				jtr[i] += jac[r][i] * res[r]
@@ -221,17 +244,17 @@ func CurveFit(model ModelFunc, xs, ys, p0 []float64, opt LMOptions) ([]float64, 
 		}
 		improved := false
 		for attempt := 0; attempt < 16; attempt++ {
-			aug := make([][]float64, np)
+			// solveInto swaps aug's rows, so they are a permutation
+			// of its buffers: row i is refilled whichever it holds.
 			for i := range aug {
-				aug[i] = append([]float64(nil), jtj[i]...)
+				copy(aug[i], jtj[i])
 				aug[i][i] += lambda * (jtj[i][i] + 1e-12)
 			}
-			delta, err := SolveLinear(aug, append([]float64(nil), jtr...))
-			if err != nil {
+			copy(rhs, jtr)
+			if err := solveInto(aug, rhs, delta); err != nil {
 				lambda *= 10
 				continue
 			}
-			trial := make([]float64, np)
 			for i := range trial {
 				trial[i] = p[i] + delta[i]
 			}
@@ -239,7 +262,7 @@ func CurveFit(model ModelFunc, xs, ys, p0 []float64, opt LMOptions) ([]float64, 
 			trialSSR := ssr(trial)
 			if trialSSR < cur {
 				rel := (cur - trialSSR) / math.Max(cur, 1e-300)
-				p, cur = trial, trialSSR
+				p, trial, cur = trial, p, trialSSR
 				lambda = math.Max(lambda/10, 1e-12)
 				improved = true
 				// A single tiny improvement can be an artifact of a

@@ -155,6 +155,44 @@ func TestCurveFitRespectsBounds(t *testing.T) {
 	}
 }
 
+// TestCurveFitAllocsIndependentOfIterations holds CurveFit's work
+// buffers to one allocation each per call: a fit allowed 200 iterations
+// runs several times the model calls of one allowed a single iteration,
+// yet allocates no more.
+func TestCurveFitAllocsIndependentOfIterations(t *testing.T) {
+	calls := 0
+	model := func(x float64, p []float64) float64 {
+		calls++
+		return p[0]*math.Exp(p[1]*x) + p[2]
+	}
+	truth := []float64{2, 0.8, 5}
+	xs := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3}
+	ys := make([]float64, len(xs))
+	for i, x := range xs {
+		ys[i] = model(x, truth)
+	}
+	fit := func(maxIter int) (allocs float64, modelCalls int) {
+		opt := DefaultLMOptions()
+		opt.MaxIter = maxIter
+		calls = 0
+		allocs = testing.AllocsPerRun(1, func() {
+			if _, _, err := CurveFit(model, xs, ys, []float64{1, 0.5, 1}, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// AllocsPerRun makes a warm-up call before the measured one.
+		return allocs, calls / 2
+	}
+	oneAllocs, oneCalls := fit(1)
+	manyAllocs, manyCalls := fit(200)
+	if manyCalls < 3*oneCalls {
+		t.Fatalf("premise: 200 iterations made %d model calls, 1 made %d; want the fit to run several iterations", manyCalls, oneCalls)
+	}
+	if manyAllocs != oneAllocs {
+		t.Errorf("CurveFit made %v allocations with MaxIter 200 and %v with MaxIter 1, want the same", manyAllocs, oneAllocs)
+	}
+}
+
 func TestCurveFitErrors(t *testing.T) {
 	model := func(x float64, p []float64) float64 { return p[0] * x }
 	if _, _, err := CurveFit(model, []float64{1}, []float64{1, 2}, []float64{0}, LMOptions{}); err == nil {

@@ -58,13 +58,26 @@ func (s *State) Equilibrium(psoc units.Watt) units.Celsius {
 }
 
 // Step advances the temperature by dt of operation at the given SoC
-// power, relaxing exponentially toward the equilibrium point.
+// power, relaxing exponentially toward the equilibrium point. A dt
+// ≤ 0 leaves it as it is.
 func (s *State) Step(dt units.Micros, psoc units.Watt) {
+	s.StepDecay(dt, psoc, s.Decay(dt))
+}
+
+// Decay returns the share of the distance to equilibrium that dt of
+// operation leaves, exp(−dt/τ).
+func (p *Params) Decay(dt units.Micros) float64 {
+	return math.Exp(-float64(dt) / float64(p.TauMicros))
+}
+
+// StepDecay is Step with its decay, Decay(dt), worked out beforehand:
+// a caller that knows many steps' durations ahead takes their exps in
+// one loop, off the chain of temperatures.
+func (s *State) StepDecay(dt units.Micros, psoc units.Watt, decay float64) {
 	if dt <= 0 {
 		return
 	}
 	teq := s.Equilibrium(psoc)
-	decay := math.Exp(-float64(dt) / float64(s.TauMicros))
 	s.tempC = teq + (s.tempC-teq)*units.Celsius(decay)
 }
 

@@ -48,37 +48,40 @@ func trackOf(class op.Class) int {
 // WriteChromeTrace exports a profiled iteration (and optionally the
 // strategy applied to it) as Chrome trace-event JSON.
 func WriteChromeTrace(w io.Writer, prof *profiler.Profile, strat *core.Strategy) error {
-	if prof == nil || len(prof.Records) == 0 {
+	if prof == nil || prof.Len() == 0 {
 		return fmt.Errorf("traceio: empty profile")
 	}
-	events := make([]chromeEvent, 0, len(prof.Records)+16)
-	for i := range prof.Records {
-		r := &prof.Records[i]
+	events := make([]chromeEvent, 0, prof.Len()+16)
+	start := 0.0
+	for i := range prof.Trace {
+		spec, dur := &prof.Trace[i], prof.DurMicros[i]
 		args := map[string]any{
-			"key":      r.Spec.Key(),
-			"class":    r.Spec.Class.String(),
-			"freq_mhz": r.FreqMHz,
+			"key":      spec.Key(),
+			"class":    spec.Class.String(),
+			"freq_mhz": prof.FreqMHz,
 		}
-		if r.Spec.Class == op.Compute {
-			args["scenario"] = r.Spec.Scenario.String()
-			args["ratio_core"] = r.Ratios[r.Spec.CorePipe]
-			args["ratio_ld"] = r.Ratios[op.MTE2]
-			args["ratio_st"] = r.Ratios[op.MTE3]
+		if spec.Class == op.Compute && prof.Ratios != nil {
+			r := &prof.Ratios[i]
+			args["scenario"] = spec.Scenario.String()
+			args["ratio_core"] = r[spec.CorePipe]
+			args["ratio_ld"] = r[op.MTE2]
+			args["ratio_st"] = r[op.MTE3]
 		}
-		if r.SoCW > 0 {
-			args["soc_w"] = r.SoCW
-			args["aicore_w"] = r.AICoreW
+		if prof.SoCW != nil && prof.SoCW[i] > 0 {
+			args["soc_w"] = prof.SoCW[i]
+			args["aicore_w"] = prof.AICoreW[i]
 		}
 		events = append(events, chromeEvent{
-			Name:  r.Spec.Name,
-			Cat:   r.Spec.Class.String(),
+			Name:  spec.Name,
+			Cat:   spec.Class.String(),
 			Phase: "X",
-			TS:    r.StartMicros,
-			Dur:   r.DurMicros,
+			TS:    start,
+			Dur:   dur,
 			PID:   1,
-			TID:   trackOf(r.Spec.Class),
+			TID:   trackOf(spec.Class),
 			Args:  args,
 		})
+		start += dur
 	}
 	if strat != nil {
 		for _, p := range strat.Points {

@@ -25,11 +25,15 @@ func sampleProfile(t *testing.T) *profiler.Profile {
 
 func TestChromeTraceValidJSON(t *testing.T) {
 	prof := sampleProfile(t)
+	start20 := 0.0
+	for _, d := range prof.DurMicros[:20] {
+		start20 += d
+	}
 	strat := &core.Strategy{
 		BaselineMHz: 1800,
 		Points: []core.FreqPoint{
 			{OpIndex: 0, FreqMHz: 1800},
-			{OpIndex: 20, TimeMicros: units.Micros(prof.Records[20].StartMicros), FreqMHz: 1200},
+			{OpIndex: 20, TimeMicros: units.Micros(start20), FreqMHz: 1200},
 		},
 	}
 	var buf bytes.Buffer
@@ -40,8 +44,8 @@ func TestChromeTraceValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if len(events) != len(prof.Records)+len(strat.Points) {
-		t.Fatalf("got %d events, want %d", len(events), len(prof.Records)+len(strat.Points))
+	if len(events) != prof.Len()+len(strat.Points) {
+		t.Fatalf("got %d events, want %d", len(events), prof.Len()+len(strat.Points))
 	}
 	// Complete events must carry ph=X with non-negative ts/dur.
 	complete, instants := 0, 0
@@ -58,8 +62,8 @@ func TestChromeTraceValidJSON(t *testing.T) {
 			t.Errorf("unexpected phase %v", e["ph"])
 		}
 	}
-	if complete != len(prof.Records) || instants != len(strat.Points) {
-		t.Errorf("event mix %d/%d, want %d/%d", complete, instants, len(prof.Records), len(strat.Points))
+	if complete != prof.Len() || instants != len(strat.Points) {
+		t.Errorf("event mix %d/%d, want %d/%d", complete, instants, prof.Len(), len(strat.Points))
 	}
 }
 
@@ -73,8 +77,8 @@ func TestChromeTraceWithoutStrategy(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != len(prof.Records) {
-		t.Errorf("got %d events, want %d", len(events), len(prof.Records))
+	if len(events) != prof.Len() {
+		t.Errorf("got %d events, want %d", len(events), prof.Len())
 	}
 }
 
